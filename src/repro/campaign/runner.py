@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import queue as queue_mod
 import random
 import time
 from collections import deque
@@ -911,36 +910,27 @@ def _failure_result(scenario: Scenario, campaign_seed: int, status: str,
     }
 
 
-def _worker(payload) -> Dict[str, object]:
-    """Pool entry point: (scenario, campaign_seed, sim_mode) → result."""
-    scenario, campaign_seed, sim_mode = payload
-    return run_scenario(scenario, campaign_seed, sim_mode=sim_mode)
+def _shard_main(conn, campaign_seed: int, sim_mode: Optional[str]) -> None:
+    """Worker process loop: scenarios in over ``conn``, one reply each out.
 
-
-def _shard_main(wid: int, task_q, result_q, campaign_seed: int,
-                sim_mode: Optional[str]) -> None:
-    """Worker process loop: one task at a time, sentinel ``None`` exits.
-
-    Single-task dispatch (no prefetch) is what makes crash attribution
-    exact: a dead worker had at most one scenario in flight, and the
-    parent knows which.
+    Replies go back over the worker's own pipe in task order, written
+    synchronously (no feeder thread): once ``send`` returns, the row is
+    in the pipe even if the process dies on its next scenario, so the
+    parent can drain every reply before it blames anyone.  ``None``
+    exits.
     """
-    while True:
-        item = task_q.get()
-        if item is None:
-            return
-        idx, scenario = item
+    for scenario in iter(conn.recv, None):
         if os.environ.get(ENV_CRASH_SCENARIO) == scenario.name:
             os._exit(3)
         if os.environ.get(ENV_HANG_SCENARIO) == scenario.name:
             time.sleep(3600)
         try:
             _flaky_hook(scenario)
-            result = run_scenario(scenario, campaign_seed, sim_mode=sim_mode)
-            result_q.put(("done", wid, idx, result))
+            reply = ("done", run_scenario(scenario, campaign_seed,
+                                          sim_mode=sim_mode))
         except Exception as exc:  # noqa: BLE001 - shard boundary
-            result_q.put(("error", wid, idx,
-                          f"{type(exc).__name__}: {exc}"))
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
 
 
 def _run_serial(
@@ -986,146 +976,148 @@ def _run_pool(
     retries: int,
     backoff: float,
 ) -> List[Dict[str, object]]:
-    """Hardened process pool: per-worker task queues, crash quarantine.
+    """Hardened process pool: a pipe per worker, one scenario queued ahead.
 
-    Each worker owns a private task queue and is handed one scenario at
-    a time; a shared result queue carries verdicts back.  The parent
-    polls for three failure modes:
+    Each worker runs one scenario and, while more are pending than there
+    are workers, holds the next one queued behind it, so it does not
+    idle while the parent streams (and fsyncs) the row it just sent.
+    Rows come back over the worker's own pipe in task order; one
+    ``multiprocessing.connection.wait`` over every pipe and process
+    sentinel drives the loop.  Failure modes:
 
-    - worker death → the in-flight scenario is recorded as
-      ``status: "crashed"`` (:class:`~repro.errors.WorkerCrash`),
-      quarantined (never re-dispatched — it killed a process once), and
-      the worker is respawned;
-    - wall-clock ``timeout`` per scenario → the worker is killed, the
-      scenario recorded as ``status: "timeout"``
-      (:class:`~repro.errors.ScenarioTimeout`), worker respawned;
+    - worker death → its pipe is drained first, then the first scenario
+      still unreported (the one it died on) is recorded as ``status:
+      "crashed"`` (:class:`~repro.errors.WorkerCrash`) and quarantined;
+    - wall-clock ``timeout`` on a running scenario → the worker is
+      killed and drained the same way; that scenario, if still
+      unreported, is recorded as ``status: "timeout"``
+      (:class:`~repro.errors.ScenarioTimeout`);
     - in-shard exceptions → retried up to ``retries`` times with
       exponential ``backoff``, then recorded as ``status: "error"``.
 
-    An exception raised by ``stream`` aborts the run; the workers are
-    torn down on the way out.
+    Scenarios queued behind a culprit go back to the front of the
+    pending list with no attempt counted, and the worker is respawned.
+    An exception raised by ``stream`` aborts the run; busy workers are
+    killed on the way out.
     """
     if not scenarios:
         return []
+    from multiprocessing.connection import wait
+
     ctx = multiprocessing.get_context()
-    result_q = ctx.Queue()
     total = len(scenarios)
-
-    def spawn(wid: int):
-        task_q = ctx.Queue()
-        proc = ctx.Process(
-            target=_shard_main,
-            args=(wid, task_q, result_q, campaign_seed, sim_mode),
-            daemon=True,
-        )
-        proc.start()
-        return {"proc": proc, "task_q": task_q}
-
-    workers: Dict[int, Dict[str, object]] = {}
-    next_wid = 0
-    for _ in range(min(jobs, max(total, 1))):
-        workers[next_wid] = spawn(next_wid)
-        next_wid += 1
-
     pending = deque(enumerate(scenarios))
     delayed: List[Tuple[float, int, Scenario]] = []  # (ready_at, idx, s)
-    inflight: Dict[int, Dict[str, object]] = {}  # wid -> {idx, scenario, deadline}
     attempts: Dict[int, int] = {}
     results: List[Dict[str, object]] = []
+    # Per worker: process, pipe, unreported (idx, scenario) tasks in
+    # dispatch order, and when the head task started.
+    workers: List[Dict[str, object]] = []
+
+    def spawn() -> None:
+        conn, child = ctx.Pipe()
+        proc = ctx.Process(target=_shard_main, daemon=True,
+                           args=(child, campaign_seed, sim_mode))
+        proc.start()
+        child.close()
+        workers.append({"proc": proc, "conn": conn, "tasks": deque(), "since": 0.0})
 
     def record(result: Dict[str, object]) -> None:
         if stream is not None:
             stream(result)
         results.append(result)
 
-    def fail(scenario: Scenario, status: str, detail: str) -> None:
-        record(_failure_result(scenario, campaign_seed, status, detail))
-
     def reschedule(idx: int, scenario: Scenario, detail: str) -> None:
         attempts[idx] = attempts.get(idx, 0) + 1
         if attempts[idx] > retries:
-            fail(scenario, "error", detail)
+            record(_failure_result(scenario, campaign_seed, "error", detail))
         else:
             ready = time.monotonic() + backoff * (2 ** (attempts[idx] - 1))
             delayed.append((ready, idx, scenario))
 
+    def dispatch() -> None:
+        depth = 2 if len(pending) > len(workers) else 1
+        for worker in workers:
+            tasks = worker["tasks"]
+            while pending and len(tasks) < depth:
+                try:
+                    worker["conn"].send(pending[0][1])
+                except OSError:  # died since the last wait; retire() reaps it
+                    break
+                if not tasks:
+                    worker["since"] = time.monotonic()
+                tasks.append(pending.popleft())
+
+    def drain(worker) -> bool:
+        """Take every row waiting in the worker's pipe; False at EOF."""
+        while worker["conn"].poll():
+            try:
+                kind, payload = worker["conn"].recv()
+            except (EOFError, OSError):  # exited (OSError: killed mid-send)
+                return False
+            idx, scenario = worker["tasks"].popleft()
+            worker["since"] = time.monotonic()  # its queued task is running
+            if kind == "done":
+                record(payload)
+            else:
+                reschedule(idx, scenario, payload)
+        return True
+
+    def retire(worker, status: str) -> None:
+        """Reap a dead or hung worker: drain, blame, requeue, respawn."""
+        proc, tasks = worker["proc"], worker["tasks"]
+        stuck = tasks[0] if tasks else None
+        if status == "timeout":
+            proc.kill()
+        proc.join()
+        drain(worker)
+        worker["conn"].close()
+        workers.remove(worker)
+        # A row drained after a timeout means the slow scenario finished
+        # after all; the queued one the kill interrupted is innocent.
+        if tasks and (status == "crashed" or tasks[0] is stuck):
+            _idx, scenario = tasks.popleft()
+            error = (WorkerCrash(scenario.name, exitcode=proc.exitcode)
+                     if status == "crashed"
+                     else ScenarioTimeout(scenario.name, float(timeout)))
+            record(_failure_result(scenario, campaign_seed, status, str(error)))
+        pending.extendleft(reversed(tasks))
+        if len(results) < total:
+            spawn()
+
+    for _ in range(min(jobs, total)):
+        spawn()
     try:
         while len(results) < total:
             now = time.monotonic()
-            if delayed:
-                due = [entry for entry in delayed if entry[0] <= now]
-                if due:
-                    delayed[:] = [e for e in delayed if e[0] > now]
-                    for _ready, idx, scenario in sorted(due, key=lambda e: e[1]):
-                        pending.append((idx, scenario))
-            for wid, worker in workers.items():
-                if wid in inflight or not pending:
-                    continue
-                idx, scenario = pending.popleft()
-                inflight[wid] = {
-                    "idx": idx,
-                    "scenario": scenario,
-                    "deadline": (now + timeout) if timeout else None,
-                }
-                worker["task_q"].put((idx, scenario))
-
-            try:
-                msg = result_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                msg = None
-            if msg is not None:
-                kind, wid, idx, payload = msg
-                entry = inflight.get(wid)
-                if entry is not None and entry["idx"] == idx:
-                    del inflight[wid]
-                    if kind == "done":
-                        record(payload)
-                    else:
-                        reschedule(idx, entry["scenario"], payload)
-                # else: straggler from a worker already written off
-                continue
-
-            for wid in list(workers):
-                worker = workers[wid]
-                proc = worker["proc"]
-                entry = inflight.get(wid)
-                if not proc.is_alive():
-                    # Drain any result it managed to send before dying.
-                    if entry is not None:
-                        crash = WorkerCrash(entry["scenario"].name,
-                                            exitcode=proc.exitcode)
-                        fail(entry["scenario"], "crashed", str(crash))
-                        del inflight[wid]
-                    proc.join()
-                    del workers[wid]
-                    if pending or delayed or len(results) < total:
-                        workers[next_wid] = spawn(next_wid)
-                        next_wid += 1
-                elif (entry is not None and entry["deadline"] is not None
-                        and time.monotonic() > entry["deadline"]):
-                    proc.kill()
-                    proc.join()
-                    stuck = ScenarioTimeout(entry["scenario"].name,
-                                            float(timeout))
-                    fail(entry["scenario"], "timeout", str(stuck))
-                    del inflight[wid]
-                    del workers[wid]
-                    workers[next_wid] = spawn(next_wid)
-                    next_wid += 1
+            due = sorted((e for e in delayed if e[0] <= now), key=lambda e: e[1])
+            delayed[:] = [e for e in delayed if e[0] > now]
+            pending.extend((idx, scenario) for _ready, idx, scenario in due)
+            dispatch()
+            wakeups = [e[0] for e in delayed] + [
+                w["since"] + timeout for w in workers if timeout and w["tasks"]]
+            ready = wait(
+                [w["conn"] for w in workers] + [w["proc"].sentinel for w in workers],
+                timeout=max(0.0, min(wakeups) - now) if wakeups else None)
+            for worker in list(workers):
+                if worker["proc"].sentinel in ready or (
+                        worker["conn"] in ready and not drain(worker)):
+                    retire(worker, "crashed")
+                elif timeout and worker["tasks"] and (
+                        time.monotonic() - worker["since"] > timeout):
+                    retire(worker, "timeout")
     finally:
-        for worker in workers.values():
-            try:
-                worker["task_q"].put(None)
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
-        for worker in workers.values():
-            proc = worker["proc"]
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        result_q.close()
-        result_q.join_thread()
+        for worker in workers:
+            if worker["tasks"]:
+                worker["proc"].kill()  # its scenarios in flight are abandoned
+            else:
+                try:
+                    worker["conn"].send(None)
+                except OSError:  # already gone
+                    pass
+        for worker in workers:
+            worker["proc"].join()
+            worker["conn"].close()
     return results
 
 

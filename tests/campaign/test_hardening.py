@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import multiprocessing.process
 import os
+import threading
 
 import pytest
 
@@ -41,6 +42,28 @@ def matrix():
     )
 
 
+def _run_recording(matrix, **kwargs):
+    """``run_campaign`` at ``jobs=2``; also returns every streamed row."""
+    streamed = []
+    payload = run_campaign(matrix, jobs=2, campaign_seed=3,
+                           stream=streamed.append, **kwargs)
+    return payload, streamed
+
+
+def _assert_only_culprit_failed(matrix, payload, streamed, culprit, status):
+    """Exactly the culprit's row is not ``ok``; every other cell ran to
+    its expected verdict; no scenario was recorded twice."""
+    names = sorted(scenario.name for scenario in matrix)
+    assert sorted(row["name"] for row in streamed) == names
+    assert [row["name"] for row in payload["scenarios"]] == names
+    failed = [(row["name"], row["status"]) for row in payload["scenarios"]
+              if row["status"] != "ok"]
+    assert failed == [(culprit, status)]
+    for row in payload["scenarios"]:
+        if row["name"] != culprit:
+            assert row["expectation_met"] is True
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap ``owner.name`` to count its calls; returns the counter."""
     calls = {"n": 0}
@@ -62,6 +85,13 @@ class TestPool:
         assert payload["scenario_count"] == 0
         assert starts["n"] == 0
 
+    def test_run_leaves_no_child_or_thread(self, matrix):
+        threads = threading.enumerate()
+        payload = run_campaign(matrix, jobs=2)
+        assert payload["scenario_count"] == len(matrix)
+        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
+
     def test_stream_exception_tears_the_pool_down(self, matrix):
         class Stop(Exception):
             pass
@@ -69,9 +99,11 @@ class TestPool:
         def stream(_result):
             raise Stop()
 
+        threads = threading.enumerate()
         with pytest.raises(Stop):
             run_campaign(matrix, jobs=2, stream=stream)
         assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
 
 
 class TestErrorTypes:
@@ -119,22 +151,21 @@ class TestArgumentValidation:
 
 
 class TestWorkerCrashQuarantine:
+    # Two workers on three cells: whatever the dispatch order, some
+    # culprit has a cell queued behind it, and some worker dies right
+    # after sending its previous row.
+    @pytest.mark.parametrize("culprit", range(3))
     def test_crashed_scenario_recorded_sweep_survives(self, matrix,
-                                                      monkeypatch):
-        victim_name = matrix[1].name
+                                                      monkeypatch, culprit):
+        victim_name = matrix[culprit].name
         monkeypatch.setenv(ENV_CRASH_SCENARIO, victim_name)
-        payload = run_campaign(matrix, jobs=2, campaign_seed=3)
-        by_name = {r["name"]: r for r in payload["scenarios"]}
-        assert payload["scenario_count"] == len(matrix)
-        crashed = by_name[victim_name]
-        assert crashed["status"] == "crashed"
+        payload, streamed = _run_recording(matrix)
+        _assert_only_culprit_failed(matrix, payload, streamed, victim_name,
+                                    "crashed")
+        crashed = {r["name"]: r for r in payload["scenarios"]}[victim_name]
         assert crashed["detected"] is None
         assert crashed["expectation_met"] is None
         assert "WorkerCrash" in crashed["error"] or victim_name in crashed["error"]
-        for name, result in by_name.items():
-            if name != victim_name:
-                assert result["status"] == "ok"
-                assert result["expectation_met"]
 
     def test_crashed_rows_excluded_from_detection_counts(self, matrix,
                                                          monkeypatch):
@@ -153,15 +184,16 @@ class TestWorkerCrashQuarantine:
 
 
 class TestScenarioTimeout:
-    def test_hung_worker_killed_and_recorded(self, matrix, monkeypatch):
-        hung_name = matrix[0].name
+    @pytest.mark.parametrize("culprit", range(3))
+    def test_hung_worker_killed_and_recorded(self, matrix, monkeypatch,
+                                             culprit):
+        hung_name = matrix[culprit].name
         monkeypatch.setenv(ENV_HANG_SCENARIO, hung_name)
-        payload = run_campaign(matrix, jobs=2, campaign_seed=3, timeout=1.0)
-        by_name = {r["name"]: r for r in payload["scenarios"]}
-        assert by_name[hung_name]["status"] == "timeout"
-        assert "1.0" in by_name[hung_name]["error"]
-        ok = [r for r in payload["scenarios"] if r["status"] == "ok"]
-        assert len(ok) == len(matrix) - 1
+        payload, streamed = _run_recording(matrix, timeout=1.0)
+        _assert_only_culprit_failed(matrix, payload, streamed, hung_name,
+                                    "timeout")
+        hung = {r["name"]: r for r in payload["scenarios"]}[hung_name]
+        assert "1.0" in hung["error"]
 
 
 class TestRetries:

