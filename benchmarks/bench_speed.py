@@ -67,21 +67,18 @@ def _build_soc(program_builder, fw_variant):
     return soc
 
 
-def run_cosim_mix(event_driven: bool = True, mode: str = None) -> dict:
+def run_cosim_mix(mode: str = None) -> dict:
     """One pass over the co-simulated workload mix.
 
     Returns simulated totals (cycles, instructions) so callers can
     compute throughput and assert machine-independent invariance.
-    ``mode`` selects the engine explicitly (``"busy"``,
-    ``"event-driven"``, ``"batched"``); the legacy ``event_driven``
-    flag maps False → busy, True → the default engine (batched).
+    ``mode`` selects the engine (``"busy"`` or ``"batched"``; ``None``
+    is the default, batched).
     """
     cycles = host_instructions = ibex_instructions = 0
     for _name, builder, fw_variant in COSIM_WORKLOADS:
         soc = _build_soc(builder, fw_variant)
-        report = SystemSimulator(
-            soc, event_driven=event_driven, mode=mode
-        ).run()
+        report = SystemSimulator(soc, mode=mode).run()
         cycles += report.cycles
         host_instructions += report.host_instructions
         ibex_instructions += report.ibex_instructions
@@ -139,7 +136,7 @@ def run_policyhost_mix(mode: str = None) -> dict:
     """One pass of cosim runs with the policy host as mailbox agent.
 
     Simulated totals are machine-independent and must be identical in
-    every engine (the host is a citizen of all three) — the ``--smoke``
+    every engine (the host is a citizen of both) — the ``--smoke``
     path asserts exactly that.
     """
     from repro.system.addresses import AddressMap
@@ -480,7 +477,6 @@ def measure() -> dict:
     synth_seconds, synth_totals = _timed(run_synth_pass)
     # Per-engine co-sim comparison (default above is the batched mode).
     busy_seconds, _ = _timed(lambda: run_cosim_mix(mode="busy"))
-    event_seconds, _ = _timed(lambda: run_cosim_mix(mode="event-driven"))
     # The host instruction throughput counts both cores' retired
     # instructions: that is the work the interpreter actually performs.
     executed = cosim_totals["host_instructions"] + cosim_totals["ibex_instructions"]
@@ -538,14 +534,12 @@ def measure() -> dict:
         # The same sweep with drop-oldest queues: stalls collapse to
         # ~0, drops and latency tails absorb the pressure instead.
         "saturation_lossy": run_saturation_sweep(lossy=True),
-        # Trajectory of the three execution engines on the same mix —
+        # Trajectory of the two execution engines on the same mix —
         # the batched column is what the headline "cosim" section runs.
         "batched": {
             "cosim_seconds_busy": round(busy_seconds, 6),
-            "cosim_seconds_event_driven": round(event_seconds, 6),
             "cosim_seconds_batched": round(cosim_seconds, 6),
             "speedup_vs_busy": round(busy_seconds / cosim_seconds, 2),
-            "speedup_vs_event_driven": round(event_seconds / cosim_seconds, 2),
         },
     }
 
@@ -663,7 +657,6 @@ def render(payload: dict) -> str:
         lines += [
             "  execution engines (co-sim mix, ms/pass): "
             f"busy {batched['cosim_seconds_busy'] * 1000:.1f}, "
-            f"event-driven {batched['cosim_seconds_event_driven'] * 1000:.1f}, "
             f"batched {batched['cosim_seconds_batched'] * 1000:.1f} "
             f"({batched['speedup_vs_busy']}x vs busy)",
         ]
@@ -684,10 +677,9 @@ def test_firmware_path_throughput(benchmark):
     benchmark(run_firmware_path)
 
 
-def test_event_driven_totals_match_busy_loop():
+def test_batched_totals_match_busy_loop():
     """No fast path may change a single simulated number."""
     busy = run_cosim_mix(mode="busy")
-    assert run_cosim_mix(mode="event-driven") == busy
     assert run_cosim_mix(mode="batched") == busy
 
 
@@ -695,7 +687,6 @@ def test_policyhost_totals_match_across_engines():
     """The policy host must be cycle-exact in every engine too."""
     busy = run_policyhost_mix(mode="busy")
     assert busy["cycles"] > 0 and busy["checks"] > 0
-    assert run_policyhost_mix(mode="event-driven") == busy
     assert run_policyhost_mix(mode="batched") == busy
 
 
@@ -703,7 +694,6 @@ def test_multihart_totals_match_across_engines():
     """One shared monitor over N harts must be cycle-exact everywhere."""
     busy = run_multihart_mix(mode="busy")
     assert busy["cycles"] > 0 and busy["checks"] > 0
-    assert run_multihart_mix(mode="event-driven") == busy
     assert run_multihart_mix(mode="batched") == busy
 
 
@@ -723,26 +713,23 @@ def main(argv) -> int:
         totals = run_cosim_mix()  # default engine (batched)
         assert totals["cycles"] > 0 and totals["host_instructions"] > 0
         assert run_cosim_mix(mode="busy") == totals
-        assert run_cosim_mix(mode="event-driven") == totals
         # Fault-layer invariance: with every fault hook attached but no
         # event armed, not a single simulated number may move.
         assert run_cosim_mix_empty_faults() == totals
         run_firmware_path()
         # Policy-host cross-engine invariance: any Python policy as a
         # mailbox agent must not move a single simulated cycle between
-        # the three engines.
+        # the two engines.
         phost = run_policyhost_mix()
         assert phost["cycles"] > 0 and phost["checks"] > 0
         assert run_policyhost_mix(mode="busy") == phost
-        assert run_policyhost_mix(mode="event-driven") == phost
         # Multi-hart invariance: one monitor serving N harts (including
         # a staggered start) must not move a single simulated number
-        # between the three engines.
+        # between the two engines.
         multi = run_multihart_mix()
         assert multi["cycles"] > 0 and multi["checks"] > 0
         assert multi["detection_latencies"][0] is not None
         assert run_multihart_mix(mode="busy") == multi
-        assert run_multihart_mix(mode="event-driven") == multi
         # Lossy-queue invariance: while the queue never fills (N=1)
         # drop-oldest mode must be cycle-identical to blocking mode
         # with a zero drop counter — lossiness may only act at the
@@ -756,8 +743,6 @@ def main(argv) -> int:
         assert saturated["full_stalls"] == 0 and saturated["dropped"] > 0
         assert run_saturation_point(2, 1234, lossy=True,
                                     mode="busy") == saturated
-        assert run_saturation_point(2, 1234, lossy=True,
-                                    mode="event-driven") == saturated
         # Campaign-matrix invariance: the batched engine must not move a
         # single simulated cycle (or any per-scenario field) anywhere in
         # the smoke matrix versus the busy loop — a batching regression

@@ -52,6 +52,7 @@ from repro.campaign.spec import (
     spec_key,
 )
 from repro.errors import ConfigError
+from repro.system.sim import MODES
 
 DEFAULT_OUT = Path("artifacts/campaign")
 
@@ -121,10 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "is used as given, never clamped")
     run_cmd.add_argument("--seed", type=int, default=0,
                          help="campaign seed (per-scenario seeds derive from it)")
-    run_cmd.add_argument("--sim-mode", default=None,
-                         choices=["busy", "event-driven", "batched"],
+    run_cmd.add_argument("--sim-mode", default=None, choices=MODES,
                          help="co-simulator engine for cosim scenarios "
-                              "(all modes are cycle-exact; default: batched)")
+                              "(both are cycle-exact; default: batched)")
     run_cmd.add_argument("--out", type=Path, default=DEFAULT_OUT,
                          help=f"artifact directory (default: {DEFAULT_OUT})")
     run_cmd.add_argument("--no-artifacts", action="store_true",

@@ -722,10 +722,10 @@ def run_scenario(scenario: Scenario, campaign_seed: int = 0,
                  sim_mode: Optional[str] = None) -> Dict[str, object]:
     """Execute one scenario; returns its JSON-ready result dict.
 
-    ``sim_mode`` selects the co-simulator engine (``"busy"``,
-    ``"event-driven"``, ``"batched"``; ``None`` = engine default) for
-    the cosim backend — every mode is cycle-exact, so results are
-    engine-independent; the knob exists so CI can assert exactly that.
+    ``sim_mode`` selects the co-simulator engine (``"busy"`` or
+    ``"batched"``; ``None`` = engine default) for the cosim backend —
+    both are cycle-exact, so results are engine-independent; the knob
+    exists so CI can assert exactly that.
 
     Expected verdicts: hand-written victims use the (attack × policy)
     ground-truth table; synthesized victims use the static oracle's

@@ -685,7 +685,7 @@ def spec_key(scenario: Scenario, campaign_seed: int = 0) -> str:
     spec (serialised with sorted keys, so Python dict ordering can
     never perturb it) and the **derived** per-scenario seed — the three
     inputs that determine a result.  The simulator engine is *not* part
-    of the key: all three engines are cycle-exact by contract (asserted
+    of the key: both engines are cycle-exact by contract (asserted
     by the equivalence suites and ``bench_speed --smoke``), so a result
     computed under any engine is valid for every other.
 

@@ -322,7 +322,7 @@ class LogWriter:
             return True
         return self.queue.empty and self._redeliver is None
 
-    # -- event-driven fast path ---------------------------------------------------
+    # -- clock skipping ------------------------------------------------------
 
     #: Sentinel for "no state change can originate here" (the FSM is
     #: waiting on an external signal, so someone else bounds the skip).
@@ -348,8 +348,13 @@ class LogWriter:
                 return self.UNBOUNDED
             owner = self.arbiter.owner if self.arbiter is not None else None
             if owner is not None and owner != self.hart_id:
-                # Contended channel: only the owner's release (their
-                # FSM activity) can grant us — an external signal.
+                # Contended channel: once our request is registered,
+                # only the owner's release (their FSM activity) can
+                # grant us — an external signal.  A writer that has
+                # just released the grant with traffic still queued
+                # registers its request on its next tick.
+                if not self.arbiter.requesting(self.hart_id):
+                    return 0
                 return self.UNBOUNDED
             # Owner is ``self`` when ``release`` handed us the grant
             # while we were IDLE (round-robin rotation): the very next

@@ -73,7 +73,7 @@ class QueueController:
 
         The single bookkeeping point shared by :meth:`arbitrate` and the
         commit stage's bulk/fast stall paths, so the per-cycle and
-        event-driven accountings cannot drift apart.
+        skipped-cycle accountings cannot drift apart.
         """
         self.stats.full_stalls += cycles
 

@@ -11,7 +11,7 @@ structural feature, so the set difference against a global
 
 Everything here is a pure function of ``(model, image)``: no engine,
 clock or filesystem state enters, which is what makes vectors identical
-across the three co-simulator engines and across process restarts
+across the co-simulator engines and across process restarts
 (asserted by ``tests/coverage/test_shape.py``).
 
 Axes (the prefix before the first ``:`` of every point):

@@ -47,9 +47,9 @@ class CommitStage:
         """True when :meth:`try_advance` would provably keep returning
         ``None`` until the CFI stage next changes state.
 
-        Used by the event-driven co-simulator: a blocked commit waits on
-        writer quiescence, a skidded commit waits on a queue slot, and
-        both can only be released by a log-writer transition.
+        Used by the co-simulator's clock skipping: a blocked commit
+        waits on writer quiescence, a skidded commit waits on a queue
+        slot, and both can only be released by a log-writer transition.
         """
         if self.cfi is None:
             return False

@@ -6,7 +6,7 @@ doorbells, corrupted CFI event words, queue-overflow stress, stalled or
 late-waking monitors, and mid-run monitor resets.  A seed-deterministic
 :class:`~repro.faults.plan.FaultPlan` schedules faults at
 *event-occurrence indices* (the Nth queue pop, the Nth delivered
-check), so all three execution engines observe identical faulted
+check), so both execution engines observe identical faulted
 behaviour; :mod:`repro.faults.oracle` predicts the expected verdict
 under fault, and :mod:`repro.faults.contract` checks each policy's
 degradation contract (detect / detect-late / fail-safe / miss).

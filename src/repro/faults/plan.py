@@ -5,7 +5,7 @@ fault *kind* and the event-occurrence index it fires at.  Transport
 faults index the log writer's queue pops (the Nth CFI event leaving the
 queue); monitor faults index the monitor's delivered checks (the Nth
 doorbell the policy host services).  Indexing occurrences instead of
-cycles is what makes faulted runs engine-invariant for free: all three
+cycles is what makes faulted runs engine-invariant for free: both
 engines pop/service events at identical cycles, so the same occurrence
 index fires at the same cycle everywhere.
 

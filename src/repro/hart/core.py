@@ -315,7 +315,7 @@ class Hart:
 
         Equivalent to ``cycles`` consecutive :meth:`step` calls while
         :attr:`sleeping` with no interrupt pending — used by the
-        event-driven co-simulator to skip idle stretches without
+        co-simulator's clock skipping to jump idle stretches without
         perturbing the cycle counter.
         """
         self.cycle += cycles

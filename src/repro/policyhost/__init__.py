@@ -12,7 +12,7 @@ protocol the Ibex firmware uses (verdict into data[0], then completion
 against the real firmware's measured shadow-stack latencies
 (:mod:`~repro.policyhost.calibration`).  Mounted with
 :func:`~repro.policyhost.host.mount_policy_host`, the host is a citizen
-of all three co-simulation engines (busy, event-driven, batched).
+of both co-simulation engines (busy and batched).
 """
 
 from repro.policyhost.calibration import (

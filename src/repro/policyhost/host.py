@@ -11,7 +11,7 @@ the other side cannot distinguish the two agents.
 
 The host is a clocked component with the same scheduling contract as
 the CFI log writer (``tick`` / ``skippable_cycles`` / ``skip``), which
-is what makes it a citizen of all three co-simulation engines: while
+is what makes it a citizen of both co-simulation engines: while
 no check is in flight it is *parked* (unbounded — only a doorbell,
 i.e. another component's activity, can start one), and while a check
 is in flight its completion cycle bounds every clock jump and batched
@@ -446,8 +446,8 @@ class PolicyHost:
             # Arm the arbiter-hold watchdog: the grant must move on
             # (release observed via the arbiter's change counter) within
             # the budget, or the owner is a squatter.  The deadline is a
-            # pure function of the respond cycle, so all three engines
-            # fire it on the same cycle.
+            # pure function of the respond cycle, so both engines fire
+            # it on the same cycle.
             self._watch_at = self.now + HOLD_BUDGET
             self._watch_count = self.defense.arbiter.change_count
 

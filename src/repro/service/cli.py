@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.campaign.spec import MATRICES
 from repro.service.dashboard import write_dashboard
 from repro.service.queue import SweepService
+from repro.system.sim import MODES
 
 DEFAULT_ROOT = Path("artifacts/service")
 
@@ -46,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=sorted(MATRICES))
     submit.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default: 0)")
-    submit.add_argument("--sim-mode", default=None,
-                        choices=["busy", "event-driven", "batched"])
+    submit.add_argument("--sim-mode", default=None, choices=MODES)
     submit.add_argument("--workers", type=int, default=1,
                         help="worker processes for the job (default: 1)")
     submit.add_argument("--batch-size", type=int, default=16,

@@ -8,20 +8,25 @@ end-to-end behaviour: CVA6 stalling on a full CFI queue while Ibex is
 still busy checking, the doorbell→wake latency, and the completion
 hand-back — all in one coherent timeline.
 
-Multi-hart topologies (N application harts sharing the one RoT monitor)
-run on the same three engines.  Per cycle the application harts tick in
-hart-id order, then the RoT core / policy host, then every CFI stage in
-hart-id order — the ordering every engine replays identically, which is
-what makes the shared-mailbox doorbell arbitration deterministic.
+Every clocked agent answers one protocol — ``tick()``,
+``skippable_cycles()`` and ``skip(n)``: each application hart behind
+its commit stage and the Ibex RoT core (both as a :class:`HartSlot`),
+the policy host, and every CFI stage.  Per cycle the agents tick in a
+fixed order: the application harts in hart-id order, then the RoT core
+/ policy host, then every CFI stage in hart-id order.  Both engines
+replay that order identically, which is what makes the shared-mailbox
+doorbell arbitration deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.log_writer import LogWriter
+from repro.cva6.commit import CommitStage
 from repro.errors import CfiViolation, ConfigError, SimulationError
+from repro.hart.core import Hart
 from repro.system.soc import TitanCfiSoc
 
 
@@ -70,19 +75,18 @@ class SimulationReport:
         return self.violation is not None
 
 
-#: Skip bound meaning "this component cannot originate the next event"
+#: Skip bound meaning "this agent cannot originate the next event"
 #: (shared with the log writer so its parked-state sentinel compares
 #: correctly against hart bounds).
 _UNBOUNDED = LogWriter.UNBOUNDED
 
 
-#: Execution modes, slowest to fastest.  All three are cycle-exact; the
-#: fast ones only change *how* the timeline is traversed.
+#: Execution engines.  Both are cycle-exact; ``batched`` only changes
+#: *how* the timeline is traversed.
 MODE_BUSY = "busy"
-MODE_EVENT = "event-driven"
 MODE_BATCHED = "batched"
 
-_MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 
 #: Who serves the CFI mailbox — the policy-backend axis of a cosim run.
@@ -101,102 +105,176 @@ POLICY_BACKEND_HOST = "host"
 POLICY_BACKENDS = (POLICY_BACKEND_FIRMWARE, POLICY_BACKEND_HOST)
 
 
+class HartSlot:
+    """A hart as a clocked agent: the hart, its commit stage (``None``
+    for the RoT core, which retires directly) and its cycle debt.
+
+    The slot owns the three states in which its hart cannot act — cycle
+    debt, WFI sleep and inhibited commit — so the scheduler treats every
+    hart alike.
+
+    Args:
+        hart: the instruction-set simulator.
+        commit: the CVA6 commit stage wrapping an application hart.
+        window: ``(lo, hi)`` range a solo window may store to freely:
+            all of DRAM for an application hart (mailboxes are
+            cross-component), the RoT's private TL-UL fabric below the
+            TL2AXI bridge for Ibex (mailbox writes through the bridge
+            are the firmware's handshake).
+        segment: ``(lo, hi)`` range a confined window may load from and
+            store to: an application hart's own disjoint DRAM segment,
+            the same private fabric for Ibex.
+        debt: initial cycle debt (a staggered start).
+    """
+
+    __slots__ = ("hart", "commit", "window", "segment", "debt")
+
+    def __init__(self, hart: Hart, commit: Optional[CommitStage],
+                 window: Tuple[int, int], segment: Tuple[int, int],
+                 debt: int = 0):
+        self.hart = hart
+        self.commit = commit
+        self.window = window
+        self.segment = segment
+        self.debt = debt
+
+    def tick(self) -> None:
+        """One cycle: melt debt, else advance the hart (through its
+        commit stage) and take on the instruction's remaining cost."""
+        if self.debt > 0:
+            self.debt -= 1
+        elif not self.hart.halted:
+            commit = self.commit
+            result = (self.hart.step() if commit is None
+                      else commit.try_advance())
+            if result is not None and result.cycles > 1:
+                self.debt = result.cycles - 1
+
+    @property
+    def active(self) -> bool:
+        """True when the hart retires on its next tick."""
+        hart = self.hart
+        commit = self.commit
+        return not (self.debt or hart.halted or hart.sleeping
+                    or (commit is not None and commit.stalled))
+
+    def skippable_cycles(self) -> int:
+        """Cycles the slot can fast-forward with no state change.
+
+        Debt bounds itself; a halted hart, a stall only a CFI-stage
+        transition can release and a sleeping hart with no interrupt
+        pending are unbounded here (another agent's event ends them).
+        Sleep and an inhibited commit never coincide: ``wfi`` pushes no
+        commit log, and an inhibited hart does not step.
+        """
+        if self.debt > 0:
+            return self.debt
+        hart = self.hart
+        if hart.halted:
+            return _UNBOUNDED
+        commit = self.commit
+        if commit is not None and commit.stall_skippable():
+            return _UNBOUNDED
+        if hart.sleeping and not hart.interrupt_pending:
+            return _UNBOUNDED
+        return 0
+
+    def skip(self, cycles: int) -> None:
+        """Replay ``cycles`` no-change ticks, at most the slot's bound:
+        debt melts; otherwise a live hart is asleep (it accrues sleep
+        cycles) or its commit is inhibited (it accrues stall cycles)."""
+        if self.debt > 0:
+            self.debt -= min(cycles, self.debt)
+        elif not self.hart.halted:
+            if self.hart.sleeping:
+                self.hart.sleep_for(cycles)
+            else:
+                self.commit.skip_stall(cycles)
+
+
 class SystemSimulator:
     """Drives a :class:`TitanCfiSoc` cycle by cycle.
 
     Args:
         soc: the platform under simulation.
         run_rot: step the Ibex RoT core (False freezes the firmware).
-        event_driven: legacy mode switch — ``False`` selects the busy
-            loop, ``True`` the fastest engine (``batched``).  Ignored
-            when ``mode`` is given.
-        mode: execution engine:
+        mode: execution engine (``None`` selects ``"batched"``):
 
-            * ``"busy"`` — one :meth:`tick` per cycle;
-            * ``"event-driven"`` — jump the clock over cycles in which
-              provably nothing can change (hart cycle debt, WFI sleep,
-              log-writer countdowns);
-            * ``"batched"`` (default) — additionally run a hart through
-              whole instruction *windows* in a tight in-hart loop
-              (:meth:`repro.hart.core.Hart.run_n`) whenever the
-              interaction analysis proves no cross-component event can
-              occur: an application hart runs while the CFI path is
-              parked and every peer is asleep/halted/debt-bound, Ibex
-              runs the firmware while every application hart is
-              inactive, and concurrently-active application harts run
-              windows fully confined to their disjoint DRAM segments.
+            * ``"busy"`` — the reference: one :meth:`tick` per cycle;
+            * ``"batched"`` — jump the clock over cycles in which no
+              agent can change state (:meth:`_skippable_cycles`), and
+              run harts through whole instruction *windows* in a tight
+              in-hart loop (:meth:`repro.hart.core.Hart.run_n`)
+              whenever every other agent is provably inert for the
+              window (:meth:`_window`).
 
-            The observable timeline is cycle-exact in every mode: all
+            The observable timeline is cycle-exact in both engines: all
             ``SimulationReport`` fields and every per-cycle statistic
             match the busy-loop simulation.
         start_delays: optional per-hart start offsets in cycles
             (staggered boot): hart ``i`` retires its first instruction
             after ``start_delays[i]`` cycles.  Modelled as initial cycle
             debt, so it is engine-invariant by construction.
+
+    Raises:
+        ConfigError: for an unknown ``mode`` or invalid start delays.
     """
 
     def __init__(self, soc: TitanCfiSoc, run_rot: bool = True,
-                 event_driven: bool = True, mode: Optional[str] = None,
+                 mode: Optional[str] = None,
                  start_delays: Optional[Sequence[int]] = None):
         if mode is None:
-            mode = MODE_BATCHED if event_driven else MODE_BUSY
-        if mode not in _MODES:
-            raise ValueError(f"unknown execution mode {mode!r} (have: {_MODES})")
+            mode = MODE_BATCHED
+        if mode not in MODES:
+            raise ConfigError(f"unknown execution mode {mode!r} (have: {MODES})")
         self.soc = soc
         # A mounted policy host replaces the firmware as the mailbox
         # agent: the RoT core stays frozen and the host is scheduled as
-        # a clocked component in its place (every engine).
+        # a clocked agent in its place.
         self._phost = getattr(soc, "policy_host", None)
         if self._phost is not None:
             run_rot = False
         self.run_rot = run_rot
         self.mode = mode
-        self.event_driven = mode != MODE_BUSY
-        self.batched = mode == MODE_BATCHED
         self.now = 0
         self.violation: Optional[CfiViolation] = None
         # Application side, plural; index = topology hart id.
         self._apps = list(soc.harts)
         self._commits = list(soc.commits)
         self._stages = list(soc.cfi_stages)
-        self._live_stages = [s for s in self._stages if s is not None]
-        self._n = len(self._apps)
-        self._single = self._n == 1
-        self._debts = [0] * self._n
+        n = len(self._apps)
+        delays = [0] * n
         if start_delays is not None:
             delays = list(start_delays)
-            if len(delays) != self._n:
-                raise ConfigError(
-                    f"{len(delays)} start delays for {self._n} harts"
-                )
-            for i, delay in enumerate(delays):
+            if len(delays) != n:
+                raise ConfigError(f"{len(delays)} start delays for {n} harts")
+            for delay in delays:
                 if not isinstance(delay, int) or delay < 0:
                     raise ConfigError(f"invalid start delay {delay!r}")
-                self._debts[i] = delay
-        self._ibex_debt = 0
-        # Store-safe windows for the batched loops: an application hart
-        # may write DRAM freely (mailboxes are cross-component), Ibex
-        # anything on its private TL-UL fabric below the TL2AXI bridge
-        # (mailbox writes through the bridge are the firmware's
-        # handshake).  Concurrent multi-hart windows confine each hart
-        # to its own disjoint DRAM segment instead.
         addresses = soc.addresses
-        self._host_window = (
-            addresses.dram_base, addresses.dram_base + soc.dram.size
-        )
-        self._ibex_window = (0, addresses.ot_bridge_base)
-        self._seg_windows = [
-            (p.dram_base, p.dram_base + p.dram_size)
-            for p in soc.topology.placements(addresses)
+        dram = (addresses.dram_base, addresses.dram_base + soc.dram.size)
+        harts = [
+            HartSlot(hart, commit, dram,
+                     (p.dram_base, p.dram_base + p.dram_size), delay)
+            for hart, commit, p, delay in zip(
+                self._apps, self._commits,
+                soc.topology.placements(addresses), delays)
         ]
-        # Component handles hoisted once — the scheduler loop touches
-        # them every iteration and the ``self.soc.…`` chains add up.
-        # The scalar handles are the hart-0 aliases the single-hart
-        # fast paths below use.
-        self._cva6 = soc.cva6
-        self._ibex = soc.rot.ibex
-        self._commit = soc.commit
-        self._stage = soc.cfi_stage
+        rot_fabric = (0, addresses.ot_bridge_base)
+        ibex = HartSlot(soc.rot.ibex, None, rot_fabric, rot_fabric)
+        # Agents that never run a window: they only bound and replay.
+        self._passive = [self._phost] if self._phost is not None else []
+        self._passive += [s for s in self._stages if s is not None]
+        rot = [ibex] if run_rot else []
+        # Tick order (see the module docstring).  The protocol's methods
+        # are bound once: the scheduler loop calls them every iteration.
+        agents = harts + rot + self._passive
+        self._ticks = [agent.tick for agent in agents]
+        self._bounds = [agent.skippable_cycles for agent in agents]
+        self._skips = [agent.skip for agent in agents]
+        # Window order: Ibex first, so its run-ahead is accounted before
+        # any application hart's.
+        self._slots = rot + harts
 
     @property
     def policy_backend(self) -> str:
@@ -207,599 +285,139 @@ class SystemSimulator:
         return POLICY_BACKEND_FIRMWARE
 
     def tick(self) -> None:
-        """Advance the whole platform by one cycle.
-
-        Component order within the cycle (identical in every engine,
-        and the source of the doorbell arbiter's determinism): the
-        application harts in hart-id order, the RoT core / policy host,
-        then every CFI stage in hart-id order.
-        """
+        """Advance the whole platform by one cycle, every agent in tick
+        order (identical in both engines, and the source of the
+        doorbell arbiter's determinism)."""
         self.now += 1
-        debts = self._debts
-
-        # Host side: commit stage(s) (includes CFI stall protocol).
-        if self._single:
-            if debts[0] > 0:
-                debts[0] -= 1
-            elif not self._cva6.halted:
-                result = self._commit.try_advance()
-                if result is not None and result.cycles > 1:
-                    debts[0] = result.cycles - 1
-        else:
-            for i in range(self._n):
-                if debts[i] > 0:
-                    debts[i] -= 1
-                elif not self._apps[i].halted:
-                    result = self._commits[i].try_advance()
-                    if result is not None and result.cycles > 1:
-                        debts[i] = result.cycles - 1
-
-        # RoT side: Ibex services mailbox interrupts / polls.
-        if self.run_rot:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= 1
-            elif not self._ibex.halted:
-                result = self._ibex.step()
-                if result.cycles > 1:
-                    self._ibex_debt = result.cycles - 1
-
-        # Policy host (when mounted): serves the mailbox in the RoT's
-        # slot, so its completion write lands before the same cycle's
-        # log-writer tick — exactly where the firmware's store lands.
-        if self._phost is not None:
-            self._phost.tick()
-
-        # CFI log writer FSM(s) (may raise CfiViolation on a bad verdict).
-        if self._single:
-            if self._stage is not None:
-                self._stage.tick()
-        else:
-            for stage in self._live_stages:
-                stage.tick()
-
-    # -- event-driven fast path ---------------------------------------------------
-
-    def _skippable_cycles(self) -> int:
-        """Cycles the whole platform can fast-forward with no event.
-
-        The bound is the minimum "next interesting cycle" over every
-        clocked component: each application hart's commit stage (cycle
-        debt), the Ibex core (cycle debt or WFI sleep) and each CFI
-        log-writer FSM (transaction countdowns).  0 means the very next
-        tick can change state and must be stepped normally.
-        """
-        bound = _UNBOUNDED
-        debts = self._debts
-        if self._single:
-            if not self._cva6.halted:
-                if debts[0] > 0:
-                    bound = debts[0]
-                elif not self._commit.stall_skippable():
-                    return 0
-                # A skippable stall is bounded below by whoever can
-                # release it (the log writer or the RoT core).
-        else:
-            for i in range(self._n):
-                if self._apps[i].halted:
-                    continue
-                debt = debts[i]
-                if debt > 0:
-                    if debt < bound:
-                        bound = debt
-                elif not self._commits[i].stall_skippable():
-                    return 0
-        if self.run_rot:
-            ibex = self._ibex
-            if not ibex.halted:
-                if self._ibex_debt > 0:
-                    if self._ibex_debt < bound:
-                        bound = self._ibex_debt
-                elif not ibex.sleeping or ibex.interrupt_pending:
-                    return 0
-                # else: asleep with no wake source — unbounded here; the
-                # doorbell that wakes it is bounded by the other parts.
-        phost = self._phost
-        if phost is not None:
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return 0
-            if host_bound < bound:
-                bound = host_bound
-        if self._single:
-            stage = self._stage
-            if stage is not None:
-                writer_bound = stage.skippable_cycles()
-                if writer_bound <= 0:
-                    return 0
-                if writer_bound < bound:
-                    bound = writer_bound
-        else:
-            for stage in self._live_stages:
-                writer_bound = stage.skippable_cycles()
-                if writer_bound <= 0:
-                    return 0
-                if writer_bound < bound:
-                    bound = writer_bound
-        return 0 if bound >= _UNBOUNDED else bound
-
-    def _advance(self, cycles: int) -> None:
-        """Jump ``cycles`` event-free cycles in one step.
-
-        Replicates exactly what ``cycles`` calls to :meth:`tick` would
-        have done — debts melt, sleeping harts accrue sleep cycles, the
-        log writer's counters advance — without per-cycle dispatch.
-        """
-        self.now += cycles
-        debts = self._debts
-        if self._single:
-            if debts[0] > 0:
-                debts[0] -= min(cycles, debts[0])
-            elif not self._cva6.halted and self._commit.stall_skippable():
-                self._commit.skip_stall(cycles)
-        else:
-            for i in range(self._n):
-                if debts[i] > 0:
-                    debts[i] -= min(cycles, debts[i])
-                elif (not self._apps[i].halted
-                      and self._commits[i].stall_skippable()):
-                    self._commits[i].skip_stall(cycles)
-        if self.run_rot:
-            ibex = self._ibex
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(cycles, self._ibex_debt)
-            elif ibex.sleeping and not ibex.halted:
-                ibex.sleep_for(cycles)
-        if self._phost is not None:
-            self._phost.skip(cycles)
-        if self._single:
-            if self._stage is not None:
-                self._stage.skip(cycles)
-        else:
-            for stage in self._live_stages:
-                stage.skip(cycles)
+        for tick in self._ticks:
+            tick()
 
     # -- batched fast path --------------------------------------------------------
 
-    def _batch_host(self, max_cycles: int) -> bool:
-        """Run the (single) host through one interaction-free window.
+    def _skippable_cycles(self) -> int:
+        """Cycles the whole platform can fast-forward with no event: the
+        minimum "next interesting cycle" over every agent.  0 means the
+        very next tick can change state and must be stepped normally."""
+        bound = _UNBOUNDED
+        for skippable_cycles in self._bounds:
+            cycles = skippable_cycles()
+            if cycles < bound:
+                if cycles <= 0:
+                    return 0
+                bound = cycles
+        return 0 if bound >= _UNBOUNDED else bound
 
-        Eligible when the host is the *only* component that can act for
-        the window: commit uninhibited, Ibex unable to execute (asleep
-        with nothing pending, halted, frozen, or debt-bound — the debt
-        then bounds the window), and the log-writer FSM unable to
-        transition (its ``skippable_cycles`` bound the window; a batched
-        window pushes no commit logs, so a parked writer provably stays
-        parked and an in-flight countdown just melts).  The in-hart loop
-        stops before anything that breaks those proofs (see
-        :meth:`repro.hart.core.Hart.run_n`); the window's cycles are
-        then replayed in bulk exactly as :meth:`_advance` replays
-        skipped ones.
+    def _advance(self, cycles: int) -> None:
+        """Jump ``cycles`` event-free cycles: exactly what ``cycles``
+        calls to :meth:`tick` would have done, without per-cycle
+        dispatch."""
+        self.now += cycles
+        for skip in self._skips:
+            skip(cycles)
+
+    def _window(self, max_cycles: int) -> bool:
+        """Run the active harts through one interaction-free window.
+
+        1. The active slots (able to retire on the next tick) are the
+           participants.
+        2. Every other agent bounds the window; any zero bound (it may
+           act on the next tick) means no window.
+        3. The participants run.  A window pushes no commit logs, so a
+           parked log writer or policy host provably stays parked and
+           an in-flight countdown just melts.
+        4. The clock advances by the window's accounted span; a
+           participant's overshoot past it becomes its cycle debt.
+        5. Every other agent replays the span through ``skip``.
+
+        A single participant runs *unconfined*: an application hart
+        over all of DRAM, stopping before any CFI-relevant instruction;
+        Ibex below the bridge, *executing* its first store above it
+        (mailbox verdict, doorbell clear) as the window's last
+        instruction.  That store retires on the window's final cycle T,
+        so the agents ticking after Ibex (the CFI stages) replay T-1
+        cycles and then tick for real at T, observing the store exactly
+        as the busy loop's same-cycle ticks would (and possibly raising
+        the resulting :class:`CfiViolation`, caught by :meth:`run`).
+
+        Several participants run *confined*: loads and stores only
+        inside each one's own range (an application hart's DRAM
+        segment, Ibex's private fabric), so the instruction streams
+        cannot observe each other.  Each must be interrupt-insensitive
+        (no wired line, or interrupts disabled; confined windows stop
+        at ``mret`` and ``mstatus``/``mie`` writes, so that holds for
+        the whole window).  Ibex goes first, then the harts in id
+        order; each later participant is clipped to the span accounted
+        so far, so the platform visible to an application hart never
+        lags it.
+
+        Returns False when no window ran (the caller ticks instead).
         """
-        cva6 = self._cva6
-        debts = self._debts
-        if debts[0] or cva6.halted or cva6.sleeping:
+        participants: List[HartSlot] = []
+        idle: List[HartSlot] = []
+        for slot in self._slots:
+            (participants if slot.active else idle).append(slot)
+        if not participants:
             return False
-        commit = self._commit
-        if commit.stalled:
-            return False
+        passive = self._passive
         budget = max_cycles - self.now - 1
-        ibex = self._ibex
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                if self._ibex_debt < budget:
-                    budget = self._ibex_debt
-            elif not ibex.sleeping or ibex.interrupt_pending:
-                return False
-        phost = self._phost
-        if phost is not None:
-            # The policy host is exactly as window-friendly as the log
-            # writer: parked (a batched window pushes no commit logs,
-            # so no doorbell can start a check) or countdown-bounded.
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return False
-            if host_bound < budget:
-                budget = host_bound
-        stage = self._stage
-        if stage is not None:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        retired, spent, _term = cva6.run_n(
-            budget, *self._host_window, stop_before_cfi=True
-        )
-        if not retired:
-            return False
-        # The final instruction may overshoot the window; the overshoot
-        # is exactly the host's remaining cycle debt.
-        advanced = min(spent, budget)
-        self.now += advanced
-        debts[0] = spent - advanced
-        commit.note_batch_retired(retired)
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(advanced, self._ibex_debt)
-            elif ibex.sleeping:
-                ibex.sleep_for(advanced)
-        if phost is not None:
-            phost.skip(advanced)
-        if stage is not None:
-            stage.skip(advanced)
-        return True
-
-    def _batch_ibex(self, max_cycles: int) -> bool:
-        """Run Ibex through one interaction-free firmware window.
-
-        The mirror image of :meth:`_batch_host`: eligible while no
-        application hart can retire anything (halted, stalled on the
-        CFI queue, or debt-bound) and no log-writer FSM can transition
-        (their ``skippable_cycles`` bound the window; ``WAIT`` is
-        unbounded because only Ibex's own completion write — a window
-        boundary — releases it).  Stall statistics for the inhibited
-        hart(s) replay in bulk through the same
-        :meth:`CommitStage.skip_stall` bookkeeping the event-driven
-        path uses.
-        """
-        if not self.run_rot:
-            return False
-        ibex = self._ibex
-        if self._ibex_debt or ibex.halted or ibex.sleeping:
-            return False
-        budget = max_cycles - self.now - 1
-        debts = self._debts
-        stalled = [False] * self._n
-        sleeping = [False] * self._n
-        for i in range(self._n):
-            hart = self._apps[i]
-            if hart.halted:
-                continue
-            if debts[i] > 0:
-                if debts[i] < budget:
-                    budget = debts[i]
-            elif hart.sleeping:
-                sleeping[i] = True
-            elif self._commits[i].stall_skippable():
-                stalled[i] = True
-            else:
-                return False
-        for stage in self._live_stages:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        retired, spent, term_cost = ibex.run_n(
-            budget, *self._ibex_window, terminate_on_store=True
-        )
-        if not retired:
-            return False
-        if term_cost:
-            # The window ended by *executing* an out-of-window store
-            # (mailbox verdict/completion, doorbell clear...).  Its
-            # retire cycle is T; replay everything else's view of
-            # cycles 1..T in order: the harts' stall/debt bulk first,
-            # then each writer's T-1 no-change cycles, then their real
-            # ticks at T in hart order — which observe the store's
-            # effects exactly as the busy loop's same-cycle writer
-            # ticks would (and may raise the resulting CfiViolation,
-            # caught by run()).
-            advanced = spent - term_cost + 1
-            self._ibex_debt = spent - advanced
-        else:
-            advanced = min(spent, budget)
-            self._ibex_debt = spent - advanced
-        self.now += advanced
-        for i in range(self._n):
-            if debts[i] > 0:
-                debts[i] -= min(advanced, debts[i])
-            elif sleeping[i]:
-                self._apps[i].sleep_for(advanced)
-            elif stalled[i]:
-                self._commits[i].skip_stall(advanced)
-        if term_cost:
-            for stage in self._live_stages:
-                stage.skip(advanced - 1)
-            for stage in self._live_stages:
-                stage.tick()
-        else:
-            for stage in self._live_stages:
-                stage.skip(advanced)
-        return True
-
-    def _batch_dual(self, max_cycles: int) -> bool:
-        """Run the single host *and* Ibex through one fully-isolated
-        window.
-
-        Covers the phase neither solo window can: host and Ibex both
-        actively executing (e.g. the host retiring between commit-log
-        pushes while the firmware services a check).  Soundness comes
-        from full confinement: each hart's window allows loads *and*
-        stores only inside its private range (host: DRAM; Ibex: the
-        TL-UL fabric below the bridge), so the two instruction streams
-        — and the bounded log writer — provably cannot observe each
-        other inside the window.
-
-        Ibex runs first and may *run ahead* of the globally-accounted
-        clock (the excess becomes cycle debt): its confined window
-        touches only RoT-private state, cannot re-enable interrupts
-        (``mret``/``mstatus``/``mie`` writes are boundaries and the
-        window requires interrupts disabled on entry), and is therefore
-        invisible to anything the host or writer does afterwards.  The
-        host is then run only up to Ibex's accounted span, so the
-        host-visible platform never lags the host.
-        """
-        if not self.run_rot:
-            return False
-        cva6 = self._cva6
-        ibex = self._ibex
-        debts = self._debts
-        if debts[0] or cva6.halted or cva6.sleeping:
-            return False
-        if self._ibex_debt or ibex.halted or ibex.sleeping:
-            return False
-        if self._commit.stalled:
-            return False
-        # The host must be interrupt-insensitive (no wired line) and
-        # Ibex interrupt-disabled, or pre-run immunity does not hold.
-        if cva6._irq_wired or ibex.csrs.mie_enabled:
-            return False
-        budget = max_cycles - self.now - 1
-        stage = self._stage
-        if stage is not None:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        ibex_retired, ibex_spent, _term = ibex.run_n(
-            budget, *self._ibex_window, confined=True
-        )
-        # Ibex's accounted span: a boundary stop pins the clock to the
-        # cycles actually executed (its next instruction must run on
-        # the per-cycle path); a budget stop accounts the whole budget,
-        # the overshoot melting as debt.
-        span = ibex_spent if ibex_spent < budget else budget
-        host_retired = host_spent = 0
-        if span > 0:
-            host_retired, host_spent, _hterm = cva6.run_n(
-                span, *self._host_window, stop_before_cfi=True, confined=True
-            )
-        if not ibex_retired and not host_retired:
-            return False
-        advanced = host_spent if host_spent < span else span
-        self.now += advanced
-        self._ibex_debt = ibex_spent - advanced
-        debts[0] = host_spent - advanced
-        if host_retired:
-            self._commit.note_batch_retired(host_retired)
-        if stage is not None and advanced:
-            stage.skip(advanced)
-        return True
-
-    def _batch_solo(self, idx: int, max_cycles: int) -> bool:
-        """Run application hart ``idx`` through one window while every
-        peer hart is provably inert (multi-hart generalisation of
-        :meth:`_batch_host`: "peer hart parked" becomes "all peer harts
-        parked/bounded").
-
-        A halted/sleeping/stall-skippable peer replays in bulk exactly
-        as the event-driven path replays it; a debt-bound peer bounds
-        the window so it cannot resume inside it.
-        """
-        apps = self._apps
-        debts = self._debts
-        hart = apps[idx]
-        budget = max_cycles - self.now - 1
-        sleeping_peers: List[int] = []
-        stalled_peers: List[int] = []
-        for j in range(self._n):
-            if j == idx:
-                continue
-            peer = apps[j]
-            if peer.halted:
-                continue
-            if debts[j] > 0:
-                if debts[j] < budget:
-                    budget = debts[j]
-            elif peer.sleeping:
-                sleeping_peers.append(j)
-            elif self._commits[j].stall_skippable():
-                stalled_peers.append(j)
-            else:
-                return False
-        ibex = self._ibex
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                if self._ibex_debt < budget:
-                    budget = self._ibex_debt
-            elif not ibex.sleeping or ibex.interrupt_pending:
-                return False
-        phost = self._phost
-        if phost is not None:
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return False
-            if host_bound < budget:
-                budget = host_bound
-        for stage in self._live_stages:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
-        if budget <= 0:
-            return False
-        retired, spent, _term = hart.run_n(
-            budget, *self._host_window, stop_before_cfi=True
-        )
-        if not retired:
-            return False
-        advanced = min(spent, budget)
-        self.now += advanced
-        debts[idx] = spent - advanced
-        self._commits[idx].note_batch_retired(retired)
-        for j in range(self._n):
-            if j != idx and debts[j] > 0:
-                debts[j] -= min(advanced, debts[j])
-        for j in sleeping_peers:
-            apps[j].sleep_for(advanced)
-        for j in stalled_peers:
-            self._commits[j].skip_stall(advanced)
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(advanced, self._ibex_debt)
-            elif ibex.sleeping:
-                ibex.sleep_for(advanced)
-        if phost is not None:
-            phost.skip(advanced)
-        for stage in self._live_stages:
-            stage.skip(advanced)
-        return True
-
-    def _batch_apps(self, active: List[int], max_cycles: int) -> bool:
-        """Run several concurrently-active application harts through
-        fully-confined windows (the multi-hart analogue of
-        :meth:`_batch_dual`).
-
-        Soundness: each active hart's window allows loads *and* stores
-        only inside its own disjoint DRAM segment, every window stops
-        before CFI-relevant instructions (nothing reaches the shared
-        mailbox path), the writers / policy host are bounded, and no
-        application hart has a wired interrupt line.  Each hart's
-        run-ahead past the jointly-accounted span melts as cycle debt,
-        exactly as the dual window treats Ibex run-ahead.
-        """
-        apps = self._apps
-        debts = self._debts
-        budget = max_cycles - self.now - 1
-        sleeping_peers: List[int] = []
-        stalled_peers: List[int] = []
-        active_set = set(active)
-        for j in range(self._n):
-            if j in active_set:
-                if apps[j]._irq_wired:
+        for agents in (idle, passive):
+            for agent in agents:
+                bound = agent.skippable_cycles()
+                if bound <= 0:
                     return False
-                continue
-            peer = apps[j]
-            if peer.halted:
-                continue
-            if debts[j] > 0:
-                if debts[j] < budget:
-                    budget = debts[j]
-            elif peer.sleeping:
-                sleeping_peers.append(j)
-            elif self._commits[j].stall_skippable():
-                stalled_peers.append(j)
-            else:
-                return False
-        ibex = self._ibex
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                if self._ibex_debt < budget:
-                    budget = self._ibex_debt
-            elif not ibex.sleeping or ibex.interrupt_pending:
-                return False
-        phost = self._phost
-        if phost is not None:
-            host_bound = phost.skippable_cycles()
-            if host_bound <= 0:
-                return False
-            if host_bound < budget:
-                budget = host_bound
-        for stage in self._live_stages:
-            writer_bound = stage.skippable_cycles()
-            if writer_bound <= 0:
-                return False
-            if writer_bound < budget:
-                budget = writer_bound
+                if bound < budget:
+                    budget = bound
         if budget <= 0:
             return False
-        spans: List[int] = []
-        retirements: List[int] = []
-        total_retired = 0
-        for i in active:
-            retired, spent, _term = apps[i].run_n(
-                budget, *self._seg_windows[i],
-                stop_before_cfi=True, confined=True,
+
+        term = 0
+        if len(participants) == 1:
+            slot = participants[0]
+            app = slot.commit is not None
+            retired, spent, term = slot.hart.run_n(
+                budget, *slot.window,
+                stop_before_cfi=app, terminate_on_store=not app,
             )
-            spans.append(spent)
-            retirements.append(retired)
-            total_retired += retired
-        if not total_retired:
-            return False
-        advanced = min(min(spans), budget)
-        self.now += advanced
-        for pos, i in enumerate(active):
-            debts[i] = spans[pos] - advanced
-            if retirements[pos]:
-                self._commits[i].note_batch_retired(retirements[pos])
-        if advanced == 0:
-            # Run-ahead was recorded as debt but the joint clock did
-            # not move (some hart stopped on an immediate boundary);
-            # the caller's fixed-point loop re-dispatches with the
-            # stopped hart now solo.
-            return True
-        for j in range(self._n):
-            if j not in active_set and debts[j] > 0:
-                debts[j] -= min(advanced, debts[j])
-        for j in sleeping_peers:
-            apps[j].sleep_for(advanced)
-        for j in stalled_peers:
-            self._commits[j].skip_stall(advanced)
-        if self.run_rot and not ibex.halted:
-            if self._ibex_debt > 0:
-                self._ibex_debt -= min(advanced, self._ibex_debt)
-            elif ibex.sleeping:
-                ibex.sleep_for(advanced)
-        if phost is not None:
-            phost.skip(advanced)
-        for stage in self._live_stages:
-            stage.skip(advanced)
+            if not retired:
+                return False
+            span = spent - term + 1 if term else min(spent, budget)
+            runs = [(slot, retired, spent)]
+        else:
+            for slot in participants:
+                if slot.hart._irq_wired and slot.hart.csrs.mie_enabled:
+                    return False
+            span = budget
+            runs = []
+            for slot in participants:
+                if span <= 0:
+                    break
+                retired, spent, _term = slot.hart.run_n(
+                    span, *slot.segment,
+                    stop_before_cfi=slot.commit is not None, confined=True,
+                )
+                runs.append((slot, retired, spent))
+                if spent < span:
+                    span = spent
+            if not any(retired for _slot, retired, _spent in runs):
+                return False
+
+        self.now += span
+        for slot, retired, spent in runs:
+            slot.debt = spent - span
+            if retired and slot.commit is not None:
+                slot.commit.note_batch_retired(retired)
+        if span:
+            for slot in idle:
+                slot.skip(span)
+            if term:
+                for agent in passive:
+                    agent.skip(span - 1)
+                for agent in passive:
+                    agent.tick()
+            else:
+                for agent in passive:
+                    agent.skip(span)
         return True
-
-    def _batch_any(self, max_cycles: int) -> bool:
-        """Dispatch to the one window shape the current state allows.
-
-        Single-hart: at most one of the three windows can be eligible —
-        a host window needs Ibex parked/debt-bound, an Ibex window an
-        inactive host, and the dual window both harts active — so one
-        cheap state probe picks the candidate instead of running all
-        three eligibility prologues every scheduler iteration.
-
-        Multi-hart: the probe classifies the application harts into the
-        currently-active set and picks a solo, multi-confined or
-        firmware window accordingly.
-        """
-        debts = self._debts
-        if self._single:
-            cva6 = self._cva6
-            if not (debts[0] or cva6.halted or cva6.sleeping
-                    or self._commit.stalled):
-                ibex = self._ibex
-                if (self.run_rot and not self._ibex_debt
-                        and not ibex.halted and not ibex.sleeping):
-                    return self._batch_dual(max_cycles)
-                return self._batch_host(max_cycles)
-            return self._batch_ibex(max_cycles)
-        active: List[int] = []
-        for i in range(self._n):
-            hart = self._apps[i]
-            if not (debts[i] or hart.halted or hart.sleeping
-                    or self._commits[i].stalled):
-                active.append(i)
-        if not active:
-            return self._batch_ibex(max_cycles)
-        if len(active) == 1:
-            return self._batch_solo(active[0], max_cycles)
-        return self._batch_apps(active, max_cycles)
 
     def run(self, max_cycles: int = 10_000_000) -> SimulationReport:
         """Run until every application hart halts and the CFI pipeline
@@ -808,19 +426,18 @@ class SystemSimulator:
         A CFI violation stops the run immediately and is reported, not
         re-raised — detection is the expected outcome of attack runs.
         """
-        event_driven = self.event_driven
-        batched = self.batched
+        batched = self.mode == MODE_BATCHED
         try:
             while self.now < max_cycles:
                 self.tick()
                 if self._all_halted() and self._quiescent():
                     break
-                if event_driven:
-                    # Apply clock jumps and batched windows to a fixed
-                    # point: a window that ends in cycle debt is
-                    # followed by a jump (and possibly another window)
-                    # without paying for a full tick in between.  Every
-                    # action re-validates its own preconditions, so the
+                if batched:
+                    # Apply clock jumps and windows to a fixed point: a
+                    # window that ends in cycle debt is followed by a
+                    # jump (and possibly another window) without paying
+                    # for a full tick in between.  Every action
+                    # re-validates its own preconditions, so the
                     # composition stays cycle-exact; the next tick then
                     # lands on a provably interesting cycle.
                     while True:
@@ -832,7 +449,7 @@ class SystemSimulator:
                             skip = min(skip, max_cycles - self.now - 1)
                             if skip > 0:
                                 self._advance(skip)
-                        if not batched or not self._batch_any(max_cycles):
+                        if not self._window(max_cycles):
                             break
             else:
                 raise SimulationError(
@@ -843,9 +460,10 @@ class SystemSimulator:
         return self.report()
 
     def _all_halted(self) -> bool:
-        if self._single:
-            return self._cva6.halted
-        return all(hart.halted for hart in self._apps)
+        for hart in self._apps:
+            if not hart.halted:
+                return False
+        return True
 
     def _quiescent(self) -> bool:
         for stage, commit in zip(self._stages, self._commits):
@@ -856,33 +474,35 @@ class SystemSimulator:
         return True
 
     def report(self) -> SimulationReport:
-        """Snapshot the run's statistics."""
-        if self._single:
+        """Snapshot the run's statistics.
+
+        A single-hart run reports its stage's own statistics and no
+        ``per_hart`` breakdown, the shape single-hart artifacts record.
+        """
+        faults = getattr(self.soc, "faults", None)
+        common = dict(
+            cycles=self.now,
+            ibex_instructions=self.soc.rot.ibex.instret,
+            faults=faults.stats_summary() if faults is not None else None,
+        )
+        if len(self._apps) == 1:
+            stage = self._stages[0]
             cfi_stats: Dict[str, object] = {}
-            if self._stage is not None:
-                cfi_stats = self._stage.stats_summary()
+            if stage is not None:
+                cfi_stats = stage.stats_summary()
             violation = self.violation or (
-                self._stage.violation if self._stage is not None else None
+                stage.violation if stage is not None else None
             )
             return SimulationReport(
-                cycles=self.now,
-                host_instructions=self._cva6.instret,
-                host_stall_cycles=self._commit.stall_cycles,
+                host_instructions=self._apps[0].instret,
+                host_stall_cycles=self._commits[0].stall_cycles,
                 violation=violation,
                 cfi=cfi_stats,
-                ibex_instructions=self._ibex.instret,
                 detection_latency=(
                     cfi_stats.get("first_violation_latency") if violation else None
                 ),
-                faults=(
-                    self.soc.faults.stats_summary()
-                    if getattr(self.soc, "faults", None) is not None
-                    else None
-                ),
+                **common,
             )
-        return self._report_multi()
-
-    def _report_multi(self) -> SimulationReport:
         per_hart: List[Dict[str, object]] = []
         aggregate: Dict[str, object] = {}
         first_violation: Optional[CfiViolation] = None
@@ -890,14 +510,14 @@ class SystemSimulator:
         latency_samples = 0
         latency_sum = 0.0
         arbiter = getattr(self.soc, "doorbell_arbiter", None)
-        for i in range(self._n):
-            stage = self._stages[i]
+        for i, (hart, commit, stage) in enumerate(
+                zip(self._apps, self._commits, self._stages)):
             stats = stage.stats_summary() if stage is not None else {}
             hart_violation = stage.violation if stage is not None else None
             entry: Dict[str, object] = {
                 "hart": i,
-                "instructions": self._apps[i].instret,
-                "stall_cycles": self._commits[i].stall_cycles,
+                "instructions": hart.instret,
+                "stall_cycles": commit.stall_cycles,
                 "detected": hart_violation is not None,
                 "violation_kind": (
                     hart_violation.kind if hart_violation is not None else None
@@ -935,17 +555,11 @@ class SystemSimulator:
         aggregate["first_violation_latency"] = first_latency
         violation = self.violation or first_violation
         return SimulationReport(
-            cycles=self.now,
             host_instructions=sum(h.instret for h in self._apps),
             host_stall_cycles=sum(c.stall_cycles for c in self._commits),
             violation=violation,
             cfi=aggregate,
-            ibex_instructions=self._ibex.instret,
             detection_latency=first_latency if violation is not None else None,
-            faults=(
-                self.soc.faults.stats_summary()
-                if getattr(self.soc, "faults", None) is not None
-                else None
-            ),
             per_hart=per_hart,
+            **common,
         )

@@ -233,6 +233,17 @@ class TestCli:
         assert all(a["spec_hash"] != b["spec_hash"]
                    for a, b in zip(base, seeded))
 
+    def test_run_rejects_unknown_sim_mode(self, capsys):
+        """``--sim-mode`` takes exactly the simulator's engines: anything
+        else, the removed event-driven engine included, is argparse's
+        usage error (exit 2), before any work."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--matrix", "smoke", "--sim-mode", 'event-driven'])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("python -m repro.campaign run: error: ")
+        assert "invalid choice: 'event-driven'" in last
+
     def test_run_synth_smoke(self, tmp_path, capsys):
         """The synth tier end-to-end through the CLI: every generated
         scenario's simulated verdict matches the oracle (exit 0, no

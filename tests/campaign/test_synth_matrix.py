@@ -1,5 +1,5 @@
 """The synth campaign tier: matrix shape, oracle-driven expectations,
-serial-vs-sharded determinism and three-engine verdict agreement —
+serial-vs-sharded determinism and cross-engine verdict agreement —
 the ISSUE's acceptance criteria, as tests."""
 
 import pytest
@@ -99,7 +99,7 @@ class TestAcceptance:
     def test_cosim_verdict_engine_independent_and_oracle_true(
         self, victim, policy, policy_backend
     ):
-        """All three engines must produce the oracle's verdict (and the
+        """Both engines must produce the oracle's verdict (and the
         same cycle totals) on generated programs."""
         results = [
             run_scenario(
@@ -107,7 +107,7 @@ class TestAcceptance:
                          policy_backend=policy_backend, seed=2),
                 sim_mode=mode,
             )
-            for mode in ("busy", "event-driven", "batched")
+            for mode in ("busy", "batched")
         ]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
         assert results[0]["expectation_met"]

@@ -10,7 +10,12 @@ from repro.isa.encode import encode_i, encode_j
 from repro.isa import opcodes as op
 from repro.mem.map import MemoryMap
 from repro.soc.axi import AxiXbar
-from repro.soc.mailbox import VERDICT_OK, VERDICT_VIOLATION, CfiMailbox
+from repro.soc.mailbox import (
+    VERDICT_OK,
+    VERDICT_VIOLATION,
+    CfiMailbox,
+    DoorbellArbiter,
+)
 
 MAILBOX_BASE = 0x9000_0000
 
@@ -231,6 +236,23 @@ class TestBulkTick:
         writer.tick()  # -> WRITE with a countdown
         assert writer.state is WriterState.WRITE
         assert writer.skippable_cycles() == writer._countdown - 1
+
+    def test_contended_writer_is_unbounded_once_it_has_requested(self):
+        """A peer holds the shared channel: only the peer's release can
+        grant this writer, but its next tick must still register the
+        request that release looks for."""
+        writer, queue, _ = make_writer()
+        writer.arbiter = arbiter = DoorbellArbiter(2)
+        writer.hart_id = 1
+        assert arbiter.acquire(0)
+        queue.push(call_log())
+        assert writer.skippable_cycles() == 0
+        writer.tick()
+        assert arbiter.requesting(1) and writer.state is WriterState.IDLE
+        assert writer.skippable_cycles() == LogWriter.UNBOUNDED
+        arbiter.release(0)
+        assert arbiter.owner == 1
+        assert writer.skippable_cycles() == 0
 
 
 class TestAxiTraffic:

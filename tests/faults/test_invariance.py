@@ -5,8 +5,8 @@ The acceptance criteria of the fault subsystem:
 * with the fault layer compiled in but detached (or attached with an
   empty plan), not a single simulated number moves;
 * every fault scenario is seed-deterministic and produces identical
-  verdicts AND detection latencies on the busy, event-driven and
-  batched engines (faults index event occurrences, never cycles).
+  verdicts AND detection latencies on the busy and batched engines
+  (faults index event occurrences, never cycles).
 """
 
 import pytest
@@ -16,10 +16,10 @@ from repro.campaign.spec import Scenario
 from repro.faults import FaultPlan, attach_faults
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.system.addresses import AddressMap
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
 from repro.system.soc import build_soc
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 #: (fault plan, victim, policy backend) cells covering every fault
 #: family on both mailbox agents that support it.
@@ -84,7 +84,7 @@ class TestFaultFreeIdentity:
 
 
 class TestEngineInvariance:
-    """Same faulted scenario, three engines, identical result dicts."""
+    """Same faulted scenario, both engines, identical result dicts."""
 
     @pytest.mark.parametrize("plan,victim,policy_backend", CELLS)
     def test_faulted_results_identical_across_engines(

@@ -7,7 +7,7 @@ observable: verdict, detection latency, and the SimulationReport cycle
 totals (global cycles, host instret, stall cycles, and the complete
 CFI-stage statistics, check latencies included).  This suite asserts
 that across every registered campaign victim, both firmware variants'
-timing models, and all three execution engines.
+timing models, and both execution engines.
 """
 
 import random
@@ -18,9 +18,9 @@ from repro.attacks.rop import run_attack_scenario
 from repro.campaign.spec import VICTIMS
 from repro.firmware.policies import ShadowStackPolicy
 from repro.system.addresses import AddressMap
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT
+from repro.system.sim import MODE_BATCHED, MODE_BUSY
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 _ADDRESSES = AddressMap()
 _PROGRAMS = {}

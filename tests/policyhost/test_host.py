@@ -3,7 +3,7 @@ the crypto-return policy, and the calibration machinery itself.
 
 The back-pressure/blocking classes mirror
 ``tests/system/test_batched.py``'s firmware-path configurations: the
-host must keep all three engines cycle-exact under CFI queue
+host must keep both engines cycle-exact under CFI queue
 back-pressure (depth 1), blocking commit mode and latched (non-raising)
 violations — and, for the shadow-stack policy, match the firmware
 exactly in those configurations too.
@@ -27,10 +27,10 @@ from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.policyhost.calibration import ResponseCurve, calibrate
 from repro.policyhost.host import firmware_path, mount_policy_host, resolve_path_key
 from repro.system.addresses import AddressMap
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
 from repro.system.soc import build_soc
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 _ADDRESSES = AddressMap()
 

@@ -35,6 +35,14 @@ class TestSubmitServe:
         assert "job-0001 [done]" in out
         assert "executed=2" in out
 
+    def test_submit_rejects_unknown_sim_mode(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--root", _root(tmp_path), "submit",
+                  "--sim-mode", 'event-driven'])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'event-driven'" in capsys.readouterr().err
+        assert not (tmp_path / "svc").exists()
+
     def test_serve_with_nothing_queued(self, tmp_path, capsys):
         assert main(["--root", _root(tmp_path), "serve"]) == 0
         assert "no runnable jobs" in capsys.readouterr().out

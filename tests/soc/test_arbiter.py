@@ -3,7 +3,7 @@
 Unit-level: combinational idle grant, level-sensitive requests,
 round-robin rotation on release, deterministic same-cycle ordering,
 typed protocol errors.  System-level: fairness across symmetric harts,
-three-engine identity of contended handshakes, and the interaction
+cross-engine identity of contended handshakes, and the interaction
 with the existing transport faults (doorbell drop returns the grant,
 doorbell dup redelivers under the same grant discipline).
 """
@@ -25,11 +25,11 @@ from repro.faults import (
 from repro.firmware.policies import ShadowStackPolicy
 from repro.policyhost import mount_policy_host
 from repro.soc.mailbox import DoorbellArbiter
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
 from repro.system.soc import build_soc
 from repro.system.topology import Topology
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 
 class TestArbiterUnit:
@@ -196,7 +196,7 @@ class TestArbitratedHandshakes:
             _key(SystemSimulator(_build(victims), mode=mode).run())
             for mode in MODES
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
 
 class TestArbiterFairness:
@@ -239,7 +239,7 @@ class TestArbiterFairness:
             peer = report.per_hart[0]
             assert peer["cfi"]["checks_completed"] == peer["cfi"]["logs_sent"] > 0
             assert report.detected
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
 
 class TestArbiterUnderTransportFaults:
@@ -265,7 +265,7 @@ class TestArbiterUnderTransportFaults:
             ).run())
             for mode in MODES
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     def test_drop_returns_grant_to_peers(self):
         """A dropped event must hand the channel straight back: the

@@ -1,12 +1,12 @@
 """Queue back-pressure and blocking paths, identical in every engine.
 
-ISSUE satellite: the mailbox/log-writer blocking and latched-overflow
-paths must behave identically across the busy, event-driven and batched
-engines at queue depths 1, 2 and full (8).  Back-pressure is where the
-engines' skippable-cycle reasoning is most fragile — a writer stalled
+The mailbox/log-writer blocking and latched-overflow paths must behave
+identically across the busy and batched engines at queue depths 1, 2
+and full (8).  Back-pressure is where the engines' skippable-cycle
+reasoning is most fragile — a writer stalled
 on a full queue, a blocking CFI stage stalling the host, a violation
 latched while later checks keep draining — so every such path gets a
-three-way cross-engine assertion here.
+cross-engine assertion here.
 """
 
 import random
@@ -20,10 +20,10 @@ from repro.faults.plan import build_plan
 from repro.firmware.policies import ShadowStackPolicy
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.system.addresses import AddressMap
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
 from repro.system.soc import build_soc
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 DEPTHS = (1, 2, 8)
 
 
@@ -52,7 +52,7 @@ def _key(report):
 
 
 class TestDepthSweepAcrossEngines:
-    """Every (depth × blocking × victim) cell: three identical reports."""
+    """Every (depth × blocking × victim) cell: identical reports."""
 
     @pytest.mark.parametrize("blocking", [False, True])
     @pytest.mark.parametrize("depth", DEPTHS)
@@ -103,7 +103,7 @@ class TestLatchedViolation:
 
 class TestFaultInducedBackPressure:
     """stall-burst slows the monitor until the writer queue overflows;
-    the overflow accounting must agree across all three engines."""
+    the overflow accounting must agree across both engines."""
 
     def _run_stalled(self, mode, depth, plan):
         outcome = run_attack_scenario(

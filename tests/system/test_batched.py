@@ -3,8 +3,8 @@
 The batched engine (``SystemSimulator(mode="batched")``) runs whole
 instruction windows inside :meth:`repro.hart.core.Hart.run_n` between
 synchronisation points.  This suite drives every registered campaign
-victim under both firmware variants through all three execution modes
-and asserts the resulting :class:`SimulationReport` is field-for-field
+victim under both firmware variants through both execution engines and
+asserts the resulting :class:`SimulationReport` is field-for-field
 identical — cycles, stall counts, instret, CFI statistics (including
 check latencies, queue high-water and detection latency).
 """
@@ -15,12 +15,12 @@ import pytest
 
 from repro.attacks.programs import benign_program
 from repro.campaign.spec import VICTIMS
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
 from repro.system.soc import build_soc
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 
 def _run(victim, mode, fw_variant="irq", seed=1234, **soc_kwargs):
@@ -47,7 +47,7 @@ def _report_key(report):
 
 
 class TestEveryVictimEveryFirmware:
-    """The full victim registry × firmware variants, all three modes."""
+    """The full victim registry × firmware variants, both engines."""
 
     @pytest.mark.parametrize("fw_variant", ["irq", "polling"])
     @pytest.mark.parametrize("victim", sorted(VICTIMS))
@@ -71,7 +71,7 @@ class TestEveryVictimEveryFirmware:
                 (soc.cva6.regs.snapshot(), soc.rot.ibex.regs.snapshot(),
                  soc.cva6.cycle, soc.rot.ibex.cycle)
             )
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
 
 class TestBackPressureConfigurations:
@@ -86,7 +86,7 @@ class TestBackPressureConfigurations:
             config = TitanCfiConfig(queue_depth=1, blocking=True)
             report, _ = _run(victim, mode, cfi_config=config)
             keys.append(_report_key(report))
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     def test_depth1_nonblocking_identical(self):
         from repro.core.config import TitanCfiConfig
@@ -96,7 +96,7 @@ class TestBackPressureConfigurations:
             config = TitanCfiConfig(queue_depth=1)
             report, _ = _run("deep-recursion", mode, cfi_config=config)
             keys.append(_report_key(report))
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
 
 class TestPlatformVariants:
@@ -105,14 +105,14 @@ class TestPlatformVariants:
             _report_key(_run("benign", mode, fabric="optimized")[0])
             for mode in MODES
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     def test_baseline_without_cfi_identical(self):
         keys = [
             _report_key(_run("benign", mode, with_cfi=False)[0])
             for mode in MODES
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     def test_latched_violations_identical(self):
         """raise_on_violation=False: runs continue past the violation;
@@ -124,7 +124,7 @@ class TestPlatformVariants:
             config = TitanCfiConfig(raise_on_violation=False)
             report, _ = _run("ret-to-callsite", mode, cfi_config=config)
             keys.append(_report_key(report))
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
         assert keys[0][4], "violation must still be detected"
 
 
@@ -160,7 +160,8 @@ class TestBatchingActuallyBatches:
                 sim.run(max_cycles=50_000)
             assert sim.now == 50_000, mode
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["warp", 'event-driven'])
+    def test_unknown_mode_rejected(self, mode):
         soc = build_soc()
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            SystemSimulator(soc, mode="warp")
+        with pytest.raises(ConfigError, match="unknown execution mode"):
+            SystemSimulator(soc, mode=mode)

@@ -1,0 +1,375 @@
+"""The scheduler core's clock protocol, checked state for state.
+
+Every clocked agent answers ``tick()``, ``skippable_cycles()`` and
+``skip(n)``; the batched engine rests on three claims about them:
+
+* an agent's ``skip(n)``, for ``n`` up to its own bound, is ``n`` of
+  its ticks;
+* the platform's ``_advance(n)``, for ``n`` up to the min bound over
+  every agent, is ``n`` platform ticks;
+* a window is the ticks it accounts for, once any run-ahead it left as
+  cycle debt has melted.
+
+The engine suites compare the two engines' final reports.  Here two
+identically built platforms run in lockstep: one takes the batched
+action, its twin replays it as plain ticks, and the *whole* platform
+state — every register, memory page, queue entry, FSM field and
+statistic, caches aside — must match after every sampled action.
+"""
+
+import collections
+import enum
+import random
+import types
+
+import pytest
+
+from repro.campaign.spec import VICTIMS
+from repro.core.config import TitanCfiConfig
+from repro.core.log_writer import LogWriter
+from repro.firmware.policies import ShadowStackPolicy
+from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
+from repro.isa import opcodes as op
+from repro.policyhost import mount_policy_host
+from repro.system.sim import MODE_BATCHED, HartSlot, SystemSimulator
+from repro.system.soc import build_soc
+from repro.system.topology import Topology
+
+#: Per class, the fields that may legitimately differ between two equal
+#: platforms: a hart's decoded-instruction cache (a window decodes the
+#: boundary instruction it stops before), the bus's last-region hint,
+#: and the policy host's process-wide calibration memo, which answers
+#: the second twin's doorbells from the chain table the first one grew.
+CACHES = {
+    "Hart": {"_pc_cache", "_code_pages", "_batch_ctx"},
+    "MemoryMap": {"_hot_region"},
+    "PolicyHost": {"model"},
+    "ShadowSession": {"_model", "_rig", "_chain", "_cursor", "_generation"},
+}
+
+
+def snapshot(root):
+    """The reachable state of ``root`` as a nested tuple, comparable
+    across two independently built object graphs.  Shared objects are
+    numbered in visiting order, so aliasing must match too."""
+    seen = {}
+
+    def walk(x):
+        if x is None or isinstance(x, (bool, int, float, str, bytes)):
+            return x
+        if isinstance(x, enum.Enum):
+            return (type(x).__qualname__, x.name)
+        if id(x) in seen:
+            return ("ref", seen[id(x)])
+        seen[id(x)] = len(seen)
+        if isinstance(x, bytearray):
+            return bytes(x)
+        if isinstance(x, (list, tuple, collections.deque)):
+            return tuple(walk(item) for item in x)
+        if isinstance(x, dict):
+            return ("dict",) + tuple(
+                (repr(key), walk(x[key])) for key in sorted(x, key=repr)
+            )
+        if isinstance(x, (set, frozenset)):
+            return ("set",) + tuple(sorted(map(repr, x)))
+        if isinstance(x, types.MethodType):
+            return ("method", x.__func__.__qualname__, walk(x.__self__))
+        if isinstance(x, (types.FunctionType, types.BuiltinFunctionType,
+                          type)):
+            return ("function", x.__qualname__)
+        if isinstance(x, random.Random):
+            return ("random", x.getstate())
+        attrs = dict(getattr(x, "__dict__", {}))
+        for cls in type(x).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                if hasattr(x, name):
+                    attrs[name] = getattr(x, name)
+            for name in CACHES.get(cls.__name__, ()):
+                attrs.pop(name, None)
+        return (type(x).__qualname__,) + tuple(
+            (name, walk(attrs[name])) for name in sorted(attrs)
+        )
+
+    return walk(root)
+
+
+def first_difference(left, right, path="sim"):
+    """Path to the first field where two snapshots differ."""
+    if (isinstance(left, tuple) and isinstance(right, tuple)
+            and len(left) == len(right)):
+        for index, (a, b) in enumerate(zip(left, right)):
+            if a != b:
+                named = (isinstance(a, tuple) and len(a) == 2
+                         and isinstance(a[0], str))
+                step = a[0] if named else index
+                return first_difference(a, b, f"{path}/{step}")
+    return f"{path}: {str(left)[:160]} != {str(right)[:160]}"
+
+
+#: Platforms covering every agent state the protocol distinguishes:
+#: cycle debt, an inhibited commit (blocking and depth-1 queues,
+#: skippable; lossy, never skippable), a halted hart beside live ones,
+#: the policy host, Ibex joining confined windows beside application
+#: harts, and staggered starts — under the irq firmware the only way
+#: Ibex reaches its WFI sleep mid-run, since back-to-back doorbells
+#: keep it in the ISR.
+SCENARIOS = {
+    "n1-irq": dict(victims=("deep-recursion",), monitor="irq"),
+    "n1-polling": dict(victims=("deep-recursion",), monitor="polling"),
+    "n1-host": dict(victims=("deep-recursion",), monitor="host"),
+    "n1-blocking": dict(victims=("benign",), monitor="irq",
+                        queue_depth=1, blocking=True),
+    "n1-lossy": dict(victims=("deep-recursion",), monitor="host",
+                     queue_depth=2, lossy=True),
+    "n2-host": dict(victims=("rop", "benign"), monitor="host"),
+    "n3-irq": dict(victims=("rop", "deep-recursion", "benign"),
+                   monitor="irq"),
+    "n3-irq-stagger": dict(victims=("fwd-jump", "indirect-clean", "jop"),
+                           monitor="irq", start_delays=(0, 1500, 3000)),
+    "n4-stagger": dict(victims=("benign", "deep-recursion", "rop", "benign"),
+                       monitor="host", start_delays=(0, 300, 600, 900)),
+}
+
+
+def build(victims, monitor, start_delays=None, **config):
+    """A fresh simulator; two calls with equal arguments build equal
+    platforms.  Violations are latched, so a run never unwinds
+    mid-lockstep."""
+    topology = Topology(n_harts=len(victims))
+    soc = build_soc(
+        cfi_config=TitanCfiConfig(raise_on_violation=False, **config),
+        topology=topology,
+    )
+    for hart_id, victim in enumerate(victims):
+        amap = topology.address_map(hart_id, soc.addresses)
+        program = VICTIMS[victim].builder(amap, random.Random(99 + hart_id))
+        soc.load_host_program(program, hart_id=hart_id)
+    if monitor == "host":
+        mount_policy_host(soc, ShadowStackPolicy())
+    else:
+        layout = FirmwareLayout(soc.addresses)
+        soc.load_firmware(shadow_stack_firmware(monitor, layout).data)
+    return SystemSimulator(soc, mode=MODE_BATCHED, start_delays=start_delays)
+
+
+def twins(name):
+    return build(**SCENARIOS[name]), build(**SCENARIOS[name])
+
+
+def agents(sim):
+    return [tick.__self__ for tick in sim._ticks]
+
+
+def done(sim):
+    return sim._all_halted() and sim._quiescent()
+
+
+#: Cycle cap for a run.
+MAX_CYCLES = 400_000
+
+
+class Sample:
+    """Sample points over a growing count: every ``stride``-th for
+    eight points, then the stride doubles — dense through boot and the
+    first doorbells, still reaching the end of a long run."""
+
+    def __init__(self, stride=1):
+        self.next = self.stride = stride
+        self.left = 8
+
+    def due(self, count):
+        if count < self.next:
+            return False
+        self.next += self.stride
+        self.left -= 1
+        if not self.left:
+            self.stride *= 2
+            self.left = 8
+        return True
+
+
+def ticks(agent, cycles):
+    for _ in range(cycles):
+        agent.tick()
+
+
+def assert_same(fast, slow, what):
+    assert fast.now == slow.now, what
+    left, right = snapshot(fast), snapshot(slow)
+    assert left == right, (what, first_difference(left, right))
+
+
+class TestHartSlot:
+    """The hart slot's three states in which its hart cannot act."""
+
+    @staticmethod
+    def slot(debt=0):
+        """An application hart behind a commit stage with no CFI stage,
+        so commit is never inhibited."""
+        soc = build_soc(with_cfi=False)
+        program = VICTIMS["deep-recursion"].builder(
+            soc.addresses, random.Random(1))
+        soc.load_host_program(program)
+        hart, commit = soc.harts[0], soc.commits[0]
+        return HartSlot(hart, commit, (0, 0), (0, 0), debt), hart
+
+    def test_debt_bounds_the_slot_and_melts(self):
+        slot, hart = self.slot(debt=5)
+        assert not slot.active
+        assert slot.skippable_cycles() == 5
+        slot.skip(3)
+        slot.tick()
+        assert slot.debt == 1 and slot.skippable_cycles() == 1
+        assert (hart.instret, hart.cycle) == (0, 0)
+
+    def test_tick_takes_on_the_instruction_cost_as_debt(self):
+        slot, hart = self.slot()
+        debts = set()
+        while hart.instret < 50:
+            assert slot.active and slot.skippable_cycles() == 0
+            before = hart.cycle
+            slot.tick()
+            assert slot.debt == hart.cycle - before - 1
+            debts.add(slot.debt)
+            slot.skip(slot.debt)
+        assert len(debts) > 1, debts
+
+    def test_halted_hart_is_unbounded_and_inert(self):
+        slot, hart = self.slot()
+        hart.halted = True
+        assert not slot.active
+        assert slot.skippable_cycles() == LogWriter.UNBOUNDED
+        slot.skip(1000)
+        slot.tick()
+        assert (hart.instret, hart.cycle) == (0, 0)
+
+    def test_sleep_is_skipped_until_an_interrupt_pends(self):
+        slot, hart = self.slot()
+        hart.sleeping = True
+        assert not slot.active
+        assert slot.skippable_cycles() == LogWriter.UNBOUNDED
+        slot.skip(40)
+        slot.tick()
+        assert hart.cycle == 41 and hart.sleeping
+        hart.csrs.write(op.CSR_MIE, op.MIE_MEIE)
+        hart.external_irq = lambda: True
+        assert slot.skippable_cycles() == 0
+        slot.tick()
+        assert not hart.sleeping
+        assert slot.debt == hart.timing.wake_cycles - 1
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_agent_skip_is_its_ticks(name):
+    """Each agent alone: ``skip(n)`` on one twin, ``n`` of the agent's
+    own ticks on the other, for every agent whose bound is positive."""
+    fast, slow = twins(name)
+    sample = Sample(stride=61)
+    skipped = collections.Counter()
+    while slow.now < MAX_CYCLES:
+        fast.tick()
+        slow.tick()
+        if done(slow):
+            break
+        if not sample.due(slow.now):
+            continue
+        for index, agent in enumerate(agents(fast)):
+            bound = agent.skippable_cycles()
+            if bound <= 0:
+                continue
+            cycles = min(bound, 37)
+            agent.skip(cycles)
+            ticks(agents(slow)[index], cycles)
+            skipped[index] += 1
+        assert_same(fast, slow, (name, slow.now, dict(skipped)))
+    assert sorted(skipped) == list(range(len(agents(fast)))), dict(skipped)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_advance_is_platform_ticks(name):
+    """The platform jump (a min over agents, then a skip loop): the
+    batched twin advances, the other ticks through the same cycles."""
+    fast, slow = twins(name)
+    sample = Sample()
+    jumps = 0
+    while slow.now < MAX_CYCLES:
+        fast.tick()
+        slow.tick()
+        if done(slow):
+            break
+        cycles = fast._skippable_cycles()
+        assert (cycles > 0) == (slow._skippable_cycles() > 0)
+        if cycles <= 0:
+            continue
+        cycles = min(cycles, MAX_CYCLES - fast.now)
+        fast._advance(cycles)
+        ticks(slow, cycles)
+        jumps += 1
+        if sample.due(jumps):
+            assert_same(fast, slow, (name, slow.now, cycles))
+    assert done(fast)
+    assert_same(fast, slow, (name, "end"))
+    assert jumps >= 16, jumps
+
+
+def window_kind(sim):
+    """The window the planner would take next, by its participants."""
+    participants = [slot for slot in sim._slots if slot.active]
+    if len(participants) > 1:
+        return "confined"
+    if participants and participants[0].commit is None:
+        return "ibex-solo"
+    return "hart-solo"
+
+
+#: Window kinds each platform must take (the planner's rules): an
+#: application hart alone, Ibex alone up to its mailbox store, and the
+#: confined window of several active harts.
+EXPECTED_WINDOWS = {
+    "n1-irq": {"hart-solo", "ibex-solo", "confined"},
+    "n1-polling": {"hart-solo", "ibex-solo"},
+    "n1-host": {"hart-solo"},
+    "n1-blocking": {"hart-solo", "ibex-solo"},
+    "n1-lossy": {"hart-solo"},
+    "n2-host": {"hart-solo", "confined"},
+    "n3-irq": {"hart-solo", "ibex-solo", "confined"},
+    "n3-irq-stagger": {"hart-solo", "ibex-solo", "confined"},
+    "n4-stagger": {"hart-solo", "confined"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_window_is_its_ticks(name):
+    """The batched run loop on one twin, plain ticks on the other.  A
+    solo window leaves the platform exactly where its span of ticks
+    does.  A confined window may leave an earlier participant run
+    ahead of the span as cycle debt; the plain twin also ticks through
+    the longest such debt while the batched twin melts it by ticks, and
+    then the two platforms must be equal."""
+    fast, slow = twins(name)
+    windows = collections.Counter()
+    samples = collections.defaultdict(Sample)
+    while slow.now < MAX_CYCLES:
+        fast.tick()
+        slow.tick()
+        if done(slow):
+            break
+        while True:
+            cycles = min(fast._skippable_cycles(), MAX_CYCLES - fast.now)
+            if cycles > 0:
+                fast._advance(cycles)
+                ticks(slow, cycles)
+            kind = window_kind(fast)
+            if not fast._window(MAX_CYCLES):
+                break
+            windows[kind] += 1
+            melt = 0
+            if kind == "confined":
+                melt = max(slot.debt for slot in fast._slots)
+            ticks(slow, fast.now - slow.now + melt)
+            ticks(fast, melt)
+            if samples[kind].due(windows[kind]):
+                assert_same(fast, slow, (name, kind, slow.now))
+    assert done(fast)
+    assert_same(fast, slow, (name, "end"))
+    assert set(windows) >= EXPECTED_WINDOWS[name], dict(windows)

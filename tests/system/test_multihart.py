@@ -3,9 +3,9 @@ single-hart topology must be cycle-identical to the historic SoC.
 
 Mirrors ``tests/system/test_batched.py`` for the multi-hart subsystem:
 every report field (including the per-hart breakdown and aggregated CFI
-statistics) must be identical across the busy, event-driven and batched
-engines, and a ``Topology()`` SoC must be indistinguishable from one
-built without a topology at all.
+statistics) must be identical across the busy and batched engines, and a
+``Topology()`` SoC must be indistinguishable from one built without a
+topology at all.
 """
 
 import random
@@ -21,12 +21,13 @@ from repro.firmware.policies import (
     ShadowStackPolicy,
 )
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
+from repro.hart.core import Hart
 from repro.policyhost import mount_policy_host
-from repro.system.sim import MODE_BATCHED, MODE_BUSY, MODE_EVENT, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
 from repro.system.soc import build_soc
 from repro.system.topology import Topology
 
-MODES = (MODE_BUSY, MODE_EVENT, MODE_BATCHED)
+MODES = (MODE_BUSY, MODE_BATCHED)
 
 #: Hand-written (non-synthetic) victims usable on any hart.
 CORPUS = sorted(name for name, spec in VICTIMS.items() if not spec.synthetic)
@@ -45,7 +46,10 @@ def _report_key(report):
     )
 
 
-def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234):
+def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234,
+                     firmware=None):
+    """N harts sharing one monitor: the policy host, or the RV32
+    ``firmware`` variant on Ibex when one is named."""
     topo = Topology(n_harts=len(victims))
     soc = build_soc(
         cfi_config=TitanCfiConfig(raise_on_violation=False), topology=topo
@@ -54,7 +58,11 @@ def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234):
         amap = topo.address_map(hart_id, soc.addresses)
         program = VICTIMS[victim].builder(amap, random.Random(seed + hart_id))
         soc.load_host_program(program, hart_id=hart_id)
-    mount_policy_host(soc, policy_factory())
+    if firmware is None:
+        mount_policy_host(soc, policy_factory())
+    else:
+        layout = FirmwareLayout(soc.addresses)
+        soc.load_firmware(shadow_stack_firmware(firmware, layout).data)
     return soc
 
 
@@ -119,7 +127,7 @@ class TestSingleHartIdentity:
 
 
 class TestMultiHartEngineEquivalence:
-    """All three engines, field-for-field, per-hart included."""
+    """Both engines, field-for-field, per-hart included."""
 
     @pytest.mark.parametrize("victims", [
         ("rop", "benign"),
@@ -145,7 +153,7 @@ class TestMultiHartEngineEquivalence:
                                        policy_factory=policy_factory)[0])
             for mode in MODES
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     def test_architectural_state_identical(self):
         snapshots = []
@@ -154,7 +162,31 @@ class TestMultiHartEngineEquivalence:
             snapshots.append(tuple(
                 (hart.regs.snapshot(), hart.cycle) for hart in soc.harts
             ))
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
+
+    @pytest.mark.parametrize("fw_variant", ["irq", "polling"])
+    def test_firmware_monitor_identical_across_modes(self, fw_variant,
+                                                     monkeypatch):
+        """The RV32 firmware as the shared monitor.  It keeps a single
+        shadow context, so its verdicts mean nothing here; the point is
+        the schedule: Ibex joins confined windows beside active
+        application harts, and both engines must still agree."""
+        confined = []
+        run_n = Hart.run_n
+
+        def spy(hart, *args, **kwargs):
+            if kwargs.get("confined"):
+                confined.append(hart)
+            return run_n(hart, *args, **kwargs)
+
+        monkeypatch.setattr(Hart, "run_n", spy)
+        keys = []
+        for mode in MODES:
+            soc = _build_multihart(("rop", "deep-recursion"),
+                                   firmware=fw_variant)
+            keys.append(_report_key(SystemSimulator(soc, mode=mode).run()))
+        assert keys[0] == keys[1]
+        assert any(hart is soc.rot.ibex for hart in confined)
 
     def test_staggered_start_identical_across_modes(self):
         keys = [
@@ -163,7 +195,7 @@ class TestMultiHartEngineEquivalence:
                 start_delays=[0, 700, 1400, 2100])[0])
             for mode in MODES
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
 
 class TestPerHartReport:
