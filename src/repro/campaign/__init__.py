@@ -18,7 +18,6 @@ from repro.campaign.aggregate import (
     to_csv,
     write_artifacts,
 )
-from repro.campaign.checkpoint import ResultLog, load_results
 from repro.campaign.runner import RESULT_SCHEMA, run_campaign, run_scenario
 from repro.campaign.spec import (
     MATRICES,
@@ -43,7 +42,6 @@ __all__ = [
     "POLICY_DETECTS",
     "REFERENCE_POLICIES",
     "RESULT_SCHEMA",
-    "ResultLog",
     "Scenario",
     "VICTIMS",
     "VictimSpec",
@@ -54,7 +52,6 @@ __all__ = [
     "faults_matrix",
     "faults_smoke_matrix",
     "finalize",
-    "load_results",
     "render_report",
     "resolve_matrix",
     "run_campaign",

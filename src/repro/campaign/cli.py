@@ -12,6 +12,9 @@ Three subcommands:
   simulated verdict contradicts the static oracle, the run fails *and*
   the disagreement is auto-minimized into a reproducer JSON under
   ``<out>/reproducers/`` (see :mod:`repro.synth.triage`).
+  ``--resume OUT`` keeps the ``ok`` rows of OUT's ``results.jsonl``
+  checkpoint and re-runs the rest; its ``manifest.json`` refuses a
+  resume against another campaign.
 * ``report`` — re-render the text report from a saved campaign.json,
   or diff two artifacts: ``report --compare old.json new.json`` prints
   detection-rate/latency deltas and per-scenario verdict flips (the
@@ -35,15 +38,6 @@ from repro.campaign.aggregate import (
     render_report,
     write_artifacts,
 )
-from repro.campaign.checkpoint import (
-    MANIFEST_NAME,
-    RESULTS_NAME,
-    ResultLog,
-    check_manifest,
-    load_results,
-    manifest_payload,
-    write_manifest,
-)
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import (
     VICTIMS,
@@ -51,10 +45,15 @@ from repro.campaign.spec import (
     resolve_matrix,
     spec_key,
 )
-from repro.errors import ConfigError
+from repro.durable import AppendLog, check_manifest, read_log, write_manifest
+from repro.errors import ConfigError, ServiceError
 from repro.system.sim import MODES
 
 DEFAULT_OUT = Path("artifacts/campaign")
+
+#: Checkpoint file names inside a campaign output directory.
+RESULTS_NAME = "results.jsonl"
+MANIFEST_NAME = "manifest.json"
 
 #: ``--jobs`` default bounds: at least MIN_JOBS so the default exercises
 #: the sharded path, at most MAX_JOBS so a big CI box doesn't fork a
@@ -193,15 +192,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.out = args.resume
     scenarios = resolve_matrix(args.matrix)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    manifest = manifest_payload(args.matrix, args.seed, args.sim_mode,
-                                len(scenarios))
+    manifest = {
+        "matrix": args.matrix,
+        "campaign_seed": args.seed,
+        "sim_mode": args.sim_mode,
+        "scenario_count": len(scenarios),
+    }
 
     # Resume: keep the checkpoint's completed verdicts, re-run the rest.
     kept = []
     if args.resume is not None:
-        check_manifest(str(args.out / MANIFEST_NAME), manifest)
+        check_manifest(args.out / MANIFEST_NAME, manifest)
         names = {scenario.name for scenario in scenarios}
-        kept = [result for result in load_results(str(args.out / RESULTS_NAME))
+        kept = [result for result in read_log(args.out / RESULTS_NAME)
                 if result.get("status") == "ok" and result.get("name") in names]
         done = {result["name"] for result in kept}
         scenarios = [s for s in scenarios if s.name not in done]
@@ -212,8 +215,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result_log = None
     if not args.no_artifacts:
         args.out.mkdir(parents=True, exist_ok=True)
-        write_manifest(str(args.out / MANIFEST_NAME), manifest)
-        result_log = ResultLog(str(args.out / RESULTS_NAME))
+        write_manifest(args.out / MANIFEST_NAME, manifest)
+        result_log = AppendLog(args.out / RESULTS_NAME)
         # Compact the checkpoint: kept rows first (dropping any non-ok
         # or torn tail rows), synced once, then the fresh results stream
         # in behind them, fsync'd each — killing *this* run keeps it
@@ -311,9 +314,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_report(args)
-    except ConfigError as exc:
-        # Typed configuration mistakes (unknown matrix name, bad spec)
-        # come out as one actionable line, not a traceback.
+    except (ConfigError, ServiceError) as exc:
+        # Typed configuration mistakes (unknown matrix name, bad spec,
+        # corrupt checkpoint) come out as one actionable line, not a
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import random
 import time
 from collections import deque
@@ -821,35 +820,6 @@ def run_scenario(scenario: Scenario, campaign_seed: int = 0,
 # Sharded campaign driver (hardened: timeouts, crash quarantine, retries)
 # --------------------------------------------------------------------------
 
-#: Test hooks (set via the environment, read only inside shards/retries):
-#: force a worker to die / hang / fail transiently on a named scenario,
-#: so the hardening paths are exercised end to end without mocking.
-ENV_CRASH_SCENARIO = "REPRO_CAMPAIGN_CRASH_SCENARIO"
-ENV_HANG_SCENARIO = "REPRO_CAMPAIGN_HANG_SCENARIO"
-ENV_FLAKY_SCENARIO = "REPRO_CAMPAIGN_FLAKY_SCENARIO"
-ENV_FLAKY_DIR = "REPRO_CAMPAIGN_FLAKY_DIR"
-
-
-def _flaky_hook(scenario: Scenario) -> None:
-    """Raise on the named scenario's first attempts (retry-path test).
-
-    Marker files under :data:`ENV_FLAKY_DIR` count attempts across
-    worker processes, so the scenario fails until its retry budget has
-    been spent at least once.
-    """
-    if os.environ.get(ENV_FLAKY_SCENARIO) != scenario.name:
-        return
-    marker_dir = os.environ.get(ENV_FLAKY_DIR)
-    if not marker_dir:
-        return
-    attempts = len([p for p in os.listdir(marker_dir)
-                    if p.startswith("attempt-")])
-    with open(os.path.join(marker_dir, f"attempt-{attempts}"), "w"):
-        pass
-    if attempts < 1:
-        raise SimulationError(f"flaky-hook failure for {scenario.name}")
-
-
 def _failure_result(scenario: Scenario, campaign_seed: int, status: str,
                     detail: str) -> Dict[str, object]:
     """Placeholder result for a scenario that produced no verdict.
@@ -918,14 +888,13 @@ def _shard_main(conn, campaign_seed: int, sim_mode: Optional[str]) -> None:
     in the pipe even if the process dies on its next scenario, so the
     parent can drain every reply before it blames anyone.  ``None``
     exits.
+
+    ``run_scenario`` is looked up through the module global, so a
+    patch on it before the pool forks (the fault-injection tests, the
+    benchmark's span probes) reaches every worker.
     """
     for scenario in iter(conn.recv, None):
-        if os.environ.get(ENV_CRASH_SCENARIO) == scenario.name:
-            os._exit(3)
-        if os.environ.get(ENV_HANG_SCENARIO) == scenario.name:
-            time.sleep(3600)
         try:
-            _flaky_hook(scenario)
             reply = ("done", run_scenario(scenario, campaign_seed,
                                           sim_mode=sim_mode))
         except Exception as exc:  # noqa: BLE001 - shard boundary
@@ -947,7 +916,6 @@ def _run_serial(
         attempt = 0
         while True:
             try:
-                _flaky_hook(scenario)
                 result = run_scenario(scenario, campaign_seed,
                                       sim_mode=sim_mode)
                 break

@@ -30,6 +30,7 @@ from repro.coverage.fuzz import (
     uniform_baseline,
 )
 from repro.coverage.shape import CoverageMap
+from repro.errors import ConfigError, ServiceError
 from repro.synth.generator import FAMILIES
 
 
@@ -145,11 +146,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     base.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "show":
-        return _cmd_show(args)
-    return _cmd_baseline(args)
+    commands = {"run": _cmd_run, "show": _cmd_show, "baseline": _cmd_baseline}
+    try:
+        return commands[args.command](args)
+    except (ConfigError, ServiceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ Layout::
     <root>/index.json            # schema stamp + digests, insertion order
     <root>/objects/<digest>.json # {model, vector, lineage, ...}
 
-All writes are durable-atomic (temp + fsync + rename via the store's
-helper), so a ``kill -9`` mid-write leaves either the old corpus or the
-new one — never a torn record — and the resume path replays cleanly.
+All writes are durable-atomic (temp + fsync + rename, through
+:func:`repro.durable.atomic_write`), so a ``kill -9`` mid-write leaves
+either the old corpus or the new one — never a torn record — and the
+resume path replays cleanly.
 
 Eviction is deterministic: past ``max_entries``, the oldest entry whose
 every coverage point is still held by some other resident entry is
@@ -27,8 +28,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.coverage.shape import ShapeVector
+from repro.durable import atomic_write
 from repro.errors import ConfigError, StoreCorruptError
-from repro.service.store import _atomic_write
 
 #: Corpus record/index schema stamp.
 CORPUS_SCHEMA_VERSION = 1
@@ -68,11 +69,13 @@ class CoverageCorpus:
         try:
             payload = json.loads(self._index.read_text())
         except json.JSONDecodeError as exc:
-            raise StoreCorruptError(f"corpus index unreadable: {exc}")
+            raise StoreCorruptError(str(self._index),
+                                    f"index unreadable: {exc}")
         if payload.get("schema_version") != CORPUS_SCHEMA_VERSION:
             raise StoreCorruptError(
+                str(self._index),
                 f"corpus schema {payload.get('schema_version')!r} "
-                f"!= {CORPUS_SCHEMA_VERSION}"
+                f"!= {CORPUS_SCHEMA_VERSION}",
             )
         return list(payload["entries"])
 
@@ -81,8 +84,8 @@ class CoverageCorpus:
             "schema_version": CORPUS_SCHEMA_VERSION,
             "entries": self._digests,
         }
-        _atomic_write(self._index,
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        atomic_write(self._index,
+                     json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def _path(self, digest: str) -> Path:
         return self._objects / f"{digest}.json"
@@ -105,10 +108,11 @@ class CoverageCorpus:
             raise ConfigError(f"unknown corpus entry {digest!r}")
         if digest in self._cache:
             return self._cache[digest]
+        path = self._path(digest)
         try:
-            record = json.loads(self._path(digest).read_text())
+            record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise StoreCorruptError(f"corpus entry {digest} unreadable: {exc}")
+            raise StoreCorruptError(str(path), f"entry unreadable: {exc}")
         self._cache[digest] = record
         return record
 
@@ -160,8 +164,8 @@ class CoverageCorpus:
             "model": model,
             "vector": vector.to_json(),
         }
-        _atomic_write(self._path(digest),
-                      json.dumps(record, indent=2, sort_keys=True) + "\n")
+        atomic_write(self._path(digest),
+                     json.dumps(record, indent=2, sort_keys=True) + "\n")
         self._digests.append(digest)
         self._cache[digest] = record
         self._evict()

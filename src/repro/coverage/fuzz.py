@@ -14,9 +14,10 @@ shards use — and the verdict rows fold into a standard
 ``campaign.json``/``campaign.csv`` artifact pair.
 
 Crash safety is write-ahead: each candidate's full record (model,
-vector, verdict rows) is fsync'd into ``fuzz.jsonl`` *before* its side
-effects (coverage-map merge, corpus insert/evict) apply, and every side
-effect is a deterministic, idempotent function of the journal prefix.
+vector, verdict rows) is fsync'd into ``fuzz.jsonl`` (a
+:class:`~repro.durable.AppendLog`) *before* its side effects
+(coverage-map merge, corpus insert/evict) apply, and every side effect
+is a deterministic, idempotent function of the journal prefix.
 ``kill -9`` at any instruction therefore loses at most one in-flight
 candidate: resume replays the journal, reconverges the corpus tree
 byte-for-byte, and continues — the finished run is identical to an
@@ -33,22 +34,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.checkpoint import (
-    ResultLog,
-    check_manifest,
-    load_results,
-    write_manifest,
-)
 from repro.coverage.corpus import CoverageCorpus, model_digest
 from repro.coverage.mutate import mutate
 from repro.coverage.shape import CoverageMap, ShapeVector, shape_vector
+from repro.durable import (
+    AppendLog,
+    atomic_write,
+    check_manifest,
+    read_log,
+    write_manifest,
+)
 from repro.errors import ConfigError, SynthError
-from repro.service.store import _atomic_write
 from repro.synth.generator import FAMILIES, generate
 from repro.synth.oracle import ORACLE_POLICIES, expected_verdicts
 from repro.system.addresses import AddressMap
@@ -61,11 +61,6 @@ CORPUS_DIR = "corpus"
 
 #: Manifest identity stamp.
 FUZZ_KIND = "repro.coverage/fuzz/v1"
-
-#: Test hook: hard-exit (``os._exit``) right after the journal append
-#: of the given candidate index — the worst-case crash window, with a
-#: record durable but none of its side effects applied.
-ENV_CRASH_AFTER_ITER = "REPRO_COVERAGE_CRASH_AFTER_ITER"
 
 #: Frontier draws sample among this many rarest corpus entries, so the
 #: loop keeps breadth without losing its rarity bias.
@@ -353,8 +348,8 @@ def _load_state(out: Path, config: FuzzConfig,
     journal_path = out / JOURNAL_NAME
     manifest_path = out / MANIFEST_NAME
     if resume:
-        check_manifest(str(manifest_path), config.manifest())
-    records = load_results(str(journal_path)) if resume else []
+        check_manifest(manifest_path, config.manifest())
+    records = read_log(journal_path) if resume else []
     for index, record in enumerate(records):
         if record.get("iteration") != index:
             raise ConfigError(
@@ -365,7 +360,7 @@ def _load_state(out: Path, config: FuzzConfig,
     dropped = records[aligned:]
     records = records[:aligned]
     if dropped:
-        _atomic_write(journal_path, "".join(
+        atomic_write(journal_path, "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in records
         ))
     coverage = CoverageMap()
@@ -463,15 +458,14 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     records, coverage, corpus = _load_state(out, config, resume)
-    write_manifest(str(out / MANIFEST_NAME), config.manifest())
+    write_manifest(out / MANIFEST_NAME, config.manifest())
 
-    crash_after = os.environ.get(ENV_CRASH_AFTER_ITER)
     pool = None
     if config.jobs > 1:
         import multiprocessing
 
         pool = multiprocessing.get_context("fork").Pool(config.jobs)
-    journal = ResultLog(str(out / JOURNAL_NAME), append=True)
+    journal = AppendLog(out / JOURNAL_NAME, append=True)
     try:
         while len(records) < config.iterations:
             batch_lo = len(records)
@@ -514,15 +508,11 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
             # durable (single fsync) before any side effect applies.
             for record in batch_records:
                 journal.append(record, sync=False)
-                if crash_after is not None \
-                        and record["iteration"] == int(crash_after):
-                    journal.sync()
-                    os._exit(7)
             journal.sync()
             for record in batch_records:
                 _apply(record, coverage, corpus)
                 records.append(record)
-            _atomic_write(
+            atomic_write(
                 out / MAP_NAME,
                 json.dumps(coverage.to_json(), indent=2, sort_keys=True)
                 + "\n",
@@ -537,7 +527,7 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
 
     payload = _campaign_payload(records, config)
     write_artifacts(payload, out)
-    _atomic_write(
+    atomic_write(
         out / MAP_NAME,
         json.dumps(coverage.to_json(), indent=2, sort_keys=True) + "\n",
     )

@@ -264,19 +264,20 @@ class JobStateError(ServiceError):
 
 
 class StoreCorruptError(ServiceError):
-    """A result-store object or service journal failed to parse.
+    """A durable file failed to parse: a store object, a corpus file,
+    a manifest, or a line of a JSONL log before its torn tail.
 
-    The store's write path is atomic (temp file + rename + fsync), so a
-    corrupt object means external tampering or disk damage — never a
-    crash of ours — and must fail loudly instead of being silently
-    re-executed over.
+    Every durable write goes through :mod:`repro.durable`, so a corrupt
+    file means external tampering or disk damage — never a crash of
+    ours — and must fail loudly instead of being silently re-executed
+    over.
 
     Attributes:
         path: the corrupt file.
     """
 
     def __init__(self, path: str, detail: str = ""):
-        message = f"{path}: corrupt service data"
+        message = f"{path}: corrupt file"
         if detail:
             message += f" ({detail})"
         super().__init__(message)

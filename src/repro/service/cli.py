@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.campaign.spec import MATRICES
+from repro.errors import ConfigError, ServiceError
 from repro.service.dashboard import write_dashboard
 from repro.service.queue import SweepService
 from repro.system.sim import MODES
@@ -50,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--sim-mode", default=None, choices=MODES)
     submit.add_argument("--workers", type=int, default=1,
                         help="worker processes for the job (default: 1)")
-    submit.add_argument("--batch-size", type=int, default=16,
-                        help="scenarios per journaled batch (default: 16)")
 
     serve = sub.add_parser("serve", help="drain the job queue")
     mode = serve.add_mutually_exclusive_group()
@@ -79,8 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_submit(service: SweepService, args: argparse.Namespace) -> int:
     job = service.submit(args.matrix, campaign_seed=args.seed,
-                         sim_mode=args.sim_mode, workers=args.workers,
-                         batch_size=args.batch_size)
+                         sim_mode=args.sim_mode, workers=args.workers)
     print(f"queued {job.job_id}: matrix={job.matrix} "
           f"seed={job.campaign_seed}")
     return 0
@@ -165,7 +163,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     service = SweepService(args.root)
-    return _COMMANDS[args.command](service, args)
+    try:
+        return _COMMANDS[args.command](service, args)
+    except (ConfigError, ServiceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

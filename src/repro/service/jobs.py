@@ -2,20 +2,22 @@
 
 A sweep request becomes a :class:`Job` the moment it is submitted, and
 every state change afterwards is one fsync'd line in an append-only
-JSONL journal — the same write-ahead idiom as the campaign runner's
-result checkpoint.  The journal is the *only* source of truth: service
-restarts (including after ``kill -9``) rebuild the complete job table
-by replaying it with :func:`replay`.
+JSONL journal (a :class:`~repro.durable.AppendLog`, the same primitive
+as the campaign checkpoint and the fuzz write-ahead log).  The journal
+is the *only* source of truth: service restarts (including after
+``kill -9``) rebuild the complete job table by replaying it with
+:meth:`JobJournal.replay`.
 
 Journal events::
 
     {"event": "submit", "job": {...}, "time": ...}
     {"event": "state", "job_id": "...", "state": "running", "time": ...}
-    {"event": "batch", "job_id": "...", "batch": 2, "executed": 16, ...}
 
-Replay is torn-tail tolerant (a crash mid-append loses at most the
-final, partial line) but strict everywhere else: an unparsable line
-*before* the tail, or a state event for a job never submitted, raises
+Replay skips any other event kind (journals written by older code
+also hold ``batch`` progress events).  It is torn-tail tolerant (a
+crash mid-append loses at most the final, partial line) but strict
+everywhere else: an unparsable line *before* the tail, or a state
+event for a job never submitted, raises
 :class:`~repro.errors.StoreCorruptError` /
 :class:`~repro.errors.JobStateError` — silent repair would hide real
 corruption.  Terminal states win: once a job is done / failed /
@@ -30,13 +32,12 @@ byte-identical across interrupted and uninterrupted runs.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.errors import JobStateError, StoreCorruptError
+from repro.durable import AppendLog, read_log
+from repro.errors import JobStateError
 
 # -- job states -------------------------------------------------------------
 
@@ -70,7 +71,6 @@ class Job:
     campaign_seed: int = 0
     sim_mode: Optional[str] = None
     workers: int = 1
-    batch_size: int = 16
     state: str = QUEUED
     stats: Dict[str, int] = dataclasses.field(default_factory=dict)
 
@@ -82,7 +82,6 @@ class Job:
             "campaign_seed": self.campaign_seed,
             "sim_mode": self.sim_mode,
             "workers": self.workers,
-            "batch_size": self.batch_size,
         }
 
     def describe(self) -> Dict[str, object]:
@@ -102,11 +101,8 @@ class JobJournal:
     def append(self, event: Dict[str, object]) -> None:
         """Durably append one event (creates the journal on first use)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(event, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
+        with AppendLog(self.path, append=True) as log:
+            log.append(event)
 
     def submit(self, job: Job) -> None:
         self.append({"event": "submit", "job": job.spec(),
@@ -123,33 +119,11 @@ class JobJournal:
         event.update(extras)
         self.append(event)
 
-    def batch(self, job_id: str, index: int, executed: int) -> None:
-        """Progress marker: batch ``index`` of ``job_id`` fully stored."""
-        self.append({"event": "batch", "job_id": job_id, "batch": index,
-                     "executed": executed, "time": round(time.time(), 3)})
-
     # -- replay -----------------------------------------------------------
 
     def events(self) -> List[Dict[str, object]]:
         """Every parsed journal event, tolerating a torn final line."""
-        if not self.path.exists():
-            return []
-        raw_lines = self.path.read_text(encoding="utf-8").splitlines()
-        events: List[Dict[str, object]] = []
-        for lineno, raw in enumerate(raw_lines):
-            if not raw.strip():
-                continue
-            try:
-                events.append(json.loads(raw))
-            except json.JSONDecodeError as exc:
-                if lineno == len(raw_lines) - 1:
-                    # Torn tail: the crash interrupted this append; the
-                    # event never happened as far as replay is concerned.
-                    break
-                raise StoreCorruptError(
-                    str(self.path), f"line {lineno + 1}: {exc}"
-                )
-        return events
+        return read_log(self.path)
 
     def replay(self) -> Dict[str, Job]:
         """Rebuild the job table (submission order preserved)."""
@@ -164,7 +138,6 @@ class JobJournal:
                     campaign_seed=int(spec.get("campaign_seed", 0)),
                     sim_mode=spec.get("sim_mode"),
                     workers=int(spec.get("workers", 1)),
-                    batch_size=int(spec.get("batch_size", 16)),
                 )
                 jobs[job.job_id] = job
             elif kind == "state":
@@ -182,8 +155,6 @@ class JobJournal:
                     key: value for key, value in event.items()
                     if key not in ("event", "job_id", "state", "time")
                 }
-            elif kind == "batch":
-                continue  # progress markers; results live in the store
         return jobs
 
     def submit_count(self) -> int:

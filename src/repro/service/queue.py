@@ -12,15 +12,14 @@ hardened :func:`~repro.campaign.runner.run_campaign` worker pool
 
 A job uses one pool: its ``workers`` processes live for the whole job,
 so they keep their memos (assembled programs, synth bundles, policy-host
-calibration) from one cell to the next.  A *batch* — ``batch_size``
-finished cells, in arrival order — is the unit of journaling and
-cancellation: a ``batch`` event is journaled after each one (and after
-the final partial one), and a ``cancel`` takes effect at the next batch
-boundary.
+calibration) from one cell to the next.  The journal records only job
+submissions and state changes; a running job re-reads it for a
+``cancel`` every :data:`CANCEL_EVERY` finished cells, so a cancel takes
+effect within that many cells.
 
-Crash safety: every completed cell is stored atomically *before* the
-batch progress marker is journaled, so a ``kill -9`` anywhere loses at
-most in-flight cells.  On restart, jobs found ``running`` are resumed:
+Crash safety: every completed cell is stored atomically the moment it
+arrives, so a ``kill -9`` anywhere loses at most in-flight cells.  On
+restart, jobs found ``running`` are resumed:
 their store hits are exactly the cells the dead server finished, the
 rest re-execute, and the final artifacts are byte-identical to an
 uninterrupted run — artifacts are always assembled from the store, and
@@ -41,7 +40,6 @@ Service directory layout::
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -65,28 +63,13 @@ from repro.service.store import ResultStore
 #: Per-job artifact describing what the sweep reused vs executed.
 SWEEP_NAME = "sweep.json"
 
-#: Crash-test hook: after this many store writes the serving process
-#: dies with ``os._exit`` — no atexit, no flushes, the closest a test
-#: can get to ``kill -9`` at a deterministic point.
-ENV_CRASH_AFTER_PUTS = "REPRO_SERVICE_CRASH_AFTER_PUTS"
-
-_puts_until_crash: Optional[int] = None
-
-
-def _crash_hook() -> None:
-    global _puts_until_crash
-    if _puts_until_crash is None:
-        budget = os.environ.get(ENV_CRASH_AFTER_PUTS)
-        if not budget:
-            return
-        _puts_until_crash = int(budget)
-    _puts_until_crash -= 1
-    if _puts_until_crash <= 0:
-        os._exit(13)
+#: A running job checks the journal for a ``cancel`` after every this
+#: many finished cells (each check replays the whole journal).
+CANCEL_EVERY = 16
 
 
 class _Cancelled(Exception):
-    """A job was cancelled: raised at a batch boundary to stop its pool."""
+    """A job was cancelled: raised from the result stream to stop its pool."""
 
 
 class SweepService:
@@ -113,8 +96,7 @@ class SweepService:
         return self.journal.replay()
 
     def submit(self, matrix: str, campaign_seed: int = 0,
-               sim_mode: Optional[str] = None, workers: int = 1,
-               batch_size: int = 16) -> Job:
+               sim_mode: Optional[str] = None, workers: int = 1) -> Job:
         """Enqueue a sweep request durably; returns the queued job."""
         if matrix not in MATRICES:
             raise ConfigError(
@@ -123,15 +105,12 @@ class SweepService:
             )
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         job = Job(
             job_id=f"job-{self.journal.submit_count() + 1:04d}",
             matrix=matrix,
             campaign_seed=campaign_seed,
             sim_mode=sim_mode,
             workers=workers,
-            batch_size=batch_size,
         )
         self.journal.submit(job)
         return job
@@ -160,9 +139,9 @@ class SweepService:
 
         Jobs found ``running`` were orphaned by a dead server and are
         resumed (their completed cells hit the store); ``queued`` jobs
-        start fresh.  Cancellation is re-checked from the journal
-        between batches, so a concurrent ``cancel`` takes effect at the
-        next batch boundary.
+        start fresh.  Cancellation is re-checked from the journal every
+        :data:`CANCEL_EVERY` finished cells, so a concurrent ``cancel``
+        takes effect within that many cells.
         """
         processed: List[Dict[str, object]] = []
         for job_id, job in self.jobs().items():
@@ -208,16 +187,12 @@ class SweepService:
                 self.store.put(by_name[str(result["name"])],
                                job.campaign_seed, result)
                 executed += 1
-                _crash_hook()
             else:
                 failures[str(result["name"])] = result
             finished += 1
-            if finished % job.batch_size == 0 or finished == len(missing):
-                self.journal.batch(job.job_id,
-                                   (finished - 1) // job.batch_size,
-                                   (finished - 1) % job.batch_size + 1)
-                if finished < len(missing) and self._cancelled(job.job_id):
-                    raise _Cancelled()
+            if (finished % CANCEL_EVERY == 0 and finished < len(missing)
+                    and self._cancelled(job.job_id)):
+                raise _Cancelled()
 
         try:
             if missing and self._cancelled(job.job_id):

@@ -10,9 +10,10 @@ Every executed campaign cell is stored once, under a composite key:
   the ``repro`` source tree, so any code change invalidates every
   cached result at once (results are functions of code *and* spec).
 
-Layout (all writes atomic: temp file + rename + fsync, so a ``kill -9``
-can never leave a torn object and interrupted sweeps converge to a
-store bit-identical to an uninterrupted run)::
+Layout (all writes go through :func:`repro.durable.atomic_write`:
+temp file + fsync + rename, with a deterministic temp name, so a
+``kill -9`` can never leave a torn object and interrupted sweeps
+converge to a store bit-identical to an uninterrupted run)::
 
     <root>/
       versions.json                      # code versions, first-seen order
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import Scenario, spec_key
+from repro.durable import atomic_write
 from repro.errors import StoreCorruptError
 
 #: Store object schema version (bumped on breaking layout changes).
@@ -76,21 +77,6 @@ def code_fingerprint(root: Optional[Path] = None) -> str:
     fingerprint = digest.hexdigest()[:FINGERPRINT_LEN]
     _fingerprint_cache[str(root)] = fingerprint
     return fingerprint
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Durable atomic file write (temp + fsync + rename).
-
-    The temp name is deterministic per target, so an interrupted write
-    is overwritten — never accumulated — by the retry, keeping store
-    trees bit-identical across crash/restart cycles.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class ResultStore:
@@ -148,8 +134,8 @@ class ResultStore:
         if self.code_version not in versions:
             versions.append(self.code_version)
             self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write(self.versions_path,
-                          json.dumps(versions, indent=2) + "\n")
+            atomic_write(self.versions_path,
+                         json.dumps(versions, indent=2) + "\n")
 
     # -- object IO --------------------------------------------------------
 
@@ -161,6 +147,10 @@ class ResultStore:
         path = self.object_path(key)
         if not path.exists():
             return None
+        return self.get_path(path)
+
+    def get_path(self, path: Path) -> Dict[str, object]:
+        """Load and validate a store object by path."""
         try:
             record = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
@@ -194,7 +184,7 @@ class ResultStore:
         path = self.object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._register_version()
-        _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
         return path
 
     def invalidated(self, key: str) -> bool:
@@ -258,16 +248,6 @@ class ResultStore:
             record = self.get_path(path)
             yield record
 
-    def get_path(self, path: Path) -> Dict[str, object]:
-        """Load a store object by path (same validation as :meth:`get`)."""
-        try:
-            record = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StoreCorruptError(str(path), str(exc))
-        if record.get("schema_version") != STORE_SCHEMA_VERSION:
-            raise StoreCorruptError(str(path), "bad schema_version")
-        return record
-
     def count(self, code_version: Optional[str] = None) -> int:
         version_dir = self.objects_dir / (code_version or self.code_version)
         if not version_dir.exists():
@@ -296,9 +276,9 @@ class ResultStore:
         survivors = [version for version in self.versions()
                      if version not in removed_versions]
         if removed_versions and survivors:
-            _atomic_write(self.versions_path,
-                          json.dumps(survivors, indent=2) + "\n")
+            atomic_write(self.versions_path,
+                         json.dumps(survivors, indent=2) + "\n")
         elif removed_versions and self.versions_path.exists():
-            _atomic_write(self.versions_path, json.dumps([], indent=2) + "\n")
+            atomic_write(self.versions_path, json.dumps([], indent=2) + "\n")
         return {"removed_objects": removed_objects,
                 "removed_versions": removed_versions}

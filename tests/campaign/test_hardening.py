@@ -1,9 +1,10 @@
 """Hardened campaign runner: crashes, timeouts, retries, resume.
 
-Failure injection uses the runner's environment test hooks (the only
-way to make a *real* worker process die mid-sweep without mocking), so
-these tests exercise exactly the code paths a production campaign hits
-when a worker segfaults, hangs or flakes.
+Failure injection uses the ``faults`` fixture (``tests/conftest.py``):
+it patches the runner's ``run_scenario`` before the pool forks, so a
+*real* worker process dies, hangs or flakes mid-sweep, and these tests
+exercise exactly the code paths a production campaign hits when a
+worker segfaults, hangs or flakes.
 """
 
 import json
@@ -14,22 +15,10 @@ import threading
 
 import pytest
 
-from repro.campaign.checkpoint import (
-    ResultLog,
-    check_manifest,
-    load_results,
-    manifest_payload,
-    write_manifest,
-)
 from repro.campaign.cli import main
-from repro.campaign.runner import (
-    ENV_CRASH_SCENARIO,
-    ENV_FLAKY_DIR,
-    ENV_FLAKY_SCENARIO,
-    ENV_HANG_SCENARIO,
-    run_campaign,
-)
+from repro.campaign.runner import run_campaign
 from repro.campaign.spec import MATRICES, expand_grid
+from repro.durable import read_log
 from repro.errors import ConfigError, ScenarioTimeout, WorkerCrash
 
 
@@ -155,10 +144,10 @@ class TestWorkerCrashQuarantine:
     # culprit has a cell queued behind it, and some worker dies right
     # after sending its previous row.
     @pytest.mark.parametrize("culprit", range(3))
-    def test_crashed_scenario_recorded_sweep_survives(self, matrix,
-                                                      monkeypatch, culprit):
+    def test_crashed_scenario_recorded_sweep_survives(self, matrix, faults,
+                                                      culprit):
         victim_name = matrix[culprit].name
-        monkeypatch.setenv(ENV_CRASH_SCENARIO, victim_name)
+        faults.crash(victim_name)
         payload, streamed = _run_recording(matrix)
         _assert_only_culprit_failed(matrix, payload, streamed, victim_name,
                                     "crashed")
@@ -168,10 +157,10 @@ class TestWorkerCrashQuarantine:
         assert "WorkerCrash" in crashed["error"] or victim_name in crashed["error"]
 
     def test_crashed_rows_excluded_from_detection_counts(self, matrix,
-                                                         monkeypatch):
+                                                         faults):
         from repro.campaign.aggregate import finalize
 
-        monkeypatch.setenv(ENV_CRASH_SCENARIO, matrix[0].name)
+        faults.crash(matrix[0].name)
         payload = finalize(run_campaign(matrix, jobs=2, campaign_seed=3))
         summary = payload["summary"]
         assert summary["incomplete"] == {"crashed": 1}
@@ -185,10 +174,9 @@ class TestWorkerCrashQuarantine:
 
 class TestScenarioTimeout:
     @pytest.mark.parametrize("culprit", range(3))
-    def test_hung_worker_killed_and_recorded(self, matrix, monkeypatch,
-                                             culprit):
+    def test_hung_worker_killed_and_recorded(self, matrix, faults, culprit):
         hung_name = matrix[culprit].name
-        monkeypatch.setenv(ENV_HANG_SCENARIO, hung_name)
+        faults.hang(hung_name)
         payload, streamed = _run_recording(matrix, timeout=1.0)
         _assert_only_culprit_failed(matrix, payload, streamed, hung_name,
                                     "timeout")
@@ -197,17 +185,16 @@ class TestScenarioTimeout:
 
 
 class TestRetries:
-    def _flaky_env(self, monkeypatch, tmp_path, name):
+    def _flaky(self, faults, tmp_path, name):
         marker_dir = tmp_path / "flaky"
         marker_dir.mkdir()
-        monkeypatch.setenv(ENV_FLAKY_SCENARIO, name)
-        monkeypatch.setenv(ENV_FLAKY_DIR, str(marker_dir))
+        faults.flaky(name, marker_dir)
         return marker_dir
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_flaky_scenario_recovers_with_retry(self, matrix, monkeypatch,
+    def test_flaky_scenario_recovers_with_retry(self, matrix, faults,
                                                 tmp_path, jobs):
-        marker_dir = self._flaky_env(monkeypatch, tmp_path, matrix[2].name)
+        marker_dir = self._flaky(faults, tmp_path, matrix[2].name)
         payload = run_campaign(matrix, jobs=jobs, campaign_seed=3,
                                retries=1, backoff=0.01)
         assert all(r["status"] == "ok" for r in payload["scenarios"])
@@ -215,9 +202,9 @@ class TestRetries:
         # First attempt failed, second succeeded.
         assert len(list(marker_dir.iterdir())) == 2
 
-    def test_exhausted_retries_record_error_status(self, matrix, monkeypatch,
+    def test_exhausted_retries_record_error_status(self, matrix, faults,
                                                    tmp_path):
-        self._flaky_env(monkeypatch, tmp_path, matrix[2].name)
+        self._flaky(faults, tmp_path, matrix[2].name)
         payload = run_campaign(matrix, jobs=1, campaign_seed=3, retries=0)
         by_name = {r["name"]: r for r in payload["scenarios"]}
         failed = by_name[matrix[2].name]
@@ -225,10 +212,9 @@ class TestRetries:
         assert "SimulationError" in failed["error"]
         assert sum(r["status"] == "ok" for r in payload["scenarios"]) == 2
 
-    def test_parallel_equals_serial_with_failures(self, matrix, monkeypatch,
+    def test_parallel_equals_serial_with_failures(self, matrix, faults,
                                                   tmp_path):
-        monkeypatch.setenv(ENV_FLAKY_SCENARIO, matrix[1].name)
-        monkeypatch.setenv(ENV_FLAKY_DIR, str(tmp_path))
+        faults.flaky(matrix[1].name, tmp_path)
         serial = run_campaign(matrix, jobs=1, campaign_seed=3, retries=0)
         for path in tmp_path.iterdir():
             path.unlink()
@@ -237,49 +223,6 @@ class TestRetries:
             payload.pop("timing")
             payload.pop("jobs")
         assert serial == parallel
-
-
-class TestCheckpoint:
-    def test_result_log_round_trips(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        rows = [{"name": f"s{i}", "status": "ok", "detected": bool(i % 2)}
-                for i in range(5)]
-        with ResultLog(str(path)) as log:
-            for row in rows:
-                log.append(row)
-        assert load_results(str(path)) == rows
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        with ResultLog(str(path)) as log:
-            log.append({"name": "a", "status": "ok"})
-            log.append({"name": "b", "status": "ok"})
-        with open(path, "a") as fh:
-            fh.write('{"name": "c", "stat')  # killed mid-write
-        assert [r["name"] for r in load_results(str(path))] == ["a", "b"]
-
-    def test_corrupt_interior_line_raises(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        path.write_text('{"name": "a"}\nnot json\n{"name": "b"}\n')
-        with pytest.raises(ConfigError, match="corrupt checkpoint"):
-            load_results(str(path))
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_results(str(tmp_path / "absent.jsonl")) == []
-
-    def test_manifest_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        write_manifest(path, manifest_payload("smoke", 0, None, 10))
-        check_manifest(path, manifest_payload("smoke", 0, None, 10))
-        with pytest.raises(ConfigError, match="resume mismatch"):
-            check_manifest(path, manifest_payload("smoke", 1, None, 10))
-        with pytest.raises(ConfigError, match="resume mismatch"):
-            check_manifest(path, manifest_payload("faults", 0, None, 10))
-
-    def test_missing_manifest_refused(self, tmp_path):
-        with pytest.raises(ConfigError, match="no manifest"):
-            check_manifest(str(tmp_path / "manifest.json"),
-                           manifest_payload("smoke", 0, None, 1))
 
 
 class TestResumeEndToEnd:
@@ -317,11 +260,11 @@ class TestResumeEndToEnd:
         assert self._strip(resumed) == self._strip(straight)
         # The compacted checkpoint holds every scenario exactly once.
         names = [r["name"]
-                 for r in load_results(str(resumed_dir / "results.jsonl"))]
+                 for r in read_log(resumed_dir / "results.jsonl")]
         assert sorted(names) == [r["name"] for r in straight["scenarios"]]
 
     def test_forced_crash_resume_keeps_per_hart_rows_exact(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, faults):
         """A worker crash on a multi-hart adversarial cell, then a
         resume, must reproduce the straight run's per-hart rows exactly:
         every scenario present once, every hart's row present once, no
@@ -336,15 +279,15 @@ class TestResumeEndToEnd:
         straight = json.loads((straight_dir / "campaign.json").read_text())
         assert crash_name in [r["name"] for r in straight["scenarios"]]
 
-        monkeypatch.setenv(ENV_CRASH_SCENARIO, crash_name)
+        faults.crash(crash_name)
         # Exit 1: the crashed row leaves the campaign incomplete.
         assert main(["run", "--matrix", "xhart-smoke", "--jobs", "2",
                      "--out", str(crashed_dir)]) == 1
-        rows = load_results(str(crashed_dir / "results.jsonl"))
+        rows = read_log(crashed_dir / "results.jsonl")
         assert [r["name"] for r in rows if r["status"] == "crashed"] \
             == [crash_name]
 
-        monkeypatch.delenv(ENV_CRASH_SCENARIO)
+        faults.clear()
         (crashed_dir / "campaign.json").unlink()
         assert main(["run", "--matrix", "xhart-smoke", "--jobs", "1",
                      "--resume", str(crashed_dir)]) == 0
@@ -361,7 +304,7 @@ class TestResumeEndToEnd:
             assert row["contract_ok"] == ref["contract_ok"]
         # The compacted checkpoint too: one row per scenario, each with
         # a full complement of per-hart rows.
-        final_rows = load_results(str(crashed_dir / "results.jsonl"))
+        final_rows = read_log(crashed_dir / "results.jsonl")
         assert sorted(r["name"] for r in final_rows) \
             == sorted(by_name)
 
@@ -381,7 +324,7 @@ class TestResumeEndToEnd:
                 assert main(["run", "--matrix", name, "--jobs", "1",
                              "--resume", str(out)]) == 0
             fsyncs[size] = calls["n"]
-            assert len(load_results(str(out / "results.jsonl"))) == size
+            assert len(read_log(out / "results.jsonl")) == size
         assert fsyncs[1] == fsyncs[len(matrix)]
 
     def test_resume_against_other_matrix_refused(self, tmp_path, capsys):
@@ -393,3 +336,19 @@ class TestResumeEndToEnd:
         captured = capsys.readouterr()
         assert code == 2
         assert "error: resume mismatch" in captured.err
+
+    def test_resume_on_corrupt_checkpoint_is_one_error_line(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "campaign"
+        assert main(["run", "--matrix", "smoke", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        checkpoint = out / "results.jsonl"
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        checkpoint.write_text(lines[0] + "not json\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        code = main(["run", "--matrix", "smoke", "--jobs", "1",
+                     "--resume", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{checkpoint}: corrupt file (line 2: " in err

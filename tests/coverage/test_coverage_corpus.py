@@ -60,8 +60,19 @@ class TestAddressing:
 
     def test_torn_index_rejected(self, tmp_path):
         (tmp_path / "index.json").write_text("{not json")
-        with pytest.raises(StoreCorruptError, match="index unreadable"):
+        with pytest.raises(StoreCorruptError, match="index unreadable") as err:
             CoverageCorpus(tmp_path)
+        assert err.value.path == str(tmp_path / "index.json")
+
+    def test_unreadable_entry_rejected(self, tmp_path):
+        corpus = CoverageCorpus(tmp_path)
+        record = corpus.add(generate("rop", 1), ShapeVector(points=("a:1",)),
+                            family="rop", iteration=0)
+        entry = tmp_path / "objects" / f"{record['digest']}.json"
+        entry.write_text("{torn")
+        with pytest.raises(StoreCorruptError, match="entry unreadable") as err:
+            CoverageCorpus(tmp_path).get(record["digest"])
+        assert err.value.path == str(entry)
 
 
 class TestEviction:

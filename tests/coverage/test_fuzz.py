@@ -3,18 +3,13 @@ resumed, crashed-and-resumed) and strict coverage dominance over blind
 uniform generation at double the iteration budget."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.coverage.fuzz import (
-    ENV_CRASH_AFTER_ITER,
-    FuzzConfig,
-    fuzz,
-    uniform_baseline,
-)
+from repro.coverage.__main__ import main
+from repro.coverage.fuzz import FuzzConfig, fuzz, uniform_baseline
 from repro.errors import ConfigError
 
 ITERS = 16
@@ -34,6 +29,13 @@ def run_bytes(root) -> dict:
 def test_budget_must_cover_the_seed_phase(tmp_path):
     with pytest.raises(ConfigError, match="iteration budget"):
         fuzz(tmp_path, FuzzConfig(iterations=3))
+
+
+def test_cli_reports_a_typed_error_in_one_line(tmp_path, capsys):
+    code = main(["run", "--iters", "3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: iteration budget 3") and err.count("\n") == 1
 
 
 def test_two_runs_are_byte_identical(tmp_path):
@@ -69,13 +71,20 @@ def test_kill9_then_resume_matches_uninterrupted(tmp_path):
     artifact byte, corpus object tree included."""
     reference = fuzz(tmp_path / "ref", FuzzConfig(iterations=ITERS, seed=SEED))
     code = (
+        "import os\n"
+        "from repro import durable\n"
         "from repro.coverage.fuzz import FuzzConfig, fuzz\n"
+        "append = durable.AppendLog.append\n"
+        "def append_then_die(self, record, sync=True):\n"
+        "    append(self, record, sync=sync)\n"
+        "    if record['iteration'] == 9:\n"
+        "        self.sync()\n"
+        "        os._exit(7)\n"
+        "durable.AppendLog.append = append_then_die\n"
         f"fuzz({str(tmp_path / 'crash')!r}, "
         f"FuzzConfig(iterations={ITERS}, seed={SEED}))\n"
     )
-    env = dict(os.environ, **{ENV_CRASH_AFTER_ITER: "9"})
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 7, proc.stderr.decode()
     resumed = fuzz(tmp_path / "crash", FuzzConfig(iterations=ITERS, seed=SEED),
                    resume=True)

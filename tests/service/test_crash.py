@@ -1,11 +1,12 @@
 """Kill-and-restart convergence: the acceptance criterion, for real.
 
-A serving process is killed mid-job via the ``os._exit`` crash hook
-(the closest deterministic stand-in for ``kill -9`` — no atexit
-handlers, no flushes), then a fresh ``serve --once`` resumes from the
-journal + store.  The converged service tree must be *bit-identical*
-to an uninterrupted run: every store object, ``campaign.json`` and
-``campaign.csv``.
+A serving process is killed mid-job: a launcher patches
+``ResultStore.put`` so the server calls ``os._exit`` right after its
+5th store write returns (the closest deterministic stand-in for
+``kill -9`` — no atexit handlers, no flushes), then runs the real CLI.
+A fresh ``serve --once`` resumes from the journal + store.  The
+converged service tree must be *bit-identical* to an uninterrupted
+run: every store object, ``campaign.json`` and ``campaign.csv``.
 """
 
 import json
@@ -14,19 +15,41 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.service.queue import ENV_CRASH_AFTER_PUTS
-
 REPO = Path(__file__).resolve().parents[2]
 
+#: Runs ``python -m repro.service`` with the server dying right after
+#: the ``puts``-th store write.
+CRASHING_SERVICE = """
+import os, sys
+from repro.service.cli import main
+from repro.service.store import ResultStore
 
-def _run_service(root, *argv, extra_env=None, check=True):
+puts, argv = int(sys.argv[1]), sys.argv[2:]
+put = ResultStore.put
+
+def put_then_die(self, *args, **kwargs):
+    global puts
+    path = put(self, *args, **kwargs)
+    puts -= 1
+    if puts == 0:
+        os._exit(13)
+    return path
+
+ResultStore.put = put_then_die
+sys.exit(main(argv))
+"""
+
+
+def _run_service(root, *argv, crash_after_puts=None, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    env.pop(ENV_CRASH_AFTER_PUTS, None)
-    if extra_env:
-        env.update(extra_env)
+    if crash_after_puts is None:
+        command = [sys.executable, "-m", "repro.service"]
+    else:
+        command = [sys.executable, "-c", CRASHING_SERVICE,
+                   str(crash_after_puts)]
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.service", "--root", str(root), *argv],
+        [*command, "--root", str(root), *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
     if check and proc.returncode != 0:
@@ -50,16 +73,13 @@ def test_kill_mid_job_then_restart_converges(tmp_path):
     reference = tmp_path / "reference"
 
     # Reference: one uninterrupted cold run of the smoke matrix.
-    _run_service(reference, "submit", "--matrix", "smoke",
-                 "--batch-size", "4")
+    _run_service(reference, "submit", "--matrix", "smoke")
     _run_service(reference, "serve", "--once")
 
-    # Interrupted: the server dies after 5 stored cells (mid-batch 2).
-    _run_service(interrupted, "submit", "--matrix", "smoke",
-                 "--batch-size", "4")
+    # Interrupted: the server dies after 5 stored cells.
+    _run_service(interrupted, "submit", "--matrix", "smoke")
     crash = _run_service(interrupted, "serve", "--once",
-                         extra_env={ENV_CRASH_AFTER_PUTS: "5"},
-                         check=False)
+                         crash_after_puts=5, check=False)
     assert crash.returncode == 13, crash.stdout + crash.stderr
 
     # The journal must say 'running' (orphaned), and the store must

@@ -83,27 +83,56 @@ class TestReplay:
         with pytest.raises(JobStateError):
             journal.transition("job-0001", "paused")
 
-    def test_batch_events_are_progress_only(self, tmp_path):
+    def test_journal_from_older_code_replays(self, tmp_path):
+        """Journals written before the batch knob was dropped carry
+        ``batch_size`` in submit records and ``batch`` progress events;
+        they replay to the same job table."""
         journal = _journal(tmp_path)
-        journal.submit(Job(job_id="job-0001", matrix="smoke"))
-        journal.batch("job-0001", 0, 16)
-        job = journal.replay()["job-0001"]
-        assert job.state == QUEUED
-        assert job.stats == {}
+        events = [
+            {"event": "submit", "time": 1.0,
+             "job": {"job_id": "job-0001", "matrix": "smoke",
+                     "campaign_seed": 3, "sim_mode": None, "workers": 2,
+                     "batch_size": 4}},
+            {"event": "state", "job_id": "job-0001", "state": RUNNING,
+             "time": 2.0},
+            {"event": "batch", "job_id": "job-0001", "batch": 0,
+             "executed": 4, "time": 3.0},
+            {"event": "batch", "job_id": "job-0001", "batch": 1,
+             "executed": 2, "time": 4.0},
+            {"event": "state", "job_id": "job-0001", "state": DONE,
+             "cells": 6, "hits": 0, "executed": 6, "time": 5.0},
+            {"event": "submit", "time": 6.0,
+             "job": {"job_id": "job-0002", "matrix": "smoke",
+                     "campaign_seed": 0, "sim_mode": "busy", "workers": 1,
+                     "batch_size": 16}},
+        ]
+        journal.path.write_text("".join(json.dumps(event, sort_keys=True)
+                                        + "\n" for event in events))
+        assert {job_id: job.describe()
+                for job_id, job in journal.replay().items()} == {
+            "job-0001": {"job_id": "job-0001", "matrix": "smoke",
+                         "campaign_seed": 3, "sim_mode": None, "workers": 2,
+                         "state": DONE,
+                         "stats": {"cells": 6, "hits": 0, "executed": 6}},
+            "job-0002": {"job_id": "job-0002", "matrix": "smoke",
+                         "campaign_seed": 0, "sim_mode": "busy",
+                         "workers": 1, "state": QUEUED, "stats": {}},
+        }
+        assert journal.submit_count() == 2
 
 
 class TestDurability:
     def test_events_are_one_json_line_each(self, tmp_path):
         journal = _journal(tmp_path)
         journal.submit(Job(job_id="job-0001", matrix="smoke",
-                           campaign_seed=7, workers=2, batch_size=4))
+                           campaign_seed=7, workers=2))
         journal.transition("job-0001", FAILED, failed=3)
         lines = journal.path.read_text().splitlines()
         assert len(lines) == 2
         submit = json.loads(lines[0])
         assert submit["event"] == "submit"
         assert submit["job"]["campaign_seed"] == 7
-        assert submit["job"]["batch_size"] == 4
+        assert submit["job"]["workers"] == 2
         assert "time" in submit
 
     def test_describe_is_json_ready(self, tmp_path):

@@ -12,10 +12,10 @@ import multiprocessing.process
 
 import pytest
 
-from repro.campaign.runner import ENV_CRASH_SCENARIO
 from repro.campaign.spec import MATRICES, expand_grid
 from repro.errors import ConfigError, JobStateError
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING
+from repro.service import queue
 from repro.service.queue import SWEEP_NAME, SweepService
 
 
@@ -32,7 +32,7 @@ def tiny_matrix(monkeypatch):
 
 @pytest.fixture()
 def six_cell_matrix(monkeypatch):
-    """A six-cell reference matrix (three batches of two) as 'svc-six'."""
+    """A six-cell reference matrix registered as 'svc-six'."""
     monkeypatch.setitem(
         MATRICES, "svc-six",
         lambda: expand_grid(victim=["rop", "benign", "jop"],
@@ -78,8 +78,6 @@ class TestSubmit:
         service = _service(tmp_path)
         with pytest.raises(ConfigError):
             service.submit(tiny_matrix, workers=0)
-        with pytest.raises(ConfigError):
-            service.submit(tiny_matrix, batch_size=0)
 
 
 class TestIncremental:
@@ -132,39 +130,22 @@ class TestIncremental:
         assert second["executed"] == second["cells"] - 1
 
     def test_one_pool_per_job(self, tmp_path, six_cell_matrix, monkeypatch):
-        """A three-batch job starts its workers once, journals one batch
-        event per ``batch_size`` stored cells, and its warm re-run forks
+        """A job starts its workers once, and its warm re-run forks
         nothing and writes the same bytes."""
         starts = _count_starts(monkeypatch)
         service = _service(tmp_path)
-        job = service.submit(six_cell_matrix, workers=2, batch_size=2)
+        service.submit(six_cell_matrix, workers=2)
         (cold,) = service.serve_once()
         assert cold["state"] == DONE and cold["executed"] == 6
         assert starts["n"] == 2
-        batches = [event for event in service.journal.events()
-                   if event["event"] == "batch"
-                   and event["job_id"] == job.job_id]
-        assert [event["batch"] for event in batches] == [0, 1, 2]
-        assert [event["executed"] for event in batches] == [2, 2, 2]
 
-        service.submit(six_cell_matrix, workers=2, batch_size=2)
+        service.submit(six_cell_matrix, workers=2)
         (warm,) = service.serve_once()
         assert warm["executed"] == 0 and warm["hits"] == 6
         assert starts["n"] == 2
         a = (service.job_dir("job-0001") / "campaign.json").read_bytes()
         b = (service.job_dir("job-0002") / "campaign.json").read_bytes()
         assert a == b
-
-    def test_final_partial_batch_is_journaled(self, tmp_path,
-                                              six_cell_matrix):
-        service = _service(tmp_path)
-        job = service.submit(six_cell_matrix, batch_size=4)
-        service.serve_once()
-        batches = [(event["batch"], event["executed"])
-                   for event in service.journal.events()
-                   if event["event"] == "batch"
-                   and event["job_id"] == job.job_id]
-        assert batches == [(0, 4), (1, 2)]
 
     def test_code_version_change_invalidates(self, tmp_path, tiny_matrix):
         old = _service(tmp_path, version="v-old")
@@ -241,13 +222,14 @@ class TestLifecycle:
         assert service.serve_once() == []
         assert service.jobs()[job.job_id].state == CANCELLED
 
-    def test_cancel_mid_job_stops_at_the_batch_boundary(
+    def test_cancel_mid_job_stops_at_the_next_check(
             self, tmp_path, six_cell_matrix, monkeypatch):
         """A cancel that lands while the job's pool is running stops it
-        at the next batch boundary: the cells stored so far stay, no
+        at the next cancel check: the cells stored so far stay, no
         artifacts are written, and no worker outlives the job."""
+        monkeypatch.setattr(queue, "CANCEL_EVERY", 2)
         service = _service(tmp_path)
-        job = service.submit(six_cell_matrix, workers=2, batch_size=2)
+        job = service.submit(six_cell_matrix, workers=2)
         put = service.store.put
         puts = {"n": 0}
 
@@ -299,11 +281,11 @@ class TestLifecycle:
         assert sweep["executed"] == 1
 
     def test_worker_crash_marks_job_failed(self, tmp_path, tiny_matrix,
-                                           monkeypatch):
+                                           faults):
         """A scenario that kills its worker is quarantined by the pool;
         the job completes as 'failed' with the crash row in artifacts."""
         scenarios = MATRICES[tiny_matrix]()
-        monkeypatch.setenv(ENV_CRASH_SCENARIO, scenarios[0].name)
+        faults.crash(scenarios[0].name)
         service = _service(tmp_path)
         job = service.submit(tiny_matrix, workers=2)
         (sweep,) = service.serve_once()
@@ -316,7 +298,7 @@ class TestLifecycle:
                     for row in payload["scenarios"]}
         assert statuses[scenarios[0].name] == "crashed"
         # The failure was NOT stored: a re-submit retries the cell.
-        monkeypatch.delenv(ENV_CRASH_SCENARIO)
+        faults.clear()
         service.submit(tiny_matrix, workers=2)
         sweeps = service.serve_once()
         (retry,) = [s for s in sweeps if s["job_id"] == "job-0002"]

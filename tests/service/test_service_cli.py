@@ -62,6 +62,13 @@ class TestSubmitServe:
         with pytest.raises(SystemExit):
             main(["--root", _root(tmp_path), "submit", "--matrix", "nope"])
 
+    def test_bad_workers_is_one_error_line(self, tmp_path, tiny_matrix,
+                                           capsys):
+        code = main(["--root", _root(tmp_path), "submit",
+                     "--matrix", tiny_matrix, "--workers", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
 
 class TestStatus:
     def test_status_json(self, tmp_path, tiny_matrix, capsys):
@@ -101,9 +108,10 @@ class TestCancelGcDashboard:
         main(["--root", root, "serve"])
         assert "no runnable jobs" in capsys.readouterr().out
 
-    def test_cancel_unknown_job_raises_typed(self, tmp_path):
-        with pytest.raises(JobStateError):
-            main(["--root", _root(tmp_path), "cancel", "job-0042"])
+    def test_cancel_unknown_job_is_one_error_line(self, tmp_path, capsys):
+        assert main(["--root", _root(tmp_path), "cancel", "job-0042"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {JobStateError('job-0042')}\n"
 
     def test_gc_reports_removals(self, tmp_path, tiny_matrix, capsys):
         root = _root(tmp_path)
