@@ -45,11 +45,6 @@ class Benchmark:
     dexie_slowdown: Optional[float] = None
     fixer_slowdown: Optional[float] = None
 
-    @property
-    def mean_gap(self) -> float:
-        """Average cycles between CF instructions."""
-        return self.cycles / self.cf_count if self.cf_count else float("inf")
-
 
 def _b(name, suite, cycles, cf, opt=None, poll=None, irq=None,
        table2=None, dexie=None, fixer=None) -> Benchmark:

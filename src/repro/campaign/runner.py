@@ -32,7 +32,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.programs import GADGET_MARKER
-from repro.attacks.rop import run_attack_scenario
+from repro.attacks.rop import build_platform
 from repro.campaign.spec import (
     BACKEND_COSIM,
     BACKEND_REFERENCE,
@@ -73,6 +73,8 @@ from repro.isa.asm import Program
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram
 from repro.system.addresses import AddressMap
+from repro.system.sim import SystemSimulator
+from repro.system.topology import Topology
 
 #: Result-dict schema version (bumped on breaking field changes).
 RESULT_SCHEMA = "repro.campaign/v1"
@@ -264,18 +266,12 @@ def _scenario_shape(victim: str, seed: int, bundle):
     return cached
 
 
-def _build_policy(scenario: Scenario, program: Program, bundle=None):
-    """Policy for a scenario: label sets come from the victim registry,
-    or from the synth bundle for generated victims."""
-    victim = VICTIMS[scenario.victim]
-    if bundle is not None:
-        entry_points = bundle.entry_points
-        function_entries = bundle.function_entries
-    else:
-        entry_points = victim.entry_points
-        function_entries = victim.function_entries
-    return build_policy(scenario.policy, program, entry_points,
-                        function_entries)
+def _build_policy(policy: str, victim: str, program: Program, bundle=None):
+    """``policy`` for one hart's program: label sets come from the
+    victim registry, or from the synth bundle for generated victims."""
+    labels = bundle if bundle is not None else VICTIMS[victim]
+    return build_policy(policy, program, labels.entry_points,
+                        labels.function_entries)
 
 
 def capture_commit_logs(program: Program, addresses: AddressMap,
@@ -338,7 +334,7 @@ def _run_reference(scenario: Scenario, seed: int,
     logs, hart = capture_commit_logs(program, addresses,
                                      max_steps=scenario.max_cycles)
 
-    policy = _build_policy(scenario, program, bundle=bundle)
+    policy = _build_policy(scenario.policy, scenario.victim, program, bundle)
     detected = False
     violation_kind: Optional[str] = None
     events_checked = 0
@@ -364,53 +360,52 @@ def _run_reference(scenario: Scenario, seed: int,
     }
 
 
-def _fault_baseline(scenario: Scenario, seed: int,
-                    sim_mode: Optional[str], bundle) -> Dict[str, object]:
-    """The fault-free sibling run a fault scenario degrades against.
-
-    Runs the same scenario with the plan detached, under the *fault*
-    scenario's derived seed (the victim image must match byte for byte),
-    memoised per shard so a fault sweep pays each baseline once.
-    """
-    base = dataclasses.replace(scenario, fault_plan=None)
-    return SHARD_CACHE.memo(
-        ("fault-baseline", base.name, seed, sim_mode),
-        lambda: _run_cosim(base, seed, sim_mode=sim_mode, bundle=bundle),
-    )
-
-
-def _fault_oracle_logs(scenario: Scenario, seed: int):
-    """The victim's fault-free CFI event stream, for the fault oracle."""
-    def compute():
-        program = SHARD_CACHE.program(scenario.victim, seed)
-        logs, _hart = capture_commit_logs(program, AddressMap(),
-                                          max_steps=scenario.max_cycles)
-        return logs
-
-    return SHARD_CACHE.memo(
-        ("fault-logs", scenario.victim, seed, scenario.max_cycles), compute
-    )
-
-
 def _run_cosim(scenario: Scenario, seed: int,
                sim_mode: Optional[str] = None,
                bundle=None) -> Dict[str, object]:
-    """Full-platform backend: firmware or policy host serves the mailbox.
+    """Full-platform backend: N >= 1 application harts, one RoT monitor.
 
-    Delegates the build/boot/run/verdict sequence to
-    :func:`repro.attacks.rop.run_attack_scenario` so the campaign
-    exercises exactly the single-run path the rest of the repo uses.
-    The scenario's resolved ``policy_backend`` selects the mailbox
-    agent: the RV32 firmware image (shard-cached), or the scenario's
-    policy mounted as a policy host (the calibrated response model is
-    memoised per firmware config, so it too is a shard-level artifact).
+    Hart ``h`` runs :meth:`Scenario.victim_for_hart` built for seed
+    ``seed + h`` in its own DRAM segment, on a platform from
+    :func:`repro.attacks.rop.build_platform`.  The mailbox agent is the
+    shard-cached RV32 firmware image, or the scenario's policy mounted
+    as a policy host with one shadow context per hart.  A multi-hart
+    plan is scoped to ``fault_hart``; peers start ``h * stagger``
+    cycles in.
+
+    Every hart gets a graded row (verdict, latency, expectation); the
+    headline columns come from the attack hart.  A fault plan is graded
+    against the plan-free sibling run under the same seed, memoised per
+    shard:
+
+    - an adversarial plan grades every hart by the per-hart contract:
+      the compromised hart must end quarantined and is held to the
+      fault oracle's verdict, and every benign peer's verdict, violation
+      kind and latency must match its baseline row bit for bit;
+    - any other plan grades the faulted hart (``fault_hart``, or the
+      lone hart) by oracle replay of its fault-free event stream and
+      the degradation contract.  Peers keep their table expectations: a
+      shared-monitor fault may shift their latencies, never their
+      verdicts.
     """
-    program = SHARD_CACHE.program(scenario.victim, seed)
-    policy_backend = scenario.resolved_policy_backend
-    policy = None
-    firmware_image = None
-    if policy_backend == POLICY_BACKEND_HOST:
-        policy = _build_policy(scenario, program, bundle=bundle)
+    topo = Topology(n_harts=scenario.n_harts)
+    harts = range(scenario.n_harts)
+    victims = [scenario.victim_for_hart(h) for h in harts]
+    # Per-hart seed: peers running the same seeded victim still get
+    # distinct program shapes, deterministically.
+    programs = [SHARD_CACHE.program(victims[h], seed + h,
+                                    addresses=topo.address_map(h))
+                for h in harts]
+
+    def policy_for(h: int):
+        return _build_policy(scenario.policy, victims[h], programs[h],
+                             bundle if h == scenario.attack_hart else None)
+
+    policy = firmware_image = None
+    if scenario.resolved_policy_backend == POLICY_BACKEND_HOST:
+        policy = policy_for(0)
+        for h in harts[1:]:
+            policy.install_context(h, policy_for(h))
     else:
         firmware_image = SHARD_CACHE.firmware(scenario.firmware)
     plan = None
@@ -418,167 +413,27 @@ def _run_cosim(scenario: Scenario, seed: int,
         from repro.faults.plan import build_plan
 
         plan = build_plan(scenario.fault_plan, seed)
-    outcome = run_attack_scenario(
-        program,
-        firmware_variant=scenario.firmware,
-        queue_depth=scenario.queue_depth,
-        blocking=scenario.blocking,
-        fabric=scenario.fabric,
-        max_cycles=scenario.max_cycles,
-        firmware_image=firmware_image,
-        sim_mode=sim_mode,
-        policy_backend=policy_backend,
-        policy=policy,
-        fault_plan=plan,
-        lossy=scenario.lossy,
+        if scenario.fault_hart is not None:
+            plan = plan.scoped(scenario.fault_hart)
+    soc = build_platform(
+        programs, firmware_variant=scenario.firmware,
+        queue_depth=scenario.queue_depth, blocking=scenario.blocking,
+        lossy=scenario.lossy, fabric=scenario.fabric,
+        firmware_image=firmware_image, policy=policy,
+        defense=scenario.defense, fault_plan=plan,
     )
-    report = outcome.report
-    busy = report.cycles - report.host_stall_cycles
-    result: Dict[str, object] = {
-        "cycles": report.cycles,
-        "host_instructions": report.host_instructions,
-        "cf_events": report.cfi.get("selected", 0),
-        "events_checked": report.cfi.get("checks_completed", 0),
-        "detected": outcome.detected,
-        "violation_kind": outcome.violation.kind if outcome.violation else None,
-        "detection_latency": report.detection_latency,
-        "stall_cycles": report.host_stall_cycles,
-        "overhead_percent": (
-            round(100.0 * report.host_stall_cycles / busy, 3) if busy else 0.0
-        ),
-        "gadget_executed": outcome.gadget_executed,
-    }
-    if plan is not None:
-        from repro.faults.contract import evaluate_contract
-        from repro.faults.oracle import predict_verdict
-
-        baseline = _fault_baseline(scenario, seed, sim_mode, bundle)
-        # The oracle replays the delivered stream through a *fresh*
-        # policy instance — the one mounted above has live run state.
-        oracle_policy = _build_policy(scenario, program, bundle=bundle)
-        if oracle_policy is None:
-            # Firmware agent: the RV32 image implements the shadow
-            # stack, so that is the policy the oracle must model.
-            oracle_policy = ShadowStackPolicy()
-        prediction = predict_verdict(_fault_oracle_logs(scenario, seed),
-                                     plan, oracle_policy)
-        monitor_state = getattr(oracle_policy, "monitor_state", "stateful")
-        degradation, contract_ok = evaluate_contract(
-            monitor_state,
-            plan,
-            bool(baseline["detected"]),
-            bool(result["detected"]),
-            baseline["detection_latency"],
-            result["detection_latency"],
-        )
-        result.update({
-            "fault_stats": report.faults,
-            "predicted_detected": prediction.detected,
-            "degradation": degradation,
-            "contract_ok": contract_ok,
-            "baseline_detected": baseline["detected"],
-            "baseline_detection_latency": baseline["detection_latency"],
-        })
-    return result
-
-
-def _multihart_baseline(scenario: Scenario, seed: int,
-                        sim_mode: Optional[str]) -> Dict[str, object]:
-    """The adversary-free sibling a cross-hart fault cell degrades
-    against: same topology, same per-hart seeds, same defense/lossy
-    knobs, plan detached.  Memoised per shard."""
-    base = dataclasses.replace(scenario, fault_plan=None, fault_hart=None)
-    return SHARD_CACHE.memo(
-        ("xhart-baseline", base.name, seed, sim_mode),
-        lambda: _run_multihart(base, seed, sim_mode=sim_mode),
-    )
-
-
-def _run_multihart(scenario: Scenario, seed: int,
-                   sim_mode: Optional[str] = None) -> Dict[str, object]:
-    """Many-hart cosim backend: N application harts, one RoT monitor.
-
-    Each hart runs its own victim in its private DRAM segment; the
-    scenario's policy is instantiated once per hart (label sets resolved
-    against that hart's relocated program) and installed as the
-    monitor's per-hart shadow contexts.  Violations are latched, not
-    raised, so one hart's detection never aborts the peers — every hart
-    gets its own verdict, latency and expectation check; the headline
-    columns come from the attack hart.
-
-    Cross-hart fault cells additionally attach the scenario's plan
-    scoped to ``fault_hart`` and grade every hart against the per-hart
-    degradation contract: the compromised hart must end the run
-    quarantined, and every benign peer's verdict, violation kind and
-    detection latency must be bit-identical to the adversary-free
-    baseline run.
-    """
-    from repro.core.config import TitanCfiConfig
-    from repro.policyhost.host import mount_policy_host
-    from repro.system.sim import SystemSimulator
-    from repro.system.soc import build_soc
-    from repro.system.topology import Topology
-
-    topo = Topology(n_harts=scenario.n_harts)
-    amap = AddressMap()
-    config = TitanCfiConfig(
-        queue_depth=scenario.queue_depth,
-        blocking=scenario.blocking,
-        lossy=scenario.lossy,
-        raise_on_violation=False,
-    )
-    soc = build_soc(cfi_config=config, fabric=scenario.fabric, topology=topo)
-
-    hart_victims: List[str] = []
-    hart_programs: List[Program] = []
-    for hart_id in range(scenario.n_harts):
-        victim_name = scenario.victim_for_hart(hart_id)
-        hart_amap = topo.address_map(hart_id, amap)
-        # Per-hart seed: peers running the same seeded victim still get
-        # distinct program shapes, deterministically.
-        program = SHARD_CACHE.program(victim_name, seed + hart_id,
-                                      addresses=hart_amap)
-        soc.load_host_program(program, hart_id=hart_id)
-        hart_victims.append(victim_name)
-        hart_programs.append(program)
-
-    def policy_for(hart_id: int):
-        spec = VICTIMS[hart_victims[hart_id]]
-        return build_policy(scenario.policy, hart_programs[hart_id],
-                            spec.entry_points, spec.function_entries)
-
-    policy = policy_for(0)
-    for hart_id in range(1, scenario.n_harts):
-        policy.install_context(hart_id, policy_for(hart_id))
-    mount_policy_host(soc, policy, variant=scenario.firmware,
-                      defense=scenario.defense)
-
-    plan = None
-    if scenario.fault_plan is not None:
-        from repro.faults import attach_faults
-        from repro.faults.plan import build_plan
-
-        plan = build_plan(scenario.fault_plan, seed).scoped(scenario.fault_hart)
-        attach_faults(soc, plan)
-
-    delays = None
-    if scenario.stagger:
-        delays = [hart_id * scenario.stagger
-                  for hart_id in range(scenario.n_harts)]
-    simulator = SystemSimulator(soc, mode=sim_mode, start_delays=delays)
-    report = simulator.run(max_cycles=scenario.max_cycles)
+    report = SystemSimulator(
+        soc, mode=sim_mode, start_delays=[h * scenario.stagger for h in harts]
+    ).run(max_cycles=scenario.max_cycles)
 
     per_hart: List[Dict[str, object]] = []
-    assert report.per_hart is not None
-    for hart_id, entry in enumerate(report.per_hart):
-        victim_name = hart_victims[hart_id]
-        expected = expected_detection(victim_name, scenario.policy)
-        detected = bool(entry["detected"])
+    for h, entry in enumerate(report.per_hart):
+        expected = expected_detection(victims[h], scenario.policy)
         per_hart.append({
-            "hart": hart_id,
-            "victim": victim_name,
-            "attack": VICTIMS[victim_name].attack,
-            "detected": detected,
+            "hart": h,
+            "victim": victims[h],
+            "attack": VICTIMS[victims[h]].attack,
+            "detected": entry["detected"],
             "violation_kind": entry["violation_kind"],
             "detection_latency": entry["detection_latency"],
             "instructions": entry["instructions"],
@@ -586,96 +441,69 @@ def _run_multihart(scenario: Scenario, seed: int,
             "cf_events": entry["cfi"].get("selected", 0),
             "events_checked": entry["cfi"].get("checks_completed", 0),
             "dropped": entry["cfi"].get("dropped", 0),
-            "quarantined": bool(entry.get("quarantined", False)),
+            "quarantined": entry["quarantined"],
             "expected_detected": expected,
-            "expectation_met": detected == expected,
-            "gadget_executed": (
-                soc.harts[hart_id].regs.read(10) == GADGET_MARKER
-            ),
+            "expectation_met": entry["detected"] == expected,
+            "gadget_executed": soc.harts[h].regs.read(10) == GADGET_MARKER,
         })
 
-    adversarial = plan is not None and plan.adversarial
-    baseline: Optional[Dict[str, object]] = None
-    if adversarial:
+    if plan is not None:
         from repro.faults.contract import (
             ROLE_ATTACKER,
             ROLE_BENIGN,
+            evaluate_contract,
             evaluate_hart_contract,
         )
-        from repro.faults.oracle import predict_adversarial
+        from repro.faults.oracle import predict_adversarial, predict_verdict
 
-        baseline = _multihart_baseline(scenario, seed, sim_mode)
-        baseline_rows = baseline["per_hart"]
-        for hart_id, row in enumerate(per_hart):
-            role = (ROLE_ATTACKER if hart_id == scenario.fault_hart
-                    else ROLE_BENIGN)
-            base_row = baseline_rows[hart_id]
-            label, contract_ok = evaluate_hart_contract(
-                plan, role, base_row, row, bool(row["quarantined"])
-            )
-            if role == ROLE_ATTACKER:
-                # The fault oracle owns the compromised hart's verdict
+        base = dataclasses.replace(scenario, fault_plan=None, fault_hart=None)
+        base_rows = SHARD_CACHE.memo(
+            ("fault-baseline", base.name, seed, sim_mode),
+            lambda: _run_cosim(base, seed, sim_mode=sim_mode,
+                               bundle=bundle)["per_hart"],
+        )
+        fault_hart = scenario.fault_hart or 0
+        for h, row in enumerate(per_hart):
+            base_row = base_rows[h]
+            if plan.adversarial:
+                role = ROLE_ATTACKER if h == fault_hart else ROLE_BENIGN
+                label, contract_ok = evaluate_hart_contract(
+                    plan, role, base_row, row, row["quarantined"])
+                # The fault oracle owns the compromised hart's
                 # expectation (its stream is adversarial, not its
                 # victim's).
-                expected = predict_adversarial(
-                    plan, bool(base_row["detected"])
+                expected = (predict_adversarial(plan, base_row["detected"])
+                            if role == ROLE_ATTACKER
+                            else row["expected_detected"])
+            elif h == fault_hart:
+                role = "faulted"
+                amap = topo.address_map(h)
+                logs = SHARD_CACHE.memo(
+                    ("fault-logs", victims[h], seed + h, amap.dram_base,
+                     scenario.max_cycles),
+                    lambda: capture_commit_logs(
+                        programs[h], amap, max_steps=scenario.max_cycles)[0],
                 )
-                row["expected_detected"] = expected
-                row["expectation_met"] = row["detected"] == expected
+                # The oracle replays the stream through a *fresh*
+                # policy instance: the mounted one has live run state.
+                oracle_policy = policy_for(h)
+                expected = predict_verdict(logs, plan, oracle_policy).detected
+                label, contract_ok = evaluate_contract(
+                    getattr(oracle_policy, "monitor_state", "stateful"),
+                    plan, base_row["detected"], row["detected"],
+                    base_row["detection_latency"], row["detection_latency"],
+                )
+            else:
+                continue
             row.update({
+                "expected_detected": expected,
+                "expectation_met": row["detected"] == expected,
                 "role": role,
                 "degradation": label,
                 "contract_ok": contract_ok,
                 "baseline_detected": base_row["detected"],
                 "baseline_detection_latency": base_row["detection_latency"],
             })
-    elif plan is not None:
-        # Benign (transport/monitor) plan scoped to one hart of a
-        # multi-hart cell: the faulted hart is graded exactly like a
-        # single-hart fault run — oracle replay of its own fault-free
-        # stream, degradation contract against its baseline row.  Peers
-        # keep their table expectations (a shared-monitor fault may
-        # legitimately shift their latencies, never their verdicts).
-        from repro.faults.contract import evaluate_contract
-        from repro.faults.oracle import predict_verdict
-
-        baseline = _multihart_baseline(scenario, seed, sim_mode)
-        fault_hart = scenario.fault_hart
-        base_row = baseline["per_hart"][fault_hart]
-        row = per_hart[fault_hart]
-        hart_amap = topo.address_map(fault_hart, amap)
-
-        def compute_logs():
-            logs, _hart = capture_commit_logs(
-                hart_programs[fault_hart], hart_amap,
-                max_steps=scenario.max_cycles)
-            return logs
-
-        logs = SHARD_CACHE.memo(
-            ("fault-logs", hart_victims[fault_hart], seed + fault_hart,
-             hart_amap.dram_base, scenario.max_cycles),
-            compute_logs,
-        )
-        oracle_policy = policy_for(fault_hart)
-        monitor_state = getattr(oracle_policy, "monitor_state", "stateful")
-        prediction = predict_verdict(logs, plan, oracle_policy)
-        label, contract_ok = evaluate_contract(
-            monitor_state,
-            plan,
-            bool(base_row["detected"]),
-            bool(row["detected"]),
-            base_row["detection_latency"],
-            row["detection_latency"],
-        )
-        row["expected_detected"] = prediction.detected
-        row["expectation_met"] = row["detected"] == prediction.detected
-        row.update({
-            "role": "faulted",
-            "degradation": label,
-            "contract_ok": contract_ok,
-            "baseline_detected": base_row["detected"],
-            "baseline_detection_latency": base_row["detection_latency"],
-        })
 
     attack_row = per_hart[scenario.attack_hart]
     busy = report.cycles - report.host_stall_cycles
@@ -698,8 +526,8 @@ def _run_multihart(scenario: Scenario, seed: int,
         ],
     }
     if plan is not None:
-        assert baseline is not None
-        faulted_row = per_hart[scenario.fault_hart]
+        faulted_row = per_hart[fault_hart]
+        base_row = base_rows[scenario.attack_hart]
         result.update({
             "fault_stats": report.faults,
             # The headline expectation follows the attack hart's row
@@ -707,14 +535,54 @@ def _run_multihart(scenario: Scenario, seed: int,
             # its victim's table verdict otherwise).
             "predicted_detected": attack_row["expected_detected"],
             "degradation": faulted_row["degradation"],
-            "contract_ok": (
-                all(row["contract_ok"] for row in per_hart) if adversarial
-                else faulted_row["contract_ok"]
+            # Rows left ungraded carry no contract.
+            "contract_ok": all(
+                row.get("contract_ok", True) for row in per_hart
             ),
-            "baseline_detected": baseline["detected"],
-            "baseline_detection_latency": baseline["detection_latency"],
+            "baseline_detected": base_row["detected"],
+            "baseline_detection_latency": base_row["detection_latency"],
         })
     return result
+
+
+def _identity_columns(scenario: Scenario, seed: int) -> Dict[str, object]:
+    """The columns naming a cell, shared by every row shape (knobs the
+    backend ignores are ``None``), plus the fault-grading and per-hart
+    placeholders that a run fills in place."""
+    cosim = scenario.backend == BACKEND_COSIM
+    multihart = scenario.multihart
+    return {
+        "fault_plan": scenario.fault_plan,
+        "fault_hart": scenario.fault_hart,
+        "lossy": scenario.lossy if cosim else None,
+        "defense": scenario.defense if multihart else None,
+        "degradation": None,
+        "contract_ok": None,
+        "baseline_detected": None,
+        "baseline_detection_latency": None,
+        "name": scenario.name,
+        "backend": scenario.backend,
+        "victim": scenario.victim,
+        "attack": scenario.attack,
+        "policy": scenario.policy,
+        "policy_backend": scenario.resolved_policy_backend,
+        "firmware": scenario.firmware if cosim else None,
+        "queue_depth": scenario.queue_depth if cosim else None,
+        "blocking": scenario.blocking if cosim else None,
+        "fabric": scenario.fabric if cosim else None,
+        "max_cycles": scenario.max_cycles,
+        "seed": seed,
+        # Marks results whose victim actually varies with the seed, so
+        # artifact consumers know which rows a seed sweep perturbs.
+        "seeded": VICTIMS[scenario.victim].seeded,
+        "n_harts": scenario.n_harts,
+        "attack_hart": scenario.attack_hart if multihart else None,
+        "hart_victims": (
+            list(scenario.resolved_hart_victims) if multihart else None
+        ),
+        "stagger": scenario.stagger if multihart else None,
+        "per_hart": None,
+    }
 
 
 def run_scenario(scenario: Scenario, campaign_seed: int = 0,
@@ -734,11 +602,12 @@ def run_scenario(scenario: Scenario, campaign_seed: int = 0,
     bundle = _victim_bundle(scenario, seed)
     if scenario.backend == BACKEND_REFERENCE:
         outcome = _run_reference(scenario, seed, bundle=bundle)
-    elif scenario.multihart:
-        outcome = _run_multihart(scenario, seed, sim_mode=sim_mode)
     elif scenario.backend == BACKEND_COSIM:
         outcome = _run_cosim(scenario, seed, sim_mode=sim_mode,
                              bundle=bundle)
+        if not scenario.multihart:
+            # Single-hart rows keep their shape: no per-hart breakdown.
+            del outcome["per_hart"], outcome["quarantined_harts"]
     else:
         raise ConfigError(f"unknown backend {scenario.backend!r}")
 
@@ -756,38 +625,7 @@ def run_scenario(scenario: Scenario, campaign_seed: int = 0,
     detected = bool(outcome["detected"])
     result: Dict[str, object] = {
         "status": "ok",
-        "fault_plan": scenario.fault_plan,
-        "fault_hart": scenario.fault_hart,
-        "lossy": scenario.lossy if scenario.backend == BACKEND_COSIM else None,
-        "defense": scenario.defense if scenario.multihart else None,
-        "degradation": None,
-        "contract_ok": None,
-        "baseline_detected": None,
-        "baseline_detection_latency": None,
-        "name": scenario.name,
-        "backend": scenario.backend,
-        "victim": scenario.victim,
-        "attack": scenario.attack,
-        "policy": scenario.policy,
-        "policy_backend": scenario.resolved_policy_backend,
-        "firmware": scenario.firmware if scenario.backend == BACKEND_COSIM else None,
-        "queue_depth": (
-            scenario.queue_depth if scenario.backend == BACKEND_COSIM else None
-        ),
-        "blocking": scenario.blocking if scenario.backend == BACKEND_COSIM else None,
-        "fabric": scenario.fabric if scenario.backend == BACKEND_COSIM else None,
-        "max_cycles": scenario.max_cycles,
-        "seed": seed,
-        # Marks results whose victim actually varies with the seed, so
-        # artifact consumers know which rows a seed sweep perturbs.
-        "seeded": VICTIMS[scenario.victim].seeded,
-        "n_harts": scenario.n_harts,
-        "attack_hart": scenario.attack_hart if scenario.multihart else None,
-        "hart_victims": (
-            list(scenario.resolved_hart_victims) if scenario.multihart else None
-        ),
-        "stagger": scenario.stagger if scenario.multihart else None,
-        "per_hart": None,
+        **_identity_columns(scenario, seed),
         "expected_detected": expected,
         "expected_source": expected_source,
         "expectation_met": detected == expected,
@@ -834,36 +672,7 @@ def _failure_result(scenario: Scenario, campaign_seed: int, status: str,
         "coverage_points": None,
         "coverage_digest": None,
         "coverage": None,
-        "fault_plan": scenario.fault_plan,
-        "fault_hart": scenario.fault_hart,
-        "lossy": scenario.lossy if scenario.backend == BACKEND_COSIM else None,
-        "defense": scenario.defense if scenario.multihart else None,
-        "degradation": None,
-        "contract_ok": None,
-        "baseline_detected": None,
-        "baseline_detection_latency": None,
-        "name": scenario.name,
-        "backend": scenario.backend,
-        "victim": scenario.victim,
-        "attack": scenario.attack,
-        "policy": scenario.policy,
-        "policy_backend": scenario.resolved_policy_backend,
-        "firmware": scenario.firmware if scenario.backend == BACKEND_COSIM else None,
-        "queue_depth": (
-            scenario.queue_depth if scenario.backend == BACKEND_COSIM else None
-        ),
-        "blocking": scenario.blocking if scenario.backend == BACKEND_COSIM else None,
-        "fabric": scenario.fabric if scenario.backend == BACKEND_COSIM else None,
-        "max_cycles": scenario.max_cycles,
-        "seed": derive_seed(campaign_seed, scenario),
-        "seeded": VICTIMS[scenario.victim].seeded,
-        "n_harts": scenario.n_harts,
-        "attack_hart": scenario.attack_hart if scenario.multihart else None,
-        "hart_victims": (
-            list(scenario.resolved_hart_victims) if scenario.multihart else None
-        ),
-        "stagger": scenario.stagger if scenario.multihart else None,
-        "per_hart": None,
+        **_identity_columns(scenario, derive_seed(campaign_seed, scenario)),
         "expected_detected": None,
         "expected_source": None,
         "expectation_met": None,

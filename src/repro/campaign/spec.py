@@ -376,7 +376,8 @@ class Scenario:
             (staggered-attack scheduling; engine-invariant).
         fault_hart: the hart :attr:`fault_plan` is scoped to.  Required
             for multi-hart fault cells (an unscoped plan on N > 1 would
-            silently fault hart 0); single-hart cells leave it ``None``.
+            silently fault hart 0); single-hart cells must leave it
+            ``None``.
         lossy: run the CFI queues in lossy (drop-oldest) mode instead
             of stalling commit on overflow.  Cosim only; incompatible
             with ``blocking``.
@@ -507,6 +508,10 @@ class Scenario:
             if self.stagger:
                 raise ConfigError(
                     "stagger needs a multi-hart cell (n_harts > 1)"
+                )
+            if self.fault_hart is not None:
+                raise ConfigError(
+                    "fault_hart needs a multi-hart cell (n_harts > 1)"
                 )
         else:
             if self.backend != BACKEND_COSIM:

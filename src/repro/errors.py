@@ -67,15 +67,6 @@ class AccessFault(MemoryError_):
         self.access = access
 
 
-class AlignmentFault(MemoryError_):
-    """A bus access violated the natural alignment required by a device."""
-
-    def __init__(self, address: int, size: int):
-        super().__init__(f"misaligned {size}-byte access at {address:#x}")
-        self.address = address
-        self.size = size
-
-
 class EccError(MemoryError_):
     """An uncorrectable ECC error was detected on a protected memory."""
 
@@ -282,10 +273,6 @@ class StoreCorruptError(ServiceError):
             message += f" ({detail})"
         super().__init__(message)
         self.path = path
-
-
-class CalibrationError(ReproError):
-    """The trace-model calibration failed to converge."""
 
 
 class SynthError(ReproError):

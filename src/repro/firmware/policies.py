@@ -14,6 +14,7 @@ three ways:
 from __future__ import annotations
 
 import enum
+import hmac
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 
@@ -21,7 +22,6 @@ from repro.core.commit_log import CommitLog
 from repro.errors import ConfigError
 from repro.isa.cflow import CfKind
 from repro.opentitan.crypto.accel import HmacAccelerator
-from repro.opentitan.crypto.hmac import constant_time_equal
 
 
 class CheckResult(enum.Enum):
@@ -111,20 +111,6 @@ class PerHartContextMixin:
             if reset is not None:
                 reset()
 
-    def quarantine_context(self, hart_id: int) -> None:
-        """Mark ``hart_id``'s context as quarantined by the monitor's
-        defense layer.  Purely observational — the context object keeps
-        its state (forensics read it after the run), and the sealing
-        itself happens at the doorbell arbiter; the mark survives
-        :meth:`reset_contexts` just as the arbiter latch survives a
-        monitor reboot."""
-        self.__dict__.setdefault("_quarantined_contexts", set()).add(hart_id)
-
-    @property
-    def quarantined_contexts(self) -> frozenset:
-        """Hart ids whose contexts the defense layer has sealed."""
-        return frozenset(self.__dict__.get("_quarantined_contexts", ()))
-
 
 @dataclass
 class PolicyStats:
@@ -209,7 +195,7 @@ class ShadowStackPolicy(PerHartContextMixin):
         """Pull the newest spill block back; False on tag mismatch."""
         blob, tag = self.spill_area.pop()
         fresh = self.accel.compute_hmac(self.key, blob)
-        if not constant_time_equal(fresh, tag):
+        if not hmac.compare_digest(fresh, tag):
             return False
         self.stack = self._unpack(blob) + self.stack
         self.stats.restores += 1
@@ -593,7 +579,7 @@ class CryptoReturnPolicy(PerHartContextMixin):
             self.last_event = EVENT_POP
             address, tag = self.table.pop()
             fresh = self._tag(address, len(self.table))
-            if not constant_time_equal(fresh, tag):
+            if not hmac.compare_digest(fresh, tag):
                 # The stored record was tampered with in untrusted memory.
                 self.last_event = EVENT_MISMATCH
                 self.stats.violations += 1

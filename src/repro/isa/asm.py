@@ -93,11 +93,6 @@ _ASSEMBLY_CACHE: Dict[Tuple[int, int, str], Program] = {}
 _ASSEMBLY_CACHE_LIMIT = 512
 
 
-def clear_assembly_cache() -> None:
-    """Drop every memoised assembly result (tests)."""
-    _ASSEMBLY_CACHE.clear()
-
-
 @dataclass
 class _Item:
     """One unit of output scheduled during pass 1."""

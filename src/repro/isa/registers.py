@@ -57,8 +57,3 @@ def reg_index(name: str) -> int:
     if key not in _NAME_TO_INDEX:
         raise ValueError(f"unknown register name: {name!r}")
     return _NAME_TO_INDEX[key]
-
-
-def is_link_register(index: int) -> bool:
-    """True for ``ra``/``t0``, the ABI link registers (RISC-V spec table 2.1)."""
-    return index in LINK_REGS

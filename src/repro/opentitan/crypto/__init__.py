@@ -1,14 +1,13 @@
-"""Cryptographic accelerators: from-scratch SHA-256 and HMAC.
+"""Cryptographic accelerators: the OpenTitan HMAC/SHA-256 block.
 
 OpenTitan's crypto blocks "efficiently execute compute-intensive
 security primitives, such as ... hash calculation" (paper §III-B);
 TitanCFI uses them to authenticate shadow-stack pages spilled to
-untrusted SoC memory (§VI).  Both primitives are implemented from
-scratch (no hashlib) and validated against independent test vectors.
+untrusted SoC memory (§VI).  The device model computes its digests
+with the standard library and charges the block's cycles per
+operation.
 """
 
-from repro.opentitan.crypto.sha256 import sha256
-from repro.opentitan.crypto.hmac import hmac_sha256
 from repro.opentitan.crypto.accel import HmacAccelerator
 
-__all__ = ["sha256", "hmac_sha256", "HmacAccelerator"]
+__all__ = ["HmacAccelerator"]

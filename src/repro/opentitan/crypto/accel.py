@@ -9,17 +9,19 @@ Register map (byte offsets; all registers 32-bit):
     0x40  DIGEST   8 words (read-only result)
     0x80  MSG      streaming window (sequential word writes append)
 
-The functional result is computed by the from-scratch primitives; the
-cycle cost model (``cycles_per_block`` × SHA-256 blocks processed) is
-exposed through :attr:`busy_cycles` for the spill-path analysis — the
-real block hashes one 512-bit block in ~80 cycles.
+The functional result comes from the standard library's ``hashlib``
+and ``hmac``; the cycle cost model (``cycles_per_block`` × SHA-256
+blocks processed, charged per operation) is exposed through
+:attr:`busy_cycles` for the spill-path analysis — the real block
+hashes one 512-bit block in ~80 cycles.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 from repro.errors import AccessFault
-from repro.opentitan.crypto.hmac import hmac_sha256
-from repro.opentitan.crypto.sha256 import sha256
 
 CMD_OFFSET = 0x00
 STATUS_OFFSET = 0x04
@@ -82,9 +84,9 @@ class HmacAccelerator:
     def _execute(self, command: int) -> None:
         message = bytes(self._message[: self._msg_len or len(self._message)])
         if command == CMD_SHA256:
-            self._digest = sha256(message)
+            self._digest = hashlib.sha256(message).digest()
         elif command == CMD_HMAC:
-            self._digest = hmac_sha256(bytes(self._key), message)
+            self._digest = hmac.digest(bytes(self._key), message, "sha256")
         else:
             raise AccessFault(CMD_OFFSET, "write", f"hmac: unknown command {command}")
         blocks = max(1, (len(message) + 63) // 64)
@@ -101,4 +103,4 @@ class HmacAccelerator:
         blocks = max(1, (len(message) + 63) // 64)
         self.busy_cycles += (blocks + 3) * self.cycles_per_block
         self.operations += 1
-        return hmac_sha256(key, message)
+        return hmac.digest(key, message, "sha256")

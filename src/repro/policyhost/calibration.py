@@ -351,12 +351,6 @@ class ShadowSession:
             )
         self.drift = host_respond - self._last_rig_respond
 
-    @property
-    def rig_live(self) -> bool:
-        """True while a replay rig exists (i.e. the chain table alone
-        has not been able to answer every ring so far)."""
-        return self._rig is not None
-
 
 class ResponseModel:
     """The calibrated doorbell→completion timing of one firmware config.

@@ -114,9 +114,7 @@ class MonitorDefense:
 
     Tracks per-hart violation strikes and quarantine flags, and owns
     the countermeasures: a quarantined hart is sealed off the shared
-    doorbell channel (:meth:`repro.soc.mailbox.DoorbellArbiter.quarantine`)
-    and its policy context is marked
-    (:meth:`repro.firmware.policies.PerHartContextMixin.quarantine_context`),
+    doorbell channel (:meth:`repro.soc.mailbox.DoorbellArbiter.quarantine`),
     while every benign peer's verdict path is untouched — the defense
     only ever *removes* a misbehaving requester from the shared fabric.
     """
@@ -149,9 +147,6 @@ class MonitorDefense:
             # while every benign peer keeps its blocking, verdict-exact
             # queue.
             self.stages[hart_id].controller.lossy = True
-        mark = getattr(self.policy, "quarantine_context", None)
-        if mark is not None:
-            mark(hart_id)
         return True
 
     def strike(self, hart_id: int) -> bool:

@@ -10,12 +10,11 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.system.addresses import AddressMap
     from repro.system.sim import SimulationReport, SystemSimulator
-    from repro.system.soc import FabricProfile, TitanCfiSoc, build_soc
+    from repro.system.soc import TitanCfiSoc, build_soc
     from repro.system.topology import HartPlacement, Topology
 
 __all__ = [
     "AddressMap",
-    "FabricProfile",
     "HartPlacement",
     "TitanCfiSoc",
     "Topology",
@@ -26,7 +25,6 @@ __all__ = [
 
 _LAZY = {
     "AddressMap": ("repro.system.addresses", "AddressMap"),
-    "FabricProfile": ("repro.system.soc", "FabricProfile"),
     "HartPlacement": ("repro.system.topology", "HartPlacement"),
     "TitanCfiSoc": ("repro.system.soc", "TitanCfiSoc"),
     "Topology": ("repro.system.topology", "Topology"),

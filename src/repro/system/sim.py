@@ -37,15 +37,14 @@ class SimulationReport:
     Attributes:
         cycles: global cycles until the host halted (and the CFI path
             drained).
-        host_instructions: instructions the host retired (summed over
-            application harts in multi-hart runs).
+        host_instructions: instructions the application harts retired.
         host_stall_cycles: cycles the commit stage was inhibited
             (summed over application harts).
         violation: the CFI violation that ended the run, if any (in
             multi-hart runs: the raised one, else the lowest-hart
             latched fault).
-        cfi: CFI stage statistics summary (empty when CFI is absent;
-            aggregated over stages in multi-hart runs).
+        cfi: CFI stage statistics summed over the stages (empty when
+            CFI is absent); one hart's equals its stage's own summary.
         ibex_instructions: instructions the RoT core retired.
         detection_latency: cycles from the first violating commit log
             entering the mailbox path to its verdict — stable even when
@@ -53,10 +52,10 @@ class SimulationReport:
             no violation was flagged.
         faults: fault-injection statistics when a fault controller was
             attached to the SoC (see :mod:`repro.faults`), else ``None``.
-        per_hart: per-application-hart breakdown for multi-hart runs
-            (one dict per hart: instructions, stalls, verdict, latency,
-            CFI stats); ``None`` on single-hart runs, whose report is
-            unchanged from the historic shape.
+        per_hart: one dict per application hart, one-hart runs
+            included: instructions, stalls, verdict, violation kind,
+            latency, quarantine latch and that hart's CFI stats.  The
+            headline fields are derived from these entries.
     """
 
     cycles: int
@@ -67,12 +66,17 @@ class SimulationReport:
     ibex_instructions: int = 0
     detection_latency: Optional[int] = None
     faults: Optional[Dict[str, object]] = None
-    per_hart: Optional[List[Dict[str, object]]] = None
+    per_hart: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def detected(self) -> bool:
         """True when a CFI violation was flagged."""
         return self.violation is not None
+
+
+#: CFI-stage counters a report sums over the harts.
+_SUMMED = ("examined", "selected", "full_stalls", "conflict_stalls",
+           "dropped", "logs_sent", "checks_completed", "violations")
 
 
 #: Skip bound meaning "this agent cannot originate the next event"
@@ -476,45 +480,30 @@ class SystemSimulator:
     def report(self) -> SimulationReport:
         """Snapshot the run's statistics.
 
-        A single-hart run reports its stage's own statistics and no
-        ``per_hart`` breakdown, the shape single-hart artifacts record.
+        Builds one ``per_hart`` entry per application hart and derives
+        the headline from them: summed instructions and stalls, every
+        CFI counter summed over the stages, the largest queue
+        high-water mark, the mean over every check's latency, and the
+        lowest-hart violation unless one was raised.
         """
-        faults = getattr(self.soc, "faults", None)
-        common = dict(
-            cycles=self.now,
-            ibex_instructions=self.soc.rot.ibex.instret,
-            faults=faults.stats_summary() if faults is not None else None,
-        )
-        if len(self._apps) == 1:
-            stage = self._stages[0]
-            cfi_stats: Dict[str, object] = {}
-            if stage is not None:
-                cfi_stats = stage.stats_summary()
-            violation = self.violation or (
-                stage.violation if stage is not None else None
-            )
-            return SimulationReport(
-                host_instructions=self._apps[0].instret,
-                host_stall_cycles=self._commits[0].stall_cycles,
-                violation=violation,
-                cfi=cfi_stats,
-                detection_latency=(
-                    cfi_stats.get("first_violation_latency") if violation else None
-                ),
-                **common,
-            )
+        arbiter = self.soc.doorbell_arbiter
         per_hart: List[Dict[str, object]] = []
-        aggregate: Dict[str, object] = {}
+        summaries: List[Dict[str, object]] = []
+        latencies: List[int] = []
         first_violation: Optional[CfiViolation] = None
         first_latency: Optional[int] = None
-        latency_samples = 0
-        latency_sum = 0.0
-        arbiter = getattr(self.soc, "doorbell_arbiter", None)
         for i, (hart, commit, stage) in enumerate(
                 zip(self._apps, self._commits, self._stages)):
-            stats = stage.stats_summary() if stage is not None else {}
-            hart_violation = stage.violation if stage is not None else None
-            entry: Dict[str, object] = {
+            stats: Dict[str, object] = {}
+            hart_violation = None
+            if stage is not None:
+                stats = stage.stats_summary()
+                summaries.append(stats)
+                latencies += stage.writer.stats.check_latencies
+                hart_violation = stage.violation
+            latency = (stats["first_violation_latency"]
+                       if hart_violation is not None else None)
+            per_hart.append({
                 "hart": i,
                 "instructions": hart.instret,
                 "stall_cycles": commit.stall_cycles,
@@ -522,44 +511,36 @@ class SystemSimulator:
                 "violation_kind": (
                     hart_violation.kind if hart_violation is not None else None
                 ),
-                "detection_latency": (
-                    stats.get("first_violation_latency")
-                    if hart_violation is not None else None
-                ),
+                "detection_latency": latency,
                 "quarantined": bool(
                     arbiter is not None and arbiter.quarantined(i)
                 ),
                 "cfi": stats,
-            }
-            per_hart.append(entry)
+            })
             if hart_violation is not None and first_violation is None:
                 first_violation = hart_violation
-                first_latency = entry["detection_latency"]
-            for key in ("examined", "selected", "full_stalls",
-                        "conflict_stalls", "dropped", "logs_sent",
-                        "checks_completed", "violations"):
-                if key in stats:
-                    aggregate[key] = aggregate.get(key, 0) + stats[key]
-            checks = stats.get("checks_completed", 0)
-            if checks:
-                latency_samples += checks
-                latency_sum += stats.get("mean_check_latency", 0.0) * checks
-            if "queue_high_water" in stats:
-                aggregate["queue_high_water"] = max(
-                    aggregate.get("queue_high_water", 0),
-                    stats["queue_high_water"],
-                )
-        aggregate["mean_check_latency"] = (
-            latency_sum / latency_samples if latency_samples else 0.0
-        )
-        aggregate["first_violation_latency"] = first_latency
+                first_latency = latency
+        cfi: Dict[str, object] = {}
+        if summaries:
+            # Same keys, in the same order, as one stage's summary.
+            cfi = {key: sum(s[key] for s in summaries) for key in _SUMMED}
+            cfi["mean_check_latency"] = (
+                sum(latencies) / len(latencies) if latencies else 0.0
+            )
+            cfi["first_violation_latency"] = first_latency
+            cfi["queue_high_water"] = max(
+                s["queue_high_water"] for s in summaries
+            )
         violation = self.violation or first_violation
+        faults = getattr(self.soc, "faults", None)
         return SimulationReport(
+            cycles=self.now,
             host_instructions=sum(h.instret for h in self._apps),
             host_stall_cycles=sum(c.stall_cycles for c in self._commits),
             violation=violation,
-            cfi=aggregate,
+            cfi=cfi,
+            ibex_instructions=self.soc.rot.ibex.instret,
             detection_latency=first_latency if violation is not None else None,
+            faults=faults.stats_summary() if faults is not None else None,
             per_hart=per_hart,
-            **common,
         )

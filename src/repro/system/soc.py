@@ -16,7 +16,6 @@ no hart-id tagging — identical wire traffic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.config import TitanCfiConfig
@@ -35,20 +34,6 @@ from repro.soc.mailbox import CfiMailbox, DoorbellArbiter, Mailbox
 from repro.soc.pmp import IoPmp
 from repro.system.addresses import CFI_IRQ_SOURCE, SCMI_IRQ_SOURCE, AddressMap
 from repro.system.topology import Topology
-
-
-@dataclass(frozen=True)
-class FabricProfile:
-    """Named latency profile for the whole platform.
-
-    ``standard`` matches the reference SoC; ``optimized`` is the §V-B
-    proposal (low-latency RoT interconnect).
-    """
-
-    name: str = "standard"
-
-    def rot_config(self, wake_cycles: int = 45) -> RotConfig:
-        return RotConfig(fabric=self.name, wake_cycles=wake_cycles)
 
 
 class TitanCfiSoc:

@@ -1,0 +1,56 @@
+"""Committed row digests: every smoke-matrix row, pinned byte for byte.
+
+The other campaign suites compare runs against each other (busy ≡
+batched, serial ≡ sharded, resume ≡ uninterrupted), so a change that
+alters every row the same way passes them all.  This suite compares
+each row of the six ``*-smoke`` matrices against a digest committed in
+``row_digests.json``: ``sha256(json.dumps(row))`` of
+``run_scenario(cell, 0)`` under the default engine.  ``json.dumps``
+without ``sort_keys`` pins key order too, the way ``campaign.json``
+writes it.
+
+A change that alters rows on purpose regenerates the file and says so
+in CHANGES.md::
+
+    PYTHONPATH=src python tests/campaign/test_row_digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Dict
+
+import pytest
+
+from repro.campaign.runner import run_scenario
+from repro.campaign.spec import resolve_matrix
+
+DIGESTS = Path(__file__).with_name("row_digests.json")
+
+SMOKE_MATRICES = ("smoke", "synth-smoke", "coverage-smoke", "faults-smoke",
+                  "multihart-smoke", "xhart-smoke")
+
+
+def row_digests(matrix: str) -> Dict[str, str]:
+    """``{cell name: sha256 of its row}`` for one registered matrix."""
+    return {
+        cell.name: hashlib.sha256(
+            json.dumps(run_scenario(cell, 0)).encode()
+        ).hexdigest()
+        for cell in resolve_matrix(matrix)
+    }
+
+
+@pytest.mark.parametrize("matrix", SMOKE_MATRICES)
+def test_rows_match_committed_digests(matrix):
+    committed = json.loads(DIGESTS.read_text())[matrix]
+    actual = row_digests(matrix)
+    assert list(actual) == list(committed), "cell list changed"
+    for name, digest in actual.items():
+        assert digest == committed[name], f"row differs: {name}"
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {matrix: row_digests(matrix) for matrix in SMOKE_MATRICES}, indent=1
+    ) + "\n")

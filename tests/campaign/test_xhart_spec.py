@@ -32,6 +32,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="needs a fault_plan"):
             Scenario(victim="rop", backend="cosim", n_harts=2, fault_hart=1)
 
+    def test_single_hart_fault_hart_is_rejected(self):
+        with pytest.raises(ConfigError, match="needs a multi-hart cell"):
+            Scenario(victim="rop", backend="cosim", fault_plan="drop-first",
+                     fault_hart=0)
+
     def test_fault_hart_out_of_range_is_typed(self):
         with pytest.raises(UnknownHartError):
             Scenario(victim="rop", backend="cosim", n_harts=2,

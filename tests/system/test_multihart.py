@@ -117,13 +117,22 @@ class TestSingleHartIdentity:
             keys.append(_report_key(SystemSimulator(soc).run()))
         assert keys[0] == keys[1]
 
-    def test_single_hart_report_has_no_per_hart_breakdown(self):
+    def test_single_hart_report_is_a_view_of_its_one_hart(self):
         soc = build_soc(topology=Topology())
         firmware = shadow_stack_firmware("irq", FirmwareLayout(soc.addresses))
         soc.load_firmware(firmware.data)
-        program = VICTIMS["benign"].builder(soc.addresses, random.Random(1234))
+        program = VICTIMS["rop"].builder(soc.addresses, random.Random(1234))
         soc.load_host_program(program)
-        assert SystemSimulator(soc).run().per_hart is None
+        report = SystemSimulator(soc).run()
+        (entry,) = report.per_hart
+        assert entry["detected"] and report.detected
+        assert entry["violation_kind"] == report.violation.kind
+        assert entry["detection_latency"] == report.detection_latency
+        assert entry["instructions"] == report.host_instructions
+        assert entry["stall_cycles"] == report.host_stall_cycles
+        # Same keys, same order, same values as the stage's own summary.
+        assert list(report.cfi.items()) == list(
+            soc.cfi_stage.stats_summary().items())
 
 
 class TestMultiHartEngineEquivalence:
