@@ -38,7 +38,7 @@ from repro.attacks.programs import (
 )
 from repro.attacks.rop import run_attack_scenario
 from repro.campaign.runner import run_campaign
-from repro.campaign.spec import VICTIMS, smoke_matrix, synth_matrix
+from repro.campaign.spec import VICTIMS, resolve_matrix
 from repro.core.config import TitanCfiConfig
 from repro.eval import table1
 from repro.firmware.policies import CryptoReturnPolicy, ShadowStackPolicy
@@ -309,7 +309,7 @@ def run_campaign_pass(sim_mode: str = None) -> dict:
     are machine-independent and must match any sharded run (and any
     ``sim_mode``).
     """
-    payload = run_campaign(smoke_matrix(), jobs=1, sim_mode=sim_mode)
+    payload = run_campaign(resolve_matrix("smoke"), jobs=1, sim_mode=sim_mode)
     return {
         "scenarios": payload["scenario_count"],
         "cycles": payload["timing"]["simulated_cycles"],
@@ -324,7 +324,7 @@ def run_synth_pass(sim_mode: str = None) -> dict:
     scenario's expectation comes from the static oracle; the pass
     asserts all of them hold — a disagreement is a bug, not a number.
     """
-    payload = run_campaign(synth_matrix(), jobs=1, sim_mode=sim_mode)
+    payload = run_campaign(resolve_matrix("synth"), jobs=1, sim_mode=sim_mode)
     missed = sum(
         not result["expectation_met"] for result in payload["scenarios"]
     )

@@ -26,14 +26,10 @@ from repro.campaign.spec import (
     VICTIMS,
     Scenario,
     VictimSpec,
-    default_matrix,
     derive_seed,
     expand_grid,
     expected_detection,
-    faults_matrix,
-    faults_smoke_matrix,
     resolve_matrix,
-    smoke_matrix,
     spec_key,
 )
 
@@ -45,18 +41,14 @@ __all__ = [
     "Scenario",
     "VICTIMS",
     "VictimSpec",
-    "default_matrix",
     "derive_seed",
     "expand_grid",
     "expected_detection",
-    "faults_matrix",
-    "faults_smoke_matrix",
     "finalize",
     "render_report",
     "resolve_matrix",
     "run_campaign",
     "run_scenario",
-    "smoke_matrix",
     "spec_key",
     "summarize",
     "to_csv",

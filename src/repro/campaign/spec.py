@@ -33,7 +33,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.attacks.programs import (
     benign_program,
@@ -44,7 +44,7 @@ from repro.attacks.programs import (
     return_to_callsite_program,
     rop_program,
 )
-from repro.errors import ConfigError, UnknownHartError
+from repro.errors import AxisConflict, ConfigError, UnknownHartError
 from repro.faults.plan import FAULT_PLANS
 from repro.isa.asm import Program
 from repro.system.addresses import AddressMap
@@ -343,6 +343,12 @@ _POLICY_BACKENDS = (POLICY_BACKEND_AUTO, POLICY_BACKEND_FIRMWARE,
 class Scenario:
     """One fully-specified campaign cell.  Plain data; picklable.
 
+    Construction is the one place that decides what a cell is: a bad
+    field value raises :class:`~repro.errors.ConfigError`, and valid
+    values that cannot be combined raise
+    :class:`~repro.errors.AxisConflict`, which :func:`expand_grid`
+    drops.
+
     Attributes:
         victim: a :data:`VICTIMS` key.
         policy: a :data:`REFERENCE_POLICIES` entry.
@@ -407,8 +413,11 @@ class Scenario:
     defense: bool = False
 
     def __post_init__(self):
-        if self.victim not in VICTIMS:
-            raise ConfigError(f"unknown victim {self.victim!r}")
+        # Single-field checks first, so a bad value always raises a plain
+        # ConfigError, even when it also conflicts with another field.
+        for name in (self.victim, *self.hart_victims):
+            if name not in VICTIMS:
+                raise ConfigError(f"unknown victim {name!r}")
         if self.backend not in (BACKEND_REFERENCE, BACKEND_COSIM):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.policy not in REFERENCE_POLICIES:
@@ -418,129 +427,128 @@ class Scenario:
                 f"unknown policy backend {self.policy_backend!r} "
                 f"(have: {_POLICY_BACKENDS})"
             )
-        # Multi-hart count first (typed, reject-never-clamp): everything
-        # below — including ``resolved_policy_backend`` — compares
-        # ``n_harts``, so a non-int must not get that far.
+        # Typed, reject-never-clamp: every check below — including
+        # ``resolved_policy_backend`` — compares ``n_harts``, so a
+        # non-int must not get that far.
         if type(self.n_harts) is not int or self.n_harts != 1:
             Topology(n_harts=self.n_harts)  # raises HartCountError
-        if self.backend == BACKEND_COSIM and self.resolved_policy_backend is None:
-            if self.policy == POLICY_NONE:
-                raise ConfigError(
-                    "the cosim backend needs an enforcing policy; "
-                    "policy 'none' needs backend='reference'"
-                )
-            raise ConfigError(
-                "the RV32 firmware implements only the shadow stack; "
-                f"policy {self.policy!r} on the cosim backend needs "
-                "policy_backend='host' (or 'auto')"
-            )
         if self.firmware not in ("irq", "polling"):
             raise ConfigError(f"unknown firmware variant {self.firmware!r}")
         if self.fabric not in ("standard", "optimized"):
             raise ConfigError(f"unknown fabric {self.fabric!r}")
         if self.queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
-        if self.fault_plan is not None:
-            if self.fault_plan not in FAULT_PLANS:
-                raise ConfigError(
-                    f"unknown fault plan {self.fault_plan!r} "
-                    f"(have: {', '.join(sorted(FAULT_PLANS))})"
+        if self.stagger < 0:
+            raise ConfigError("stagger must be >= 0")
+        if self.fault_plan is not None and self.fault_plan not in FAULT_PLANS:
+            raise ConfigError(
+                f"unknown fault plan {self.fault_plan!r} "
+                f"(have: {', '.join(sorted(FAULT_PLANS))})"
+            )
+        # Cross-field checks: every value above is valid on its own, so
+        # what remains is a combination that forms no cell.
+        if self.backend == BACKEND_COSIM and self.resolved_policy_backend is None:
+            if self.policy == POLICY_NONE:
+                raise AxisConflict(
+                    "the cosim backend needs an enforcing policy; "
+                    "policy 'none' needs backend='reference'"
                 )
+            raise AxisConflict(
+                "the RV32 firmware implements only the shadow stack; "
+                f"policy {self.policy!r} on the cosim backend needs "
+                "policy_backend='host' (or 'auto')"
+            )
+        if self.fault_plan is not None:
             if self.backend != BACKEND_COSIM:
-                raise ConfigError(
+                raise AxisConflict(
                     "fault injection needs the cosim backend (the "
                     "reference backend has no transport to fault)"
                 )
             if (FAULT_PLANS[self.fault_plan].needs_monitor
                     and self.resolved_policy_backend != POLICY_BACKEND_HOST):
-                raise ConfigError(
+                raise AxisConflict(
                     f"fault plan {self.fault_plan!r} injects monitor "
                     "faults, which need policy_backend='host' (the RV32 "
                     "firmware monitor cannot be injected into)"
                 )
             if FAULT_PLANS[self.fault_plan].adversarial:
                 if self.n_harts < 2:
-                    raise ConfigError(
+                    raise AxisConflict(
                         f"fault plan {self.fault_plan!r} models a "
                         "compromised hart attacking its peers; it needs "
                         "a multi-hart cell (n_harts > 1)"
                     )
                 if not self.defense:
-                    raise ConfigError(
+                    raise AxisConflict(
                         f"fault plan {self.fault_plan!r} is adversarial; "
                         "the per-hart degradation contract needs "
                         "defense=True (the quarantining monitor)"
                     )
         if self.fault_hart is not None:
             if self.fault_plan is None:
-                raise ConfigError("fault_hart needs a fault_plan")
+                raise AxisConflict("fault_hart needs a fault_plan")
             if (type(self.fault_hart) is not int
                     or not 0 <= self.fault_hart < self.n_harts):
                 raise UnknownHartError(self.fault_hart, self.n_harts)
         if self.defense and (self.backend != BACKEND_COSIM
                              or self.n_harts < 2):
-            raise ConfigError(
+            raise AxisConflict(
                 "defense (the quarantining monitor) needs a multi-hart "
                 "cosim cell — the doorbell arbiter hosts the quarantine "
                 "latch"
             )
         if self.lossy:
             if self.backend != BACKEND_COSIM:
-                raise ConfigError(
+                raise AxisConflict(
                     "lossy queues need the cosim backend (the reference "
                     "backend has no queue to shed from)"
                 )
             if self.blocking:
-                raise ConfigError(
+                raise AxisConflict(
                     "lossy and blocking are mutually exclusive (blocking "
                     "waits on the very check a lossy queue would shed)"
                 )
-        # Remaining multi-hart axes (the hart count was checked above).
         if not 0 <= self.attack_hart < self.n_harts:
             raise UnknownHartError(self.attack_hart, self.n_harts)
-        if self.stagger < 0:
-            raise ConfigError("stagger must be >= 0")
         if self.n_harts == 1:
             if self.hart_victims:
-                raise ConfigError(
+                raise AxisConflict(
                     "hart_victims needs a multi-hart cell (n_harts > 1)"
                 )
             if self.stagger:
-                raise ConfigError(
+                raise AxisConflict(
                     "stagger needs a multi-hart cell (n_harts > 1)"
                 )
             if self.fault_hart is not None:
-                raise ConfigError(
+                raise AxisConflict(
                     "fault_hart needs a multi-hart cell (n_harts > 1)"
                 )
         else:
             if self.backend != BACKEND_COSIM:
-                raise ConfigError(
+                raise AxisConflict(
                     "multi-hart cells need the cosim backend (the "
                     "reference backend has no shared-monitor timeline)"
                 )
             if self.policy_backend == POLICY_BACKEND_FIRMWARE:
-                raise ConfigError(
+                raise AxisConflict(
                     "the RV32 firmware keeps a single shadow context; "
                     "multi-hart cells need policy_backend='host' (or "
                     "'auto')"
                 )
             if self.fault_plan is not None and self.fault_hart is None:
-                raise ConfigError(
+                raise AxisConflict(
                     "multi-hart fault injection needs fault_hart (an "
                     "unscoped plan would silently fault hart 0)"
                 )
             if self.hart_victims and len(self.hart_victims) != self.n_harts - 1:
-                raise ConfigError(
+                raise AxisConflict(
                     f"{len(self.hart_victims)} hart_victims for "
                     f"{self.n_harts} harts (need n_harts - 1: one per "
                     "hart other than the attack hart)"
                 )
-            for name in (self.victim,) + tuple(self.hart_victims):
-                if name not in VICTIMS:
-                    raise ConfigError(f"unknown victim {name!r}")
+            for name in (self.victim, *self.hart_victims):
                 if VICTIMS[name].synthetic:
-                    raise ConfigError(
+                    raise AxisConflict(
                         f"victim {name!r} is synthesized; multi-hart "
                         "cells use the hand-written corpus (the static "
                         "oracle is single-program)"
@@ -711,130 +719,73 @@ def spec_key(scenario: Scenario, campaign_seed: int = 0) -> str:
 # Grid expansion
 # --------------------------------------------------------------------------
 
-def expand_grid(**axes: Sequence[object]) -> List[Scenario]:
-    """Cartesian-product expansion of scenario parameter axes.
+def _axis_values(name: str, value: object) -> List[object]:
+    """One axis of a grid block as a list of values (scalars promote)."""
+    if name == "hart_victims":
+        # A tuple/list of victim names is ONE axis value (the per-hart
+        # assignment); sweep by passing a list of tuples.
+        if isinstance(value, (list, tuple)):
+            if value and all(isinstance(v, (list, tuple)) for v in value):
+                return [tuple(v) for v in value]
+            return [tuple(value)]
+        raise ConfigError(
+            "hart_victims axis takes a tuple of victim names "
+            "(or a list of such tuples to sweep)"
+        )
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
-    Each keyword is a :class:`Scenario` field name mapped to the values
-    to sweep; scalars are promoted to one-element axes.  Invalid
-    combinations (cosim with no enforcing policy, or the firmware
-    backend asked for a policy it does not implement) and redundant
-    cells (reference-backend scenarios that differ only in cosim-only
-    knobs such as ``firmware`` or ``queue_depth``) are dropped, so
-    grids can sweep policies, backends and policy backends together; a
-    bad field *value* (a typo'd victim or policy name) still raises.
-    Two cells sharing a name may only collapse when their
-    :meth:`Scenario.canonical` specs are equal (they would execute
-    identically); a *semantic* collision — same name, different
-    resolved spec — raises a :class:`~repro.errors.ConfigError` listing
-    the duplicates, because scenario names key artifacts and the result
+
+def expand_grid(*blocks: Mapping[str, object],
+                **axes: object) -> List[Scenario]:
+    """Cartesian-product expansion of scenario parameter blocks.
+
+    Each block maps :class:`Scenario` field names to the values to
+    sweep (scalars are promoted to one-element axes); the keyword
+    arguments form one more block after the positional ones.  Blocks
+    expand in order, each as the product of its axes, the last axis
+    varying fastest.
+
+    :class:`Scenario` alone decides what a cell is.  A combination it
+    rejects with :class:`~repro.errors.AxisConflict` — two values, each
+    valid on its own, that cannot be combined (cosim with no enforcing
+    policy, ``stagger`` on a single-hart cell, …) — is dropped, so grids
+    can sweep backends, policies and hart counts together.  Every other
+    error, such as a typo'd victim, policy or fault-plan name, raises:
+    a bad value never silently shrinks a matrix.
+
+    Cells sharing a name (``Scenario.name`` omits knobs its backend
+    ignores) collapse to the first, across all blocks, but only when
+    their :meth:`Scenario.canonical` specs are equal (they would execute
+    identically); a *semantic* collision — same name, different resolved
+    spec — raises a :class:`~repro.errors.ConfigError` listing the
+    duplicates, because scenario names key artifacts and the result
     store's spec hashes must stay injective over a matrix::
 
         expand_grid(victim=["rop", "benign"],
                     policy=["shadow-stack", "coarse"],
                     queue_depth=[1, 8])
     """
-    names = list(axes)
-
-    def axis_values(name: str, value: object) -> List[object]:
-        if name == "hart_victims":
-            # A tuple/list of victim names is ONE axis value (the
-            # per-hart assignment); sweep by passing a list of tuples.
-            if isinstance(value, (list, tuple)):
-                if value and all(isinstance(v, (list, tuple)) for v in value):
-                    return [tuple(v) for v in value]
-                return [tuple(value)]
-            raise ConfigError(
-                "hart_victims axis takes a tuple of victim names "
-                "(or a list of such tuples to sweep)"
-            )
-        return list(value) if isinstance(value, (list, tuple)) else [value]
-
-    value_lists = [axis_values(n, v) for n, v in axes.items()]
+    if axes:
+        blocks += (axes,)
     scenarios: List[Scenario] = []
     seen: Dict[str, Dict[str, object]] = {}
     collisions: List[str] = []
-    for combo in itertools.product(*value_lists):
-        kwargs = dict(zip(names, combo))
-        # Only the known *cross-field* incompatibilities are skippable;
-        # a bad field value (typo'd victim/policy name) must still
-        # raise, or the matrix would silently shrink.
-        fault_plan = kwargs.get("fault_plan")
-        n_harts = kwargs.get("n_harts", 1)
-        if isinstance(n_harts, int):
-            hart_victims = kwargs.get("hart_victims", ())
-            attack_hart = kwargs.get("attack_hart", 0)
-            if n_harts > 1:
-                # Multi-hart cells only exist on the cosim backend with
-                # a host mailbox agent; fault cells also need a scoped
-                # fault hart.  Mixed sweeps drop the incompatible cells
-                # rather than raising.
-                if kwargs.get("backend") != BACKEND_COSIM:
-                    continue
-                if kwargs.get("policy_backend") == POLICY_BACKEND_FIRMWARE:
-                    continue
-                if fault_plan is not None and kwargs.get("fault_hart") is None:
-                    continue
-                if fault_plan is None and kwargs.get("fault_hart") is not None:
-                    continue
-                if hart_victims and len(hart_victims) != n_harts - 1:
-                    continue
-                if isinstance(attack_hart, int) and attack_hart >= n_harts:
-                    continue
-                fault_hart = kwargs.get("fault_hart")
-                if isinstance(fault_hart, int) and fault_hart >= n_harts:
-                    continue
-            else:
-                # Multi-hart-only knobs drop their single-hart cells.
-                if hart_victims or kwargs.get("stagger") or attack_hart:
-                    continue
-                if kwargs.get("defense") or kwargs.get("fault_hart") is not None:
-                    continue
-                if (fault_plan is not None and fault_plan in FAULT_PLANS
-                        and FAULT_PLANS[fault_plan].adversarial):
-                    continue
-        if kwargs.get("backend") == BACKEND_COSIM:
-            policy = kwargs.get("policy", POLICY_SHADOW_STACK)
-            policy_backend = kwargs.get("policy_backend", POLICY_BACKEND_AUTO)
-            if policy == POLICY_NONE:
+    for block in blocks:
+        names = list(block)
+        value_lists = [_axis_values(n, v) for n, v in block.items()]
+        for combo in itertools.product(*value_lists):
+            try:
+                scenario = Scenario(**dict(zip(names, combo)))
+            except AxisConflict:
                 continue
-            if kwargs.get("lossy") and kwargs.get("blocking"):
-                # Lossy sheds the very check blocking waits on.
+            canonical = scenario.canonical()
+            prior = seen.get(scenario.name)
+            if prior is not None:
+                if prior != canonical and scenario.name not in collisions:
+                    collisions.append(scenario.name)
                 continue
-            if (policy_backend == POLICY_BACKEND_FIRMWARE
-                    and policy != POLICY_SHADOW_STACK):
-                continue
-            if (fault_plan is not None
-                    and fault_plan in FAULT_PLANS
-                    and FAULT_PLANS[fault_plan].needs_monitor):
-                # Monitor faults need the policy-host agent; a sweep
-                # mixing fault families over both agents drops the
-                # firmware-resolved cells rather than raising.
-                resolved = policy_backend
-                if policy_backend == POLICY_BACKEND_AUTO:
-                    resolved = (POLICY_BACKEND_FIRMWARE
-                                if policy == POLICY_SHADOW_STACK
-                                else POLICY_BACKEND_HOST)
-                if resolved != POLICY_BACKEND_HOST:
-                    continue
-        elif (fault_plan is not None or kwargs.get("lossy")
-                or kwargs.get("defense")):
-            # Fault plans, lossy queues and the defense layer are
-            # cosim-only; mixed-backend sweeps drop the reference cells.
-            continue
-        scenario = Scenario(**kwargs)
-        # Scenario.name omits knobs its backend ignores, so equivalent
-        # cells from a mixed-backend sweep collapse to the first one —
-        # but only *equivalent* ones: a name shared by two semantically
-        # different cells would silently drop one and alias its store
-        # key, so that is collected and raised below.
-        canonical = scenario.canonical()
-        prior = seen.get(scenario.name)
-        if prior is not None:
-            if prior != canonical and scenario.name not in collisions:
-                collisions.append(scenario.name)
-            continue
-        seen[scenario.name] = canonical
-        scenarios.append(scenario)
+            seen[scenario.name] = canonical
+            scenarios.append(scenario)
     if collisions:
         raise ConfigError(
             "scenario-name collisions in grid (distinct resolved specs "
@@ -847,236 +798,10 @@ def expand_grid(**axes: Sequence[object]) -> List[Scenario]:
 # Named matrices
 # --------------------------------------------------------------------------
 
-def default_matrix() -> List[Scenario]:
-    """The standard campaign: every victim × every reference policy,
-    plus a cosim sweep over firmware variants and queue depths."""
-    scenarios = expand_grid(
-        victim=sorted(VICTIMS),
-        policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE,
-                POLICY_COARSE, POLICY_COMPOSITE],
-        backend=BACKEND_REFERENCE,
-    )
-    scenarios += expand_grid(
-        victim=["benign", "rop", "ret-to-callsite", "jop"],
-        backend=BACKEND_COSIM,
-        firmware=["irq", "polling"],
-    )
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        backend=BACKEND_COSIM,
-        queue_depth=1,
-        blocking=True,
-    )
-    return scenarios
-
-
-def smoke_matrix() -> List[Scenario]:
-    """A small matrix for CI: covers both backends, attacks and benign
-    victims, in a few seconds."""
-    scenarios = expand_grid(
-        victim=["benign", "rop", "ret-to-callsite", "jop", "call-hijack"],
-        policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE, POLICY_COMPOSITE],
-        backend=BACKEND_REFERENCE,
-    )
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        backend=BACKEND_COSIM,
-    )
-    # Policy-host slice: two policies the firmware does not implement,
-    # running cycle-accurately as mailbox agents.
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        policy=[POLICY_COMPOSITE, POLICY_CRYPTO_RETURN],
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-    )
-    return scenarios
-
-
-def policyhost_matrix() -> List[Scenario]:
-    """The policy-host campaign: the complete victim × enforcing-policy
-    product on the cosim backend with every policy mounted as a mailbox
-    agent (shadow-stack-on-host included, for differential coverage
-    against the firmware cells of the other matrices), plus the
-    Table II blocking configuration for the return-edge policies."""
-    scenarios = expand_grid(
-        victim=sorted(VICTIMS),
-        policy=list(ENFORCING_POLICIES),
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-    )
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        policy=[POLICY_SHADOW_STACK, POLICY_CRYPTO_RETURN],
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        queue_depth=1,
-        blocking=True,
-    )
-    return scenarios
-
-
-def full_matrix() -> List[Scenario]:
-    """The scale-out campaign: queue depths × firmware variants ×
-    policies × seed-swept attack placement (ROADMAP campaign scale-out
-    item).  Declarative registry entries only — the runner's shard
-    cache keeps the per-scenario build cost amortised."""
-    seeded = sorted(name for name, spec in VICTIMS.items() if spec.seeded)
-    # Reference backend: the complete victim × policy product…
-    scenarios = expand_grid(
-        victim=sorted(VICTIMS),
-        policy=list(REFERENCE_POLICIES),
-        backend=BACKEND_REFERENCE,
-    )
-    # …plus seed-swept program shapes for every seeded victim (attack
-    # placement / recursion depth vary per seed, deterministically).
-    scenarios += expand_grid(
-        victim=seeded,
-        policy=[POLICY_SHADOW_STACK, POLICY_COARSE, POLICY_COMPOSITE],
-        backend=BACKEND_REFERENCE,
-        seed=[101, 202, 303],
-    )
-    # Cosim backend: firmware variants × queue depths over a mixed
-    # benign/attack set…
-    scenarios += expand_grid(
-        victim=["benign", "deep-recursion", "rop", "ret-to-callsite", "jop"],
-        backend=BACKEND_COSIM,
-        firmware=["irq", "polling"],
-        queue_depth=[1, 4, 8],
-    )
-    # …the Table II blocking configuration…
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        backend=BACKEND_COSIM,
-        queue_depth=1,
-        blocking=True,
-    )
-    # …the optimized fabric…
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        backend=BACKEND_COSIM,
-        fabric="optimized",
-    )
-    # …seed-swept cosim runs of the seeded victims…
-    scenarios += expand_grid(
-        victim=seeded,
-        backend=BACKEND_COSIM,
-        queue_depth=[2, 8],
-        seed=[11, 22],
-    )
-    # …and the policy-host product: every victim × every enforcing
-    # policy as a cycle-accurate mailbox agent.
-    scenarios += policyhost_matrix()
-    return scenarios
-
-
 #: Seeds the synth matrices sweep.  Seed 0 would fall back to the
 #: campaign-seed derivation (losing per-cell determinism in the name),
 #: so sweeps start at 1.
 SYNTH_SEEDS: Tuple[int, ...] = tuple(range(1, 8))
-
-
-def synth_matrix() -> List[Scenario]:
-    """The scenario-synthesis campaign: every synthesized family ×
-    every policy × a seed sweep, with the static oracle supplying the
-    expected verdict per generated program.
-
-    The reference block alone is families × policies × seeds (well past
-    the 200-scenario mark); a cosim slice re-checks a sample of the
-    same generated programs cycle-accurately on both mailbox agents
-    (RV32 firmware and policy host)."""
-    scenarios = expand_grid(
-        victim=list(SYNTH_VICTIMS),
-        policy=list(REFERENCE_POLICIES),
-        backend=BACKEND_REFERENCE,
-        seed=list(SYNTH_SEEDS),
-    )
-    scenarios += expand_grid(
-        victim=list(SYNTH_VICTIMS),
-        policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        seed=[1, 2],
-    )
-    # Firmware-agent cells: the RV32 shadow-stack firmware must agree
-    # with the oracle on generated programs too.
-    scenarios += expand_grid(
-        victim=list(SYNTH_VICTIMS),
-        backend=BACKEND_COSIM,
-        seed=[3],
-    )
-    return scenarios
-
-
-def synth_smoke_matrix() -> List[Scenario]:
-    """CI tier of the synthesis campaign: fixed seeds, a policy cross
-    section on the reference backend, and one cosim cell per mailbox
-    agent — small enough for the serial runner."""
-    scenarios = expand_grid(
-        victim=list(SYNTH_VICTIMS),
-        policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE, POLICY_COARSE,
-                POLICY_COMPOSITE],
-        backend=BACKEND_REFERENCE,
-        seed=[1, 2],
-    )
-    scenarios += expand_grid(
-        victim=["synth-rop", "synth-benign"],
-        backend=BACKEND_COSIM,
-        seed=[1],
-    )
-    scenarios += expand_grid(
-        victim=["synth-jop", "synth-ret-to-callsite"],
-        policy=POLICY_COMPOSITE,
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        seed=[1],
-    )
-    return scenarios
-
-
-def coverage_matrix() -> List[Scenario]:
-    """The coverage campaign: feature-grown victims (bounded recursion
-    + indirect tail calls layered onto every synthesis family) × every
-    reference policy × a seed sweep, plus a cosim cross-check slice.
-
-    Complements ``python -m repro.coverage run`` (the guided fuzz loop
-    writes the same artifact schema): this matrix pins the *generator
-    features* under the standard campaign machinery, the fuzz loop
-    explores *mutation space* beyond it."""
-    scenarios = expand_grid(
-        victim=list(COVERAGE_VICTIMS),
-        policy=list(REFERENCE_POLICIES),
-        backend=BACKEND_REFERENCE,
-        seed=list(SYNTH_SEEDS),
-    )
-    # Recursion stresses exactly the shadow-stack depth machinery, so
-    # re-check a slice cycle-accurately on both mailbox agents.
-    scenarios += expand_grid(
-        victim=["cov-rop", "cov-benign"],
-        backend=BACKEND_COSIM,
-        seed=[1],
-    )
-    scenarios += expand_grid(
-        victim=["cov-jop", "cov-ret-to-callsite"],
-        policy=POLICY_COMPOSITE,
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        seed=[1],
-    )
-    return scenarios
-
-
-def coverage_smoke_matrix() -> List[Scenario]:
-    """CI tier of the coverage campaign: two seeds per feature-grown
-    victim against the policy cross section, reference backend only."""
-    return expand_grid(
-        victim=list(COVERAGE_VICTIMS),
-        policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE, POLICY_COARSE,
-                POLICY_COMPOSITE],
-        backend=BACKEND_REFERENCE,
-        seed=[1, 2],
-    )
-
 
 #: Fault-plan names by family (kept in sync with the registry by the
 #: comprehension — an unknown name would fail Scenario validation).
@@ -1091,242 +816,219 @@ ADVERSARIAL_FAULT_PLANS: Tuple[str, ...] = tuple(sorted(
     name for name, spec in FAULT_PLANS.items() if spec.adversarial
 ))
 
-
-def faults_matrix() -> List[Scenario]:
-    """The fault-injection campaign: fault families × policies ×
-    victims, each cell checked against its fault-free baseline by the
-    fault oracle and the per-policy degradation contract.
-
-    Three blocks: transport faults against the RV32 firmware agent
-    (drop/dup/corrupt are agent-agnostic), the full fault-plan registry
-    against every enforcing policy on the policy host, and
-    queue-overflow stress (monitor stall bursts) at shallow depths."""
-    scenarios = expand_grid(
-        victim=["benign", "rop", "ret-to-callsite", "jop"],
-        backend=BACKEND_COSIM,
-        fault_plan=list(TRANSPORT_FAULT_PLANS),
-    )
-    scenarios += expand_grid(
-        victim=["benign", "rop", "jop", "call-hijack"],
-        policy=list(ENFORCING_POLICIES),
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        fault_plan=list(TRANSPORT_FAULT_PLANS) + list(MONITOR_FAULT_PLANS),
-    )
-    # Queue-overflow stress: a stalled monitor at depth 1/2 makes the
-    # writer outpace it, exercising the back-pressure paths under fault.
-    scenarios += expand_grid(
-        victim=["deep-recursion", "rop"],
-        policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        queue_depth=[1, 2],
-        fault_plan="stall-burst",
-    )
-    return scenarios
+# Shorthands shared by the matrix blocks below.
+_SEEDED = tuple(sorted(name for name, spec in VICTIMS.items() if spec.seeded))
+_CROSS_SECTION = (POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE, POLICY_COARSE,
+                  POLICY_COMPOSITE)
+_HOST = dict(backend=BACKEND_COSIM, policy_backend=POLICY_BACKEND_HOST)
+_TABLE2_BLOCKING = dict(queue_depth=1, blocking=True)
 
 
-def faults_smoke_matrix() -> List[Scenario]:
-    """CI tier of the fault campaign: one cell per fault family on each
-    agent, plus one queue-stress cell — small enough for the serial
-    runner."""
-    scenarios = expand_grid(
-        victim=["benign", "rop"],
-        backend=BACKEND_COSIM,
-        fault_plan=["drop-first", "dup-first", "corrupt-target"],
-    )
-    scenarios += expand_grid(
-        victim=["benign", "rop"],
-        policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE],
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        fault_plan=["stall-late", "reset-early"],
-    )
-    scenarios += expand_grid(
-        victim="deep-recursion",
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        queue_depth=2,
-        fault_plan="stall-burst",
-    )
-    return scenarios
+def _guarded(n_harts: int, **axes: object) -> Dict[str, object]:
+    """A cross-hart cell at ``n_harts``: ``rop`` on hart 0, chatty
+    deep-recursion peers, the defense layer mounted."""
+    return dict(victim="rop", **_HOST, n_harts=n_harts,
+                hart_victims=("deep-recursion",) * (n_harts - 1),
+                defense=True, **axes)
 
 
-def multihart_matrix() -> List[Scenario]:
-    """The many-hart campaign: one RoT monitor protecting N application
-    harts through the shared arbitrated mailbox.
+#: The policy-host campaign: the complete victim × enforcing-policy
+#: product with every policy mounted as a mailbox agent (shadow-stack on
+#: the host too, for differential coverage against the firmware cells of
+#: the other matrices), plus the Table II blocking configuration for the
+#: return-edge policies.
+_POLICYHOST: Tuple[dict, ...] = (
+    dict(victim=sorted(VICTIMS), policy=ENFORCING_POLICIES, **_HOST),
+    dict(victim=["benign", "rop"],
+         policy=[POLICY_SHADOW_STACK, POLICY_CRYPTO_RETURN], **_HOST,
+         **_TABLE2_BLOCKING),
+)
 
-    Four blocks: the detection product at N ∈ {2, 4} (attacks with
-    benign peers, per policy), concurrent victims (two attack classes
-    in flight at once, under the composite monitor), staggered attacks
-    (the same attack fired from different harts at offset start times),
-    and monitor starvation (one attack hart racing N−1 chatty
-    deep-recursion peers that keep the doorbell arbiter saturated)."""
-    scenarios: List[Scenario] = []
-    for n in (2, 4):
-        scenarios += expand_grid(
-            victim=["benign", "rop", "jop", "ret-to-callsite"],
-            policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
-            backend=BACKEND_COSIM,
-            n_harts=n,
-        )
-    # Concurrent victims: a second attack class on the peer hart.
-    scenarios += expand_grid(
-        victim="rop",
-        policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
-        backend=BACKEND_COSIM,
-        n_harts=2,
-        hart_victims=[("jop",), ("ret-to-callsite",)],
-    )
-    # Staggered attacks: same cell, different launch hart and offset.
-    scenarios += expand_grid(
-        victim="rop",
-        backend=BACKEND_COSIM,
-        n_harts=4,
-        attack_hart=[0, 2],
-        stagger=[0, 750],
-    )
-    # Monitor starvation: N−1 call-heavy peers contend for the mailbox.
-    for n in (4, 8):
-        scenarios += expand_grid(
-            victim="rop",
-            policy=[POLICY_SHADOW_STACK, POLICY_CRYPTO_RETURN],
-            backend=BACKEND_COSIM,
-            n_harts=n,
-            hart_victims=("deep-recursion",) * (n - 1),
-        )
-    # The blocks overlap at their identity cells (e.g. the staggered
-    # sweep's attack_hart=0/stagger=0 combination is the detection
-    # product's rop cell); names pair artifacts and derive seeds, so
-    # duplicates must collapse here.
-    seen: set = set()
-    unique: List[Scenario] = []
-    for cell in scenarios:
-        if cell.name not in seen:
-            seen.add(cell.name)
-            unique.append(cell)
-    return unique
-
-
-def multihart_smoke_matrix() -> List[Scenario]:
-    """CI tier of the many-hart campaign: N ∈ {2, 4}, attacks with
-    benign and chatty peers plus one staggered cell — small enough for
-    the serial runner."""
-    scenarios = expand_grid(
-        victim=["benign", "rop"],
-        backend=BACKEND_COSIM,
-        n_harts=[2, 4],
-    )
-    scenarios += expand_grid(
-        victim="rop",
-        policy=POLICY_COMPOSITE,
-        backend=BACKEND_COSIM,
-        n_harts=2,
-        hart_victims=("jop",),
-    )
-    scenarios += expand_grid(
-        victim="rop",
-        backend=BACKEND_COSIM,
-        n_harts=4,
-        hart_victims=("deep-recursion",) * 3,
-        stagger=750,
-    )
-    return scenarios
-
-
-def xhart_matrix() -> List[Scenario]:
-    """The cross-hart adversarial campaign: a compromised hart attacks
-    its peers through the shared CFI transport while the monitor's
-    defense layer (quarantine, fail-safe, hold watchdog) is mounted.
-
-    Each cell pairs a real attack victim on hart 0 (its detection is
-    the benign-unaffected contract's probe) with chatty deep-recursion
-    peers; the adversarial plan is scoped to :attr:`Scenario.fault_hart`.
-    Guarded no-adversary cells anchor the per-hart baseline, and a
-    fault-hart sweep at N=4 moves the compromised hart around the
-    arbiter's rotation."""
-    scenarios: List[Scenario] = []
-    for n in (2, 4):
-        common = dict(
-            victim="rop",
-            policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
-            backend=BACKEND_COSIM,
-            policy_backend=POLICY_BACKEND_HOST,
-            n_harts=n,
-            hart_victims=("deep-recursion",) * (n - 1),
-            defense=True,
-        )
-        # Guarded no-adversary baselines (the defense layer itself must
-        # not perturb a clean run's verdicts).
-        scenarios += expand_grid(**common)
-        scenarios += expand_grid(
-            **common,
-            fault_plan=list(ADVERSARIAL_FAULT_PLANS),
-            fault_hart=1,
-        )
-    # The compromised hart's position must not matter: sweep it across
-    # the N=4 arbiter rotation.
-    scenarios += expand_grid(
-        victim="rop",
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        n_harts=4,
-        hart_victims=("deep-recursion",) * 3,
-        fault_plan=list(ADVERSARIAL_FAULT_PLANS),
-        fault_hart=[2, 3],
-        defense=True,
-    )
-    return scenarios
-
-
-def xhart_smoke_matrix() -> List[Scenario]:
-    """CI tier of the cross-hart campaign: N=2, every adversarial plan
-    plus the guarded baseline — small enough for the serial runner."""
-    scenarios = expand_grid(
-        victim="rop",
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        n_harts=2,
-        hart_victims=("deep-recursion",),
-        defense=True,
-    )
-    scenarios += expand_grid(
-        victim="rop",
-        backend=BACKEND_COSIM,
-        policy_backend=POLICY_BACKEND_HOST,
-        n_harts=2,
-        hart_victims=("deep-recursion",),
-        fault_plan=list(ADVERSARIAL_FAULT_PLANS),
-        fault_hart=1,
-        defense=True,
-    )
-    return scenarios
-
-
-MATRICES: Dict[str, Callable[[], List[Scenario]]] = {
-    "default": default_matrix,
-    "smoke": smoke_matrix,
-    "full": full_matrix,
-    "policyhost": policyhost_matrix,
-    "synth": synth_matrix,
-    "synth-smoke": synth_smoke_matrix,
-    "coverage": coverage_matrix,
-    "coverage-smoke": coverage_smoke_matrix,
-    "faults": faults_matrix,
-    "faults-smoke": faults_smoke_matrix,
-    "multihart": multihart_matrix,
-    "multihart-smoke": multihart_smoke_matrix,
-    "xhart": xhart_matrix,
-    "xhart-smoke": xhart_smoke_matrix,
+#: Every named matrix, as the grid blocks :func:`expand_grid` expands in
+#: order.  To add a matrix, add an entry here: each block maps
+#: :class:`Scenario` fields to one value or a list (or tuple) of values,
+#: the last axis varying fastest; a ``hart_victims`` value is a tuple of
+#: names, so sweep it with a list of tuples.  Combinations ``Scenario``
+#: rejects as an axis conflict drop, and a name repeated across blocks
+#: keeps its first cell, so blocks may overlap.  Then regenerate
+#: ``tests/campaign/cell_digests.json``, which pins every matrix's cells
+#: in order: ``PYTHONPATH=src python tests/campaign/test_row_digests.py``.
+MATRICES: Dict[str, Tuple[dict, ...]] = {
+    # The standard campaign: every victim × the reference policies,
+    # plus a cosim sweep over firmware variants and queue depths.
+    "default": (
+        dict(victim=sorted(VICTIMS), policy=_CROSS_SECTION,
+             backend=BACKEND_REFERENCE),
+        dict(victim=["benign", "rop", "ret-to-callsite", "jop"],
+             backend=BACKEND_COSIM, firmware=["irq", "polling"]),
+        dict(victim=["benign", "rop"], backend=BACKEND_COSIM,
+             **_TABLE2_BLOCKING),
+    ),
+    # CI: both backends, attacks and benign victims, in a few seconds;
+    # the last block runs two policies the firmware does not implement
+    # cycle-accurately as mailbox agents.
+    "smoke": (
+        dict(victim=["benign", "rop", "ret-to-callsite", "jop", "call-hijack"],
+             policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE,
+                     POLICY_COMPOSITE],
+             backend=BACKEND_REFERENCE),
+        dict(victim=["benign", "rop"], backend=BACKEND_COSIM),
+        dict(victim=["benign", "rop"],
+             policy=[POLICY_COMPOSITE, POLICY_CRYPTO_RETURN], **_HOST),
+    ),
+    # The scale-out campaign: the reference victim × policy product,
+    # seed-swept program shapes for every seeded victim (attack
+    # placement and recursion depth vary per seed, deterministically),
+    # cosim firmware variants × queue depths over a mixed benign/attack
+    # set, Table II blocking, the optimized fabric, seed-swept cosim
+    # runs, and the policy-host product.
+    "full": (
+        dict(victim=sorted(VICTIMS), policy=REFERENCE_POLICIES,
+             backend=BACKEND_REFERENCE),
+        dict(victim=_SEEDED,
+             policy=[POLICY_SHADOW_STACK, POLICY_COARSE, POLICY_COMPOSITE],
+             backend=BACKEND_REFERENCE, seed=[101, 202, 303]),
+        dict(victim=["benign", "deep-recursion", "rop", "ret-to-callsite",
+                     "jop"],
+             backend=BACKEND_COSIM, firmware=["irq", "polling"],
+             queue_depth=[1, 4, 8]),
+        dict(victim=["benign", "rop"], backend=BACKEND_COSIM,
+             **_TABLE2_BLOCKING),
+        dict(victim=["benign", "rop"], backend=BACKEND_COSIM,
+             fabric="optimized"),
+        dict(victim=_SEEDED, backend=BACKEND_COSIM, queue_depth=[2, 8],
+             seed=[11, 22]),
+        *_POLICYHOST,
+    ),
+    "policyhost": _POLICYHOST,
+    # Scenario synthesis: every synthesized family × every policy × a
+    # seed sweep, the static oracle supplying each expected verdict; a
+    # cosim slice re-checks the same programs on the policy host and on
+    # the RV32 firmware, which must agree with the oracle too.
+    "synth": (
+        dict(victim=SYNTH_VICTIMS, policy=REFERENCE_POLICIES,
+             backend=BACKEND_REFERENCE, seed=SYNTH_SEEDS),
+        dict(victim=SYNTH_VICTIMS,
+             policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE], **_HOST,
+             seed=[1, 2]),
+        dict(victim=SYNTH_VICTIMS, backend=BACKEND_COSIM, seed=3),
+    ),
+    # CI tier of synth: a policy cross section on the reference backend
+    # and one cosim cell per mailbox agent, small enough to run serially.
+    "synth-smoke": (
+        dict(victim=SYNTH_VICTIMS, policy=_CROSS_SECTION,
+             backend=BACKEND_REFERENCE, seed=[1, 2]),
+        dict(victim=["synth-rop", "synth-benign"], backend=BACKEND_COSIM,
+             seed=1),
+        dict(victim=["synth-jop", "synth-ret-to-callsite"],
+             policy=POLICY_COMPOSITE, **_HOST, seed=1),
+    ),
+    # Feature-grown victims (bounded recursion and indirect tail calls
+    # on every synthesis family) × every policy × a seed sweep, pinning
+    # the generator features that `python -m repro.coverage run` explores
+    # beyond.  Recursion stresses the shadow-stack depth machinery, so a
+    # slice is re-checked cycle-accurately on both mailbox agents.
+    "coverage": (
+        dict(victim=COVERAGE_VICTIMS, policy=REFERENCE_POLICIES,
+             backend=BACKEND_REFERENCE, seed=SYNTH_SEEDS),
+        dict(victim=["cov-rop", "cov-benign"], backend=BACKEND_COSIM,
+             seed=1),
+        dict(victim=["cov-jop", "cov-ret-to-callsite"],
+             policy=POLICY_COMPOSITE, **_HOST, seed=1),
+    ),
+    # CI tier of coverage: two seeds per feature-grown victim against
+    # the policy cross section, reference backend only.
+    "coverage-smoke": (
+        dict(victim=COVERAGE_VICTIMS, policy=_CROSS_SECTION,
+             backend=BACKEND_REFERENCE, seed=[1, 2]),
+    ),
+    # Fault injection, each cell graded against its fault-free baseline
+    # by the fault oracle and the per-policy degradation contract:
+    # transport faults on the RV32 firmware (they are agent-agnostic),
+    # the full non-adversarial registry on the policy host, and a
+    # stalled monitor at depth 1/2 that makes the writer outpace it.
+    "faults": (
+        dict(victim=["benign", "rop", "ret-to-callsite", "jop"],
+             backend=BACKEND_COSIM, fault_plan=TRANSPORT_FAULT_PLANS),
+        dict(victim=["benign", "rop", "jop", "call-hijack"],
+             policy=ENFORCING_POLICIES, **_HOST,
+             fault_plan=TRANSPORT_FAULT_PLANS + MONITOR_FAULT_PLANS),
+        dict(victim=["deep-recursion", "rop"],
+             policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE], **_HOST,
+             queue_depth=[1, 2], fault_plan="stall-burst"),
+    ),
+    # CI tier of faults: one cell per fault family on each agent, plus
+    # one queue-stress cell.
+    "faults-smoke": (
+        dict(victim=["benign", "rop"], backend=BACKEND_COSIM,
+             fault_plan=["drop-first", "dup-first", "corrupt-target"]),
+        dict(victim=["benign", "rop"],
+             policy=[POLICY_SHADOW_STACK, POLICY_FORWARD_EDGE], **_HOST,
+             fault_plan=["stall-late", "reset-early"]),
+        dict(victim="deep-recursion", **_HOST, queue_depth=2,
+             fault_plan="stall-burst"),
+    ),
+    # One RoT monitor protecting N harts through the shared mailbox: the
+    # detection product at N = 2, 4 with benign peers; a second attack
+    # class in flight on the peer; the same attack launched from another
+    # hart at an offset start (its identity cell repeats the product's);
+    # and monitor starvation, where N−1 call-heavy peers keep the
+    # doorbell arbiter saturated.
+    "multihart": (
+        dict(n_harts=[2, 4],
+             victim=["benign", "rop", "jop", "ret-to-callsite"],
+             policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
+             backend=BACKEND_COSIM),
+        dict(victim="rop", policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
+             backend=BACKEND_COSIM, n_harts=2,
+             hart_victims=[("jop",), ("ret-to-callsite",)]),
+        dict(victim="rop", backend=BACKEND_COSIM, n_harts=4,
+             attack_hart=[0, 2], stagger=[0, 750]),
+        # Pairs whose peer count does not match n_harts conflict.
+        dict(n_harts=[4, 8],
+             hart_victims=[("deep-recursion",) * 3, ("deep-recursion",) * 7],
+             victim="rop", policy=[POLICY_SHADOW_STACK, POLICY_CRYPTO_RETURN],
+             backend=BACKEND_COSIM),
+    ),
+    # CI tier of multihart: attacks with benign and chatty peers at
+    # N = 2, 4, plus one staggered cell.
+    "multihart-smoke": (
+        dict(victim=["benign", "rop"], backend=BACKEND_COSIM, n_harts=[2, 4]),
+        dict(victim="rop", policy=POLICY_COMPOSITE, backend=BACKEND_COSIM,
+             n_harts=2, hart_victims=("jop",)),
+        dict(victim="rop", backend=BACKEND_COSIM, n_harts=4,
+             hart_victims=("deep-recursion",) * 3, stagger=750),
+    ),
+    # A compromised hart attacks its peers through the shared CFI
+    # transport under the monitor's defense layer.  Hart 0's real attack
+    # is the benign-unaffected contract's probe; guarded no-adversary
+    # cells anchor the per-hart baseline (the defense itself must not
+    # perturb a clean run), and an N = 4 fault-hart sweep moves the
+    # compromised hart around the arbiter's rotation.
+    "xhart": (
+        _guarded(2, policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE]),
+        _guarded(2, policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
+                 fault_plan=ADVERSARIAL_FAULT_PLANS, fault_hart=1),
+        _guarded(4, policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE]),
+        _guarded(4, policy=[POLICY_SHADOW_STACK, POLICY_COMPOSITE],
+                 fault_plan=ADVERSARIAL_FAULT_PLANS, fault_hart=1),
+        _guarded(4, fault_plan=ADVERSARIAL_FAULT_PLANS, fault_hart=[2, 3]),
+    ),
+    # CI tier of xhart: N = 2, every adversarial plan plus the guarded
+    # baseline.
+    "xhart-smoke": (
+        _guarded(2),
+        _guarded(2, fault_plan=ADVERSARIAL_FAULT_PLANS, fault_hart=1),
+    ),
 }
 
 
 def resolve_matrix(name: str) -> List[Scenario]:
-    """Look up a named matrix; raises :class:`ConfigError` when unknown."""
+    """Expand a named matrix; raises :class:`ConfigError` when unknown."""
     try:
-        factory = MATRICES[name]
+        blocks = MATRICES[name]
     except KeyError:
         raise ConfigError(
             f"unknown matrix {name!r} (have: {', '.join(sorted(MATRICES))})"
         ) from None
-    return factory()
+    return expand_grid(*blocks)

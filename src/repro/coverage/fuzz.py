@@ -175,10 +175,13 @@ def _result_rows(index: int, digest: str, family: str, model: dict,
                  derived_seed: int) -> Tuple[List[dict], bool]:
     """Campaign-shaped verdict rows for an accepted candidate.
 
-    Returns ``(rows, oracle_agreed)``; the rows carry the same identity
-    and verdict columns the campaign runner emits, so
+    Returns ``(rows, oracle_agreed)``; the identity columns come from
+    the campaign runner (those of the ``cov-<family>`` reference cell)
+    and the verdict columns match its rows, so
     :mod:`repro.campaign.aggregate` folds them untouched.
     """
+    from repro.campaign.runner import _identity_columns
+    from repro.campaign.spec import Scenario
     from repro.synth.oracle import resolve_events
 
     resolve_events(model, program)  # emit/plan agreement, or SynthError
@@ -196,34 +199,12 @@ def _result_rows(index: int, digest: str, family: str, model: dict,
         detected = bool(outcome["detected"])
         want = bool(expected[policy])
         agreed = agreed and detected == want
+        scenario = Scenario(victim=f"cov-{family}", policy=policy,
+                            max_cycles=config.max_steps, seed=derived_seed)
         rows.append({
             "status": "ok",
+            **_identity_columns(scenario, derived_seed),
             "name": f"cov-{index:05d}-{digest}-{policy}",
-            "backend": "reference",
-            "victim": f"cov-{family}",
-            "attack": family if family != "benign" else None,
-            "policy": policy,
-            "policy_backend": None,
-            "firmware": None,
-            "queue_depth": None,
-            "blocking": None,
-            "fabric": None,
-            "lossy": None,
-            "fault_plan": None,
-            "fault_hart": None,
-            "defense": None,
-            "degradation": None,
-            "contract_ok": None,
-            "baseline_detected": None,
-            "baseline_detection_latency": None,
-            "max_cycles": config.max_steps,
-            "seed": derived_seed,
-            "seeded": True,
-            "n_harts": 1,
-            "attack_hart": None,
-            "hart_victims": None,
-            "stagger": None,
-            "per_hart": None,
             "expected_detected": want,
             "expected_source": "oracle",
             "expectation_met": detected == want,

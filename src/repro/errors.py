@@ -130,6 +130,16 @@ class ConfigError(ReproError):
     """An invalid configuration was supplied to a component."""
 
 
+class AxisConflict(ConfigError):
+    """Two configuration fields, each valid on its own, cannot be
+    combined (e.g. a fault plan on the reference backend, or
+    ``hart_victims`` on a single-hart cell).
+
+    A grid sweep drops such combinations, while a bad single value
+    still raises (see :func:`repro.campaign.spec.expand_grid`).
+    """
+
+
 class CampaignError(ReproError):
     """Base class for campaign-runner execution failures."""
 
@@ -201,9 +211,10 @@ class MemoryOverlapError(TopologyError):
         self.detail = detail
 
 
-class UnknownHartError(TopologyError):
+class UnknownHartError(TopologyError, AxisConflict):
     """A scenario or component referenced a hart id the topology does
-    not instantiate.
+    not instantiate (an axis conflict: a hart id is out of range only
+    relative to the hart count).
 
     Attributes:
         hart_id: the out-of-range hart id.

@@ -119,10 +119,9 @@ class MonitorDefense:
     only ever *removes* a misbehaving requester from the shared fabric.
     """
 
-    def __init__(self, arbiter, n_harts: int, policy, stages=None):
+    def __init__(self, arbiter, n_harts: int, stages=None):
         self.arbiter = arbiter
         self.n_harts = n_harts
-        self.policy = policy
         #: Per-hart CFI stages (for the quarantine-lossy flip); absent
         #: in unit tests that exercise the defense bookkeeping alone.
         self.stages = stages
@@ -268,7 +267,7 @@ class PolicyHost:
         #: Cross-hart defense layer; ``None`` (the default) keeps the
         #: service path identical to the defenseless host.
         self.defense: Optional[MonitorDefense] = (
-            MonitorDefense(arbiter, n_harts, policy, stages=stages)
+            MonitorDefense(arbiter, n_harts, stages=stages)
             if defense else None
         )
         #: Arbiter-hold watchdog: armed after every completion, fires

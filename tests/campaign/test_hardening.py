@@ -7,6 +7,7 @@ exercise exactly the code paths a production campaign hits when a
 worker segfaults, hangs or flakes.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import multiprocessing.process
@@ -315,7 +316,9 @@ class TestResumeEndToEnd:
         fsyncs = {}
         for size in (1, len(matrix)):
             name = f"hardening-{size}"
-            monkeypatch.setitem(MATRICES, name, lambda s=size: matrix[:s])
+            monkeypatch.setitem(
+                MATRICES, name,
+                tuple(dataclasses.asdict(c) for c in matrix[:size]))
             out = tmp_path / name
             assert main(["run", "--matrix", name, "--jobs", "1",
                          "--out", str(out)]) == 0

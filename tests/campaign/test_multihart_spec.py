@@ -15,8 +15,6 @@ from repro.campaign.runner import run_scenario
 from repro.campaign.spec import (
     Scenario,
     expand_grid,
-    multihart_matrix,
-    multihart_smoke_matrix,
     resolve_matrix,
 )
 from repro.errors import ConfigError, HartCountError, UnknownHartError
@@ -139,7 +137,7 @@ class TestNaming:
         assert cell.name == "cosim/rop/shadow-stack/irq/q8"
 
     def test_names_are_unique_across_matrix(self):
-        names = [s.name for s in multihart_matrix()]
+        names = [s.name for s in resolve_matrix("multihart")]
         assert len(names) == len(set(names))
 
 
@@ -219,14 +217,14 @@ class TestNamedMatrices:
         assert all(c.resolved_policy_backend == "host" for c in cells)
 
     def test_full_matrix_covers_the_axes(self):
-        cells = multihart_matrix()
+        cells = resolve_matrix("multihart")
         assert {c.n_harts for c in cells} == {2, 4, 8}
         assert any(c.stagger for c in cells)
         assert any(c.attack_hart for c in cells)
         assert any(c.hart_victims for c in cells)
 
     def test_smoke_matrix_is_small(self):
-        smoke = multihart_smoke_matrix()
+        smoke = resolve_matrix("multihart-smoke")
         assert 0 < len(smoke) <= 8
         assert {c.n_harts for c in smoke} == {2, 4}
 

@@ -1,4 +1,4 @@
-"""Committed row digests: every smoke-matrix row, pinned byte for byte.
+"""Committed digests: every matrix's cells and every smoke-matrix row.
 
 The other campaign suites compare runs against each other (busy ≡
 batched, serial ≡ sharded, resume ≡ uninterrupted), so a change that
@@ -9,8 +9,12 @@ each row of the six ``*-smoke`` matrices against a digest committed in
 without ``sort_keys`` pins key order too, the way ``campaign.json``
 writes it.
 
-A change that alters rows on purpose regenerates the file and says so
-in CHANGES.md::
+``cell_digests.json`` pins the cells of every registered matrix, in
+order, without running them: ``sha256`` of the ``[name, canonical()]``
+pair list that ``resolve_matrix`` yields.
+
+A change that alters cells or rows on purpose regenerates both files
+and says so in CHANGES.md::
 
     PYTHONPATH=src python tests/campaign/test_row_digests.py
 """
@@ -23,9 +27,10 @@ from typing import Dict
 import pytest
 
 from repro.campaign.runner import run_scenario
-from repro.campaign.spec import resolve_matrix
+from repro.campaign.spec import MATRICES, resolve_matrix
 
 DIGESTS = Path(__file__).with_name("row_digests.json")
+CELL_DIGESTS = Path(__file__).with_name("cell_digests.json")
 
 SMOKE_MATRICES = ("smoke", "synth-smoke", "coverage-smoke", "faults-smoke",
                   "multihart-smoke", "xhart-smoke")
@@ -41,6 +46,17 @@ def row_digests(matrix: str) -> Dict[str, str]:
     }
 
 
+def cell_digest(matrix: str) -> str:
+    """sha256 of one registered matrix's cells, names and order."""
+    cells = [[cell.name, cell.canonical()] for cell in resolve_matrix(matrix)]
+    return hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("matrix", list(MATRICES))
+def test_cells_match_committed_digests(matrix):
+    assert cell_digest(matrix) == json.loads(CELL_DIGESTS.read_text())[matrix]
+
+
 @pytest.mark.parametrize("matrix", SMOKE_MATRICES)
 def test_rows_match_committed_digests(matrix):
     committed = json.loads(DIGESTS.read_text())[matrix]
@@ -51,6 +67,9 @@ def test_rows_match_committed_digests(matrix):
 
 
 if __name__ == "__main__":
+    CELL_DIGESTS.write_text(json.dumps(
+        {matrix: cell_digest(matrix) for matrix in MATRICES}, indent=1
+    ) + "\n")
     DIGESTS.write_text(json.dumps(
         {matrix: row_digests(matrix) for matrix in SMOKE_MATRICES}, indent=1
     ) + "\n")

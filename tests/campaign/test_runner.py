@@ -19,7 +19,7 @@ from repro.campaign.spec import (
     VICTIMS,
     Scenario,
     expand_grid,
-    smoke_matrix,
+    resolve_matrix,
 )
 from repro.system.addresses import AddressMap
 
@@ -199,14 +199,14 @@ class TestShardedCampaign:
 
 class TestSmokeMatrixEndToEnd:
     def test_smoke_matrix_all_expectations_met(self):
-        payload = finalize(run_campaign(smoke_matrix(), jobs=2))
+        payload = finalize(run_campaign(resolve_matrix("smoke"), jobs=2))
         counts = payload["summary"]["counts"]
         assert counts["expectations_missed"] == 0
         assert counts["false_positives"] == 0
         assert counts["true_positives"] >= 3
 
     def test_summarize_is_pure(self):
-        payload = run_campaign(smoke_matrix()[:4], jobs=1)
+        payload = run_campaign(resolve_matrix("smoke")[:4], jobs=1)
         assert summarize(payload["scenarios"]) == summarize(payload["scenarios"])
 
 

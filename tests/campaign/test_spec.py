@@ -10,12 +10,10 @@ from repro.campaign.spec import (
     REFERENCE_POLICIES,
     VICTIMS,
     Scenario,
-    default_matrix,
     derive_seed,
     expand_grid,
     expected_detection,
     resolve_matrix,
-    smoke_matrix,
     spec_key,
 )
 from repro.errors import ConfigError
@@ -183,6 +181,17 @@ class TestGridExpansion:
         with pytest.raises(ConfigError):
             expand_grid(victim="rop", policy=["shadow-stack", "shdw"])
 
+    @pytest.mark.parametrize("axes", [
+        dict(victim="rop", backend="reference", fault_plan="no-such-plan"),
+        dict(victim="rop", backend="cosim", policy="none", firmware="bogus"),
+        dict(victim="rop", backend="cosim", hart_victims=("nope",)),
+    ], ids=["fault-plan", "firmware", "hart-victims"])
+    def test_typoed_value_raises_even_in_a_conflicting_cell(self, axes):
+        """A bad value raises before any cross-field conflict could
+        drop the cell, so a grid never swallows a typo."""
+        with pytest.raises(ConfigError):
+            expand_grid(**axes)
+
     def test_max_cycles_distinguishes_names(self):
         a = Scenario(victim="rop", backend=BACKEND_COSIM)
         b = Scenario(victim="rop", backend=BACKEND_COSIM, max_cycles=100_000)
@@ -210,7 +219,7 @@ class TestSeeds:
 
 class TestMatrices:
     def test_default_matrix_size_and_diversity(self):
-        scenarios = default_matrix()
+        scenarios = resolve_matrix("default")
         assert len(scenarios) >= 24
         assert {s.backend for s in scenarios} == {"reference", "cosim"}
         assert sum(s.expected_detected for s in scenarios) >= 5
@@ -218,15 +227,15 @@ class TestMatrices:
         assert len(set(names)) == len(names)
 
     def test_smoke_matrix_small_but_covering(self):
-        scenarios = smoke_matrix()
-        assert 5 <= len(scenarios) <= len(default_matrix())
+        scenarios = resolve_matrix("smoke")
+        assert 5 <= len(scenarios) <= len(resolve_matrix("default"))
         assert any(s.backend == "cosim" for s in scenarios)
         assert any(s.attack for s in scenarios)
         assert any(s.attack is None for s in scenarios)
 
     def test_full_matrix_sweeps_the_scaleout_axes(self):
         scenarios = resolve_matrix("full")
-        assert len(scenarios) > len(default_matrix())
+        assert len(scenarios) > len(resolve_matrix("default"))
         names = [s.name for s in scenarios]
         assert len(set(names)) == len(names)
         cosim = [s for s in scenarios if s.backend == "cosim"]

@@ -11,7 +11,6 @@ from repro.campaign.spec import (
     VICTIMS,
     Scenario,
     resolve_matrix,
-    synth_smoke_matrix,
 )
 from repro.synth import bundle_for_seed
 from repro.system.addresses import AddressMap
@@ -39,7 +38,7 @@ class TestMatrixShape:
         assert cosim_agents == {"firmware", "host"}
 
     def test_synth_smoke_is_a_small_subset(self):
-        smoke = synth_smoke_matrix()
+        smoke = resolve_matrix("synth-smoke")
         assert 20 <= len(smoke) < len(resolve_matrix("synth"))
         assert any(s.backend == "cosim" for s in smoke)
 
@@ -75,14 +74,14 @@ class TestAcceptance:
 
     @pytest.fixture(scope="class")
     def smoke_payload(self):
-        return run_campaign(synth_smoke_matrix(), jobs=1, campaign_seed=0)
+        return run_campaign(resolve_matrix("synth-smoke"), jobs=1, campaign_seed=0)
 
     def test_every_oracle_verdict_matches_simulation(self, smoke_payload):
         for result in smoke_payload["scenarios"]:
             assert result["expectation_met"], result["name"]
 
     def test_serial_equals_sharded(self):
-        matrix = synth_smoke_matrix()
+        matrix = resolve_matrix("synth-smoke")
         serial = run_campaign(matrix, jobs=1, campaign_seed=9)
         sharded = run_campaign(matrix, jobs=2, campaign_seed=9)
         for payload in (serial, sharded):

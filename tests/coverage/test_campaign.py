@@ -13,7 +13,6 @@ from repro.campaign.spec import (
     MATRICES,
     SYNTH_VICTIMS,
     VICTIMS,
-    coverage_smoke_matrix,
     resolve_matrix,
 )
 from repro.errors import ConfigError
@@ -71,7 +70,7 @@ class TestCli:
 class TestRunnerCoverage:
     @pytest.fixture(scope="class")
     def payload(self):
-        scenarios = [s for s in coverage_smoke_matrix()
+        scenarios = [s for s in resolve_matrix("coverage-smoke")
                      if s.policy == "shadow-stack"][:4]
         assert scenarios
         return finalize(run_campaign(scenarios, jobs=1))

@@ -192,7 +192,7 @@ class TestQuarantineDefense:
         """Anti reset-to-escape: a monitor reboot clears strike
         accounting but never the quarantine latch."""
         arbiter = DoorbellArbiter(2)
-        defense = MonitorDefense(arbiter, 2, ShadowStackPolicy())
+        defense = MonitorDefense(arbiter, 2)
         for _ in range(3):
             defense.strike(1)
         assert arbiter.quarantined(1)

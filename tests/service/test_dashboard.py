@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.campaign.spec import MATRICES, expand_grid
+from repro.campaign.spec import MATRICES
 from repro.service.dashboard import render_dashboard, write_dashboard
 from repro.service.queue import SweepService
 
@@ -13,9 +13,8 @@ from repro.service.queue import SweepService
 def tiny_matrix(monkeypatch):
     monkeypatch.setitem(
         MATRICES, "dash-tiny",
-        lambda: expand_grid(victim=["rop", "benign"],
-                            policy="shadow-stack",
-                            backend=["reference", "cosim"]),
+        (dict(victim=["rop", "benign"], policy="shadow-stack",
+              backend=["reference", "cosim"]),),
     )
     return "dash-tiny"
 
@@ -75,15 +74,11 @@ class TestRender:
 
     def test_quarantine_and_degradation_columns(self, tmp_path,
                                                 monkeypatch):
-        from repro.campaign.spec import Scenario
-
         monkeypatch.setitem(
             MATRICES, "dash-xhart",
-            lambda: [Scenario(
-                victim="rop", backend="cosim", n_harts=2,
-                defense=True, fault_plan="xhart-spoof", fault_hart=1,
-                hart_victims=("benign",),
-            )],
+            (dict(victim="rop", backend="cosim", n_harts=2,
+                  defense=True, fault_plan="xhart-spoof", fault_hart=1,
+                  hart_victims=("benign",)),),
         )
         service = SweepService(tmp_path / "svc", code_version="v1")
         service.submit("dash-xhart")

@@ -12,7 +12,7 @@ import multiprocessing.process
 
 import pytest
 
-from repro.campaign.spec import MATRICES, expand_grid
+from repro.campaign.spec import MATRICES, resolve_matrix
 from repro.errors import ConfigError, JobStateError
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.service import queue
@@ -24,8 +24,7 @@ def tiny_matrix(monkeypatch):
     """A two-cell reference matrix registered as 'svc-tiny'."""
     monkeypatch.setitem(
         MATRICES, "svc-tiny",
-        lambda: expand_grid(victim=["rop", "benign"],
-                            policy="shadow-stack"),
+        (dict(victim=["rop", "benign"], policy="shadow-stack"),),
     )
     return "svc-tiny"
 
@@ -35,8 +34,8 @@ def six_cell_matrix(monkeypatch):
     """A six-cell reference matrix registered as 'svc-six'."""
     monkeypatch.setitem(
         MATRICES, "svc-six",
-        lambda: expand_grid(victim=["rop", "benign", "jop"],
-                            policy=["shadow-stack", "composite"]),
+        (dict(victim=["rop", "benign", "jop"],
+              policy=["shadow-stack", "composite"]),),
     )
     return "svc-six"
 
@@ -108,10 +107,8 @@ class TestIncremental:
 
     def test_axis_flip_reexecutes_only_affected_cells(self, tmp_path,
                                                       monkeypatch):
-        grown = {"cells": expand_grid(victim=["rop"],
-                                      policy="shadow-stack")}
         monkeypatch.setitem(MATRICES, "svc-grow",
-                            lambda: list(grown["cells"]))
+                            (dict(victim="rop", policy="shadow-stack"),))
         service = _service(tmp_path)
         service.submit("svc-grow")
         (first,) = service.serve_once()
@@ -119,13 +116,13 @@ class TestIncremental:
 
         # Flip one axis into a sweep: the old cell hits, only the two
         # genuinely new cells (policy=composite) execute.
-        grown["cells"] = expand_grid(
-            victim=["rop"], policy=["shadow-stack", "composite"],
+        monkeypatch.setitem(MATRICES, "svc-grow", (dict(
+            victim="rop", policy=["shadow-stack", "composite"],
             backend=["reference", "cosim"],
-        )
+        ),))
         service.submit("svc-grow")
         (second,) = service.serve_once()
-        assert second["cells"] == len(grown["cells"])
+        assert second["cells"] == len(resolve_matrix("svc-grow"))
         assert second["hits"] == 1
         assert second["executed"] == second["cells"] - 1
 
@@ -268,7 +265,7 @@ class TestLifecycle:
         # Simulate the dead server: journal says running, one of the
         # two cells already made it into the store.
         service.journal.transition(job.job_id, RUNNING)
-        scenarios = MATRICES[tiny_matrix]()
+        scenarios = resolve_matrix(tiny_matrix)
         from repro.campaign.runner import run_scenario
 
         done = scenarios[0]
@@ -284,7 +281,7 @@ class TestLifecycle:
                                            faults):
         """A scenario that kills its worker is quarantined by the pool;
         the job completes as 'failed' with the crash row in artifacts."""
-        scenarios = MATRICES[tiny_matrix]()
+        scenarios = resolve_matrix(tiny_matrix)
         faults.crash(scenarios[0].name)
         service = _service(tmp_path)
         job = service.submit(tiny_matrix, workers=2)

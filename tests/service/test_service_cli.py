@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign.spec import MATRICES, expand_grid
+from repro.campaign.spec import MATRICES
 from repro.errors import JobStateError
 from repro.service.cli import main
 
@@ -13,8 +13,7 @@ from repro.service.cli import main
 def tiny_matrix(monkeypatch):
     monkeypatch.setitem(
         MATRICES, "cli-tiny",
-        lambda: expand_grid(victim=["rop", "benign"],
-                            policy="shadow-stack"),
+        (dict(victim=["rop", "benign"], policy="shadow-stack"),),
     )
     return "cli-tiny"
 
