@@ -67,7 +67,7 @@ def _default_jobs() -> int:
     return max(MIN_DEFAULT_JOBS, min(MAX_DEFAULT_JOBS, os.cpu_count() or 1))
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="execute a scenario matrix")
     run_cmd.add_argument("--matrix", default="default")
     run_cmd.add_argument(
-        "--jobs", type=_positive_int, default=None,
+        "--jobs", type=positive_int, default=None,
         help="worker processes, >= 1 (1 = serial in-process fallback). "
              f"Default: CPU count clamped to "
              f"{MIN_DEFAULT_JOBS}..{MAX_DEFAULT_JOBS}; an explicit value "
@@ -191,6 +191,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         args.out = args.resume
     scenarios = resolve_matrix(args.matrix)
+    # The full matrix by name: triage may need a cell whose row
+    # --resume kept.
+    cells = {scenario.name: scenario for scenario in scenarios}
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     manifest = {
         "matrix": args.matrix,
@@ -203,9 +206,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kept = []
     if args.resume is not None:
         check_manifest(args.out / MANIFEST_NAME, manifest)
-        names = {scenario.name for scenario in scenarios}
         kept = [result for result in read_log(args.out / RESULTS_NAME)
-                if result.get("status") == "ok" and result.get("name") in names]
+                if result.get("status") == "ok" and result.get("name") in cells]
         done = {result["name"] for result in kept}
         scenarios = [s for s in scenarios if s.name not in done]
         print(f"resuming: {len(done)} scenario(s) checkpointed, "
@@ -252,12 +254,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     missed = payload["summary"]["counts"]["expectations_missed"]
     incomplete = sum(payload["summary"]["incomplete"].values())
-    _triage_synth_disagreements(payload, args.out,
+    _triage_synth_disagreements(payload, cells, args.out,
                                 write=not args.no_artifacts)
     return 1 if missed or incomplete else 0
 
 
-def _triage_synth_disagreements(payload, out: Path, write: bool) -> None:
+def _triage_synth_disagreements(payload, cells, out: Path,
+                                write: bool) -> None:
     """Oracle-vs-simulation disagreements on synthesized scenarios are
     never dropped: shrink each to a minimal reproducer on disk (with
     ``--no-artifacts`` nothing is written — the disagreeing scenarios
@@ -279,16 +282,8 @@ def _triage_synth_disagreements(payload, out: Path, write: bool) -> None:
               "reproducer JSON")
         return
     from repro.synth.triage import triage_results
-    from repro.system.addresses import AddressMap
 
-    family_of = {
-        name: spec.synth_family for name, spec in VICTIMS.items()
-        if spec.synthetic
-    }
-    paths = triage_results(
-        disagreements, out / "reproducers", family_of,
-        AddressMap().dram_base,
-    )
+    paths = triage_results(disagreements, cells, out / "reproducers")
     print("minimized reproducers written to:")
     for path in paths:
         print(f"  {path}")

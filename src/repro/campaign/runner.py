@@ -35,7 +35,6 @@ from repro.attacks.programs import GADGET_MARKER
 from repro.attacks.rop import build_platform
 from repro.campaign.spec import (
     BACKEND_COSIM,
-    BACKEND_REFERENCE,
     POLICY_BACKEND_HOST,
     POLICY_COARSE,
     POLICY_COMPOSITE,
@@ -202,9 +201,7 @@ def build_policy(
     resolved against ``program``'s symbol table.
 
     ``entry_points`` feeds the fine-grained forward-edge set,
-    ``function_entries`` the coarse function-entry set.  Shared by the
-    campaign runner and :mod:`repro.synth.verify` (which replays
-    minimized reproducers outside any scenario).
+    ``function_entries`` the coarse function-entry set.
     """
     if policy == POLICY_NONE:
         return None
@@ -266,14 +263,6 @@ def _scenario_shape(victim: str, seed: int, bundle):
     return cached
 
 
-def _build_policy(policy: str, victim: str, program: Program, bundle=None):
-    """``policy`` for one hart's program: label sets come from the
-    victim registry, or from the synth bundle for generated victims."""
-    labels = bundle if bundle is not None else VICTIMS[victim]
-    return build_policy(policy, program, labels.entry_points,
-                        labels.function_entries)
-
-
 def capture_commit_logs(program: Program, addresses: AddressMap,
                         max_steps: int = 400_000):
     """Run ``program`` on a bare CVA6 ISS and capture the CFI stream.
@@ -323,41 +312,46 @@ def capture_commit_logs(program: Program, addresses: AddressMap,
     return logs, hart
 
 
-def _run_reference(scenario: Scenario, seed: int,
-                   bundle=None) -> Dict[str, object]:
-    """Trace-check backend: bare-hart execution + Python policy."""
-    addresses = AddressMap()
-    program = SHARD_CACHE.program(scenario.victim, seed)
-    # max_cycles doubles as the step bound here (steps <= cycles), so
-    # the knob — and the scenario-name suffix it carries — means the
-    # same thing on both backends.
-    logs, hart = capture_commit_logs(program, addresses,
-                                     max_steps=scenario.max_cycles)
+def reference_outcomes(program: Program, entry_points: Sequence[str],
+                       function_entries: Sequence[str],
+                       policies: Sequence[str],
+                       max_steps: int) -> Dict[str, Dict[str, object]]:
+    """Trace-check backend: bare-hart execution + Python policies.
 
-    policy = _build_policy(scenario.policy, scenario.victim, program, bundle)
-    detected = False
-    violation_kind: Optional[str] = None
-    events_checked = 0
-    if policy is not None:
-        for log in logs:
-            events_checked += 1
-            if policy.check(log) is CheckResult.VIOLATION:
-                detected = True
-                violation_kind = log.kind.value
-                break
-
-    return {
-        "cycles": hart.cycle,
-        "host_instructions": hart.instret,
-        "cf_events": len(logs),
-        "events_checked": events_checked,
-        "detected": detected,
-        "violation_kind": violation_kind,
-        "detection_latency": None,
-        "stall_cycles": 0,
-        "overhead_percent": 0.0,
-        "gadget_executed": hart.regs.read(10) == GADGET_MARKER,
-    }
+    Captures ``program``'s CFI stream once (the expensive part) and
+    checks it under every policy in ``policies``, each built fresh with
+    its label sets resolved against the program.  Returns ``{policy:
+    verdict columns}``; the columns are in row order.
+    """
+    logs, hart = capture_commit_logs(program, AddressMap(),
+                                     max_steps=max_steps)
+    gadget = hart.regs.read(10) == GADGET_MARKER
+    outcomes: Dict[str, Dict[str, object]] = {}
+    for name in policies:
+        policy = build_policy(name, program, entry_points, function_entries)
+        detected = False
+        violation_kind: Optional[str] = None
+        events_checked = 0
+        if policy is not None:
+            for log in logs:
+                events_checked += 1
+                if policy.check(log) is CheckResult.VIOLATION:
+                    detected = True
+                    violation_kind = log.kind.value
+                    break
+        outcomes[name] = {
+            "cycles": hart.cycle,
+            "host_instructions": hart.instret,
+            "cf_events": len(logs),
+            "events_checked": events_checked,
+            "detected": detected,
+            "violation_kind": violation_kind,
+            "detection_latency": None,
+            "stall_cycles": 0,
+            "overhead_percent": 0.0,
+            "gadget_executed": gadget,
+        }
+    return outcomes
 
 
 def _run_cosim(scenario: Scenario, seed: int,
@@ -392,14 +386,17 @@ def _run_cosim(scenario: Scenario, seed: int,
     harts = range(scenario.n_harts)
     victims = [scenario.victim_for_hart(h) for h in harts]
     # Per-hart seed: peers running the same seeded victim still get
-    # distinct program shapes, deterministically.
-    programs = [SHARD_CACHE.program(victims[h], seed + h,
-                                    addresses=topo.address_map(h))
-                for h in harts]
+    # distinct program shapes, deterministically.  A bundle brings the
+    # lone hart's program (see simulate).
+    programs = [bundle.program] if bundle is not None else [
+        SHARD_CACHE.program(victims[h], seed + h,
+                            addresses=topo.address_map(h))
+        for h in harts]
 
     def policy_for(h: int):
-        return _build_policy(scenario.policy, victims[h], programs[h],
-                             bundle if h == scenario.attack_hart else None)
+        labels = VICTIMS[victims[h]] if bundle is None else bundle
+        return build_policy(scenario.policy, programs[h], labels.entry_points,
+                            labels.function_entries)
 
     policy = firmware_image = None
     if scenario.resolved_policy_backend == POLICY_BACKEND_HOST:
@@ -457,8 +454,11 @@ def _run_cosim(scenario: Scenario, seed: int,
         from repro.faults.oracle import predict_adversarial, predict_verdict
 
         base = dataclasses.replace(scenario, fault_plan=None, fault_hart=None)
+        # Memo keys name programs by their bytes, so an ad-hoc model
+        # never aliases a registry build.
         base_rows = SHARD_CACHE.memo(
-            ("fault-baseline", base.name, seed, sim_mode),
+            ("fault-baseline", base.name, sim_mode,
+             tuple(program.data for program in programs)),
             lambda: _run_cosim(base, seed, sim_mode=sim_mode,
                                bundle=bundle)["per_hart"],
         )
@@ -479,7 +479,7 @@ def _run_cosim(scenario: Scenario, seed: int,
                 role = "faulted"
                 amap = topo.address_map(h)
                 logs = SHARD_CACHE.memo(
-                    ("fault-logs", victims[h], seed + h, amap.dram_base,
+                    ("fault-logs", programs[h].data, amap.dram_base,
                      scenario.max_cycles),
                     lambda: capture_commit_logs(
                         programs[h], amap, max_steps=scenario.max_cycles)[0],
@@ -545,6 +545,39 @@ def _run_cosim(scenario: Scenario, seed: int,
     return result
 
 
+def simulate(scenario: Scenario, seed: int, bundle=None,
+             sim_mode: Optional[str] = None) -> Dict[str, object]:
+    """Run one cell on its backend; returns the row's verdict columns.
+
+    The one code path that simulates and judges a program: campaign
+    cells, and (through :mod:`repro.synth.verify`) triage, corpus replay
+    and ``python -m repro.synth verify``.  ``bundle``, a
+    :class:`repro.synth.SynthBundle` (the registry's, or
+    :func:`repro.synth.model_bundle` of any model), supplies the lone
+    hart's program and label sets in place of the registry build of
+    ``scenario.victim``.  ``sim_mode`` is :func:`run_scenario`'s.
+    """
+    if bundle is not None and scenario.multihart:
+        raise ConfigError("a program bundle runs on single-hart cells only")
+    if scenario.backend == BACKEND_COSIM:
+        outcome = _run_cosim(scenario, seed, sim_mode=sim_mode, bundle=bundle)
+        if not scenario.multihart:
+            # Single-hart rows keep their shape: no per-hart breakdown.
+            del outcome["per_hart"], outcome["quarantined_harts"]
+        return outcome
+    # max_cycles doubles as the step bound here (steps <= cycles), so
+    # the knob — and the scenario-name suffix it carries — means the
+    # same thing on both backends.
+    if bundle is None:
+        program = SHARD_CACHE.program(scenario.victim, seed)
+        labels = VICTIMS[scenario.victim]
+    else:
+        program, labels = bundle.program, bundle
+    return reference_outcomes(program, labels.entry_points,
+                              labels.function_entries, (scenario.policy,),
+                              scenario.max_cycles)[scenario.policy]
+
+
 def _identity_columns(scenario: Scenario, seed: int) -> Dict[str, object]:
     """The columns naming a cell, shared by every row shape (knobs the
     backend ignores are ``None``), plus the fault-grading and per-hart
@@ -600,17 +633,7 @@ def run_scenario(scenario: Scenario, campaign_seed: int = 0,
     """
     seed = derive_seed(campaign_seed, scenario)
     bundle = _victim_bundle(scenario, seed)
-    if scenario.backend == BACKEND_REFERENCE:
-        outcome = _run_reference(scenario, seed, bundle=bundle)
-    elif scenario.backend == BACKEND_COSIM:
-        outcome = _run_cosim(scenario, seed, sim_mode=sim_mode,
-                             bundle=bundle)
-        if not scenario.multihart:
-            # Single-hart rows keep their shape: no per-hart breakdown.
-            del outcome["per_hart"], outcome["quarantined_harts"]
-    else:
-        raise ConfigError(f"unknown backend {scenario.backend!r}")
-
+    outcome = simulate(scenario, seed, bundle=bundle, sim_mode=sim_mode)
     if scenario.fault_plan is not None:
         # Under fault the fault-aware oracle owns the expectation: it
         # replays the delivered (post-fault) event stream statically.

@@ -30,7 +30,7 @@ from repro.coverage.fuzz import (
     uniform_baseline,
 )
 from repro.coverage.shape import CoverageMap
-from repro.errors import ConfigError, ServiceError
+from repro.errors import CampaignError, ConfigError, ServiceError
 from repro.synth.generator import FAMILIES
 
 
@@ -149,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {"run": _cmd_run, "show": _cmd_show, "baseline": _cmd_baseline}
     try:
         return commands[args.command](args)
-    except (ConfigError, ServiceError) as exc:
+    except (CampaignError, ConfigError, ServiceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

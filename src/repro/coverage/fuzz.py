@@ -8,10 +8,12 @@ the corpus frontier (rarest coverage shapes first), mutated through
 :func:`~repro.coverage.shape.shape_vector` contributes a coverage point
 the global :class:`~repro.coverage.shape.CoverageMap` has never seen.
 Accepted candidates are oracle-checked and executed on the reference
-backend under every oracle policy — the same
-``capture_commit_logs``/``build_policy`` path the campaign runner's
-shards use — and the verdict rows fold into a standard
-``campaign.json``/``campaign.csv`` artifact pair.
+backend under every oracle policy through the campaign runner's own
+:func:`~repro.campaign.runner.reference_outcomes` (one capture, every
+policy checked against it), and the verdict rows fold into a standard
+``campaign.json``/``campaign.csv`` artifact pair.  A mutant is a model
+like any other: :func:`repro.campaign.runner.simulate` runs it on any
+single-hart cell.
 
 Crash safety is write-ahead: each candidate's full record (model,
 vector, verdict rows) is fsync'd into ``fuzz.jsonl`` (a
@@ -27,7 +29,9 @@ Everything is a pure function of ``(seed, iteration budget)``: per-
 candidate RNGs derive from SHA-256 of ``(seed, index)`` (the campaign's
 ``derive_seed`` convention), no wall-clock enters any artifact, and
 sharded evaluation (``jobs > 1``) folds worker results in submission
-order.
+order.  A worker that dies mid-batch raises
+:class:`~repro.errors.WorkerCrash` naming the batch's candidates; the
+batch never reached the journal, so ``resume`` re-runs it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.coverage.corpus import CoverageCorpus, model_digest
 from repro.coverage.mutate import mutate
@@ -48,10 +52,10 @@ from repro.durable import (
     read_log,
     write_manifest,
 )
-from repro.errors import ConfigError, SynthError
+from repro.errors import ConfigError, SynthError, WorkerCrash
 from repro.synth.generator import FAMILIES, generate
+from repro.synth.ir import label_sets
 from repro.synth.oracle import ORACLE_POLICIES, expected_verdicts
-from repro.system.addresses import AddressMap
 
 #: Loop-state file names inside a fuzz output directory.
 JOURNAL_NAME = "fuzz.jsonl"
@@ -127,67 +131,23 @@ def candidate_seed(campaign_seed: int, index: int,
 # Candidate evaluation (runs inside shard workers)
 # --------------------------------------------------------------------------
 
-def _reference_outcomes(model: dict, program,
-                        policies: Sequence[str],
-                        max_steps: int) -> Dict[str, Dict[str, object]]:
-    """Per-policy reference-backend verdicts for an ad-hoc model.
-
-    Captures the CFI commit stream once (the expensive part) and checks
-    every policy against it — the same filter, policy objects and
-    verdict rules the campaign runner's ``_run_reference`` applies.
-    """
-    from repro.attacks.programs import GADGET_MARKER
-    from repro.campaign.runner import build_policy, capture_commit_logs
-    from repro.firmware.policies import CheckResult
-    from repro.synth.ir import label_sets
-
-    logs, hart = capture_commit_logs(program, AddressMap(),
-                                     max_steps=max_steps)
-    entry_points, function_entries = label_sets(model)
-    gadget = hart.regs.read(10) == GADGET_MARKER
-    outcomes: Dict[str, Dict[str, object]] = {}
-    for name in policies:
-        policy = build_policy(name, program, entry_points, function_entries)
-        detected = False
-        violation_kind = None
-        events_checked = 0
-        if policy is not None:
-            for log in logs:
-                events_checked += 1
-                if policy.check(log) is CheckResult.VIOLATION:
-                    detected = True
-                    violation_kind = log.kind.value
-                    break
-        outcomes[name] = {
-            "cycles": hart.cycle,
-            "host_instructions": hart.instret,
-            "cf_events": len(logs),
-            "events_checked": events_checked,
-            "detected": detected,
-            "violation_kind": violation_kind,
-            "gadget_executed": gadget,
-        }
-    return outcomes
-
-
 def _result_rows(index: int, digest: str, family: str, model: dict,
                  program, vector: ShapeVector, config: FuzzConfig,
                  derived_seed: int) -> Tuple[List[dict], bool]:
     """Campaign-shaped verdict rows for an accepted candidate.
 
-    Returns ``(rows, oracle_agreed)``; the identity columns come from
-    the campaign runner (those of the ``cov-<family>`` reference cell)
-    and the verdict columns match its rows, so
-    :mod:`repro.campaign.aggregate` folds them untouched.
+    Returns ``(rows, oracle_agreed)``; the identity columns (those of
+    the ``cov-<family>`` reference cell) and the verdict columns both
+    come from the campaign runner, so :mod:`repro.campaign.aggregate`
+    folds them untouched.
     """
-    from repro.campaign.runner import _identity_columns
+    from repro.campaign.runner import _identity_columns, reference_outcomes
     from repro.campaign.spec import Scenario
-    from repro.synth.oracle import resolve_events
 
-    resolve_events(model, program)  # emit/plan agreement, or SynthError
+    # SynthError here if the image and the model's plan disagree.
     expected = expected_verdicts(model, program)
-    outcomes = _reference_outcomes(model, program, config.policies,
-                                   config.max_steps)
+    outcomes = reference_outcomes(program, *label_sets(model),
+                                  config.policies, config.max_steps)
     coverage = {
         "digest": vector.digest,
         "points": list(vector.points),
@@ -208,9 +168,6 @@ def _result_rows(index: int, digest: str, family: str, model: dict,
             "expected_detected": want,
             "expected_source": "oracle",
             "expectation_met": detected == want,
-            "detection_latency": None,
-            "stall_cycles": 0,
-            "overhead_percent": 0.0,
             "coverage_points": len(vector.points),
             "coverage_digest": vector.digest,
             "coverage": coverage,
@@ -431,6 +388,10 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
     coverage map, the content-addressed corpus and the folded
     ``campaign.json``/``campaign.csv`` artifacts.
     """
+    if config.jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    if config.seeds_per_family < 0:
+        raise ConfigError("seeds_per_family must be >= 0")
     if config.iterations < config.seed_count:
         raise ConfigError(
             f"iteration budget {config.iterations} cannot cover the "
@@ -444,8 +405,15 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
     pool = None
     if config.jobs > 1:
         import multiprocessing
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
+        )
 
-        pool = multiprocessing.get_context("fork").Pool(config.jobs)
+        # Not multiprocessing.Pool: its map waits forever on a dead
+        # worker, where this executor breaks and raises.
+        pool = ProcessPoolExecutor(
+            config.jobs, mp_context=multiprocessing.get_context("fork"))
     journal = AppendLog(out / JOURNAL_NAME, append=True)
     try:
         while len(records) < config.iterations:
@@ -481,7 +449,12 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
                 payloads.append(payload)
 
             if pool is not None:
-                batch_records = pool.map(_worker, payloads)
+                try:
+                    batch_records = list(pool.map(_worker, payloads))
+                except BrokenProcessPool:
+                    raise WorkerCrash(
+                        f"fuzz candidates {batch.start}..{batch.stop - 1}"
+                    ) from None
             else:
                 batch_records = [_worker(payload) for payload in payloads]
 
@@ -501,8 +474,7 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
     finally:
         journal.close()
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.shutdown()
 
     from repro.campaign.aggregate import write_artifacts
 
@@ -532,6 +504,7 @@ def uniform_baseline(iterations: int, seed: int = 0,
     coverage map.  The committed comparison test and the benchmark's
     ``coverage`` section measure the guided loop against this.
     """
+    from repro.campaign.runner import reference_outcomes
     from repro.synth.verify import assemble_model
 
     coverage = CoverageMap()
@@ -543,7 +516,8 @@ def uniform_baseline(iterations: int, seed: int = 0,
         vector = shape_vector(model, program=program)
         coverage.merge(vector)
         expected = expected_verdicts(model, program)
-        outcomes = _reference_outcomes(model, program, policies, max_steps)
+        outcomes = reference_outcomes(program, *label_sets(model), policies,
+                                      max_steps)
         disagreements += sum(
             1 for policy in policies
             if bool(outcomes[policy]["detected"]) != bool(expected[policy])

@@ -16,7 +16,9 @@ when a prediction and a simulation ever disagree.
 The campaign registry consumes this module through
 :class:`SynthBundle`: one memoised object per ``(family, seed, base)``
 holding the generated model, the assembled program, the policy label
-sets and the oracle's expected verdicts.
+sets and the oracle's expected verdicts.  :func:`model_bundle` builds
+the same object for any model — a minimized reproducer, a fuzz mutant —
+so it runs on a campaign cell through the runner's own backends.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "clear_bundle_cache",
     "expected_verdicts",
     "generate",
+    "model_bundle",
     "plan_events",
     "resolve_events",
 ]
@@ -52,8 +55,6 @@ class SynthBundle:
     """Everything the campaign needs to run one synthesized victim.
 
     Attributes:
-        family: synthesis family (see :data:`FAMILIES`).
-        seed: the draw that generated the model.
         model: the IR (JSON-able; feed to :mod:`repro.synth.minimize`).
         program: the assembled RV64 image.
         entry_points: label names of the fine-grained forward-edge set.
@@ -61,8 +62,6 @@ class SynthBundle:
         expected: policy name → oracle verdict.
     """
 
-    family: str
-    seed: int
     model: dict
     program: Program
     entry_points: Tuple[str, ...]
@@ -82,6 +81,21 @@ def clear_bundle_cache() -> None:
     _BUNDLES.clear()
 
 
+def model_bundle(model: dict, base: int) -> SynthBundle:
+    """The bundle of any model loaded at ``base`` (not memoised): the
+    form in which a model reaches the campaign runner's backends
+    (:func:`repro.campaign.runner.simulate`)."""
+    program = emit(model, base)
+    entry_points, function_entries = label_sets(model)
+    return SynthBundle(
+        model=model,
+        program=program,
+        entry_points=entry_points,
+        function_entries=function_entries,
+        expected=expected_verdicts(model, program),
+    )
+
+
 def bundle(family: str, seed: int, base: int,
            features: Tuple[str, ...] = ()) -> SynthBundle:
     """The (memoised) bundle for ``(family, seed)`` loaded at ``base``.
@@ -94,18 +108,7 @@ def bundle(family: str, seed: int, base: int,
     cached = _BUNDLES.get(key)
     if cached is not None:
         return cached
-    model = generate(family, seed, features=features)
-    program = emit(model, base)
-    entry_points, function_entries = label_sets(model)
-    built = SynthBundle(
-        family=family,
-        seed=seed,
-        model=model,
-        program=program,
-        entry_points=entry_points,
-        function_entries=function_entries,
-        expected=expected_verdicts(model, program),
-    )
+    built = model_bundle(generate(family, seed, features=features), base)
     if len(_BUNDLES) >= _BUNDLE_CACHE_LIMIT:
         _BUNDLES.clear()
     _BUNDLES[key] = built

@@ -5,8 +5,9 @@ Subcommands:
 * ``show --family jop --seed 3`` — print a generated program's
   assembly, its planned event stream and the oracle's verdicts.
 * ``verify --seeds 8 [--cosim] [--out DIR]`` — sweep every family over
-  a seed range, compare the oracle against the simulators for every
-  policy, and minimize any disagreement into a reproducer JSON.
+  a seed range on its ``synth-<family>`` reference (or cosim) cell,
+  compare the oracle against the simulators for every policy, and
+  minimize any disagreement into a reproducer JSON.
 
 The campaign CLI (``python -m repro.campaign run --matrix synth``) is
 the production entry point; this one is for poking at single programs
@@ -16,26 +17,26 @@ and for standalone oracle hunts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.campaign.cli import positive_int
+from repro.campaign.spec import Scenario
 from repro.synth import FAMILIES, FEATURES, bundle
-from repro.synth.corpus import make_entry, save_entry
 from repro.synth.ir import emit_source
-from repro.synth.minimize import minimize_model
-from repro.synth.verify import disagreement_predicate, verify_model
+from repro.synth.triage import shrink_and_save
+from repro.synth.verify import verify_model
+from repro.system.addresses import AddressMap
 
-
-def _base() -> int:
-    from repro.system.addresses import AddressMap
-
-    return AddressMap().dram_base
+#: Load address of every program this CLI builds (the host DRAM base).
+BASE = AddressMap().dram_base
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
     features = tuple(args.feature or ())
-    found = bundle(args.family, args.seed, _base(), features=features)
+    found = bundle(args.family, args.seed, BASE, features=features)
     if args.coverage:
         from repro.coverage.shape import shape_vector
 
@@ -52,7 +53,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
             for point in points:
                 print(f"#     {point}")
         return 0
-    print(emit_source(found.model, _base()))
+    print(emit_source(found.model, BASE))
     print(f"# planned events ({args.family}, seed {args.seed}):")
     from repro.synth import plan_events
 
@@ -66,13 +67,13 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    base = _base()
     backend = "cosim" if args.cosim else "reference"
     failures = 0
     for family in FAMILIES:
+        cell = Scenario(victim=f"synth-{family}", backend=backend)
         for seed in range(args.seeds):
-            found = bundle(family, seed, base)
-            results = verify_model(found.model, base=base, backend=backend)
+            found = bundle(family, seed, BASE)
+            results = verify_model(found.model, cell)
             bad = {p: r for p, r in results.items() if r[0] != r[1]}
             if not bad:
                 continue
@@ -80,17 +81,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for policy, (oracle, simulated) in bad.items():
                 print(f"DISAGREEMENT {family} seed={seed} policy={policy}: "
                       f"oracle={oracle} simulated={simulated}")
-                predicate = disagreement_predicate(policy, base=base,
-                                                   backend=backend)
-                minimal = minimize_model(found.model, predicate,
-                                         max_evals=args.max_evals)
-                entry = make_entry(
-                    minimal, family=family, seed=seed, policy=policy,
-                    config={"backend": backend},
-                    note=f"minimized by `python -m repro.synth verify`",
-                    base=base,
+                path = shrink_and_save(
+                    dataclasses.replace(cell, policy=policy), found.model,
+                    (seed, "`python -m repro.synth verify`"),
+                    Path(args.out), args.max_evals,
                 )
-                path = save_entry(Path(args.out), entry)
                 print(f"  reproducer: {path}")
     total = len(FAMILIES) * args.seeds
     print(f"verified {total} programs x all policies on {backend}: "
@@ -118,13 +113,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="with --coverage: machine-readable vector")
 
     verify = sub.add_parser("verify", help="oracle-vs-simulation sweep")
-    verify.add_argument("--seeds", type=int, default=8,
+    verify.add_argument("--seeds", type=positive_int, default=8,
                         help="seeds per family (0..N-1)")
     verify.add_argument("--cosim", action="store_true",
                         help="verify on the cosim backend (slower)")
     verify.add_argument("--out", default="artifacts/synth",
                         help="reproducer output directory")
-    verify.add_argument("--max-evals", type=int, default=200,
+    verify.add_argument("--max-evals", type=positive_int, default=200,
                         help="shrink budget per disagreement")
 
     args = parser.parse_args(argv)

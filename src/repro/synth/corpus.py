@@ -2,26 +2,32 @@
 
 Every oracle-vs-simulation disagreement the subsystem ever surfaces is
 reduced (:mod:`repro.synth.minimize`) and saved as a small JSON entry —
-the model, the configuration that showed the disagreement, and the
+the model, the campaign cell that showed the disagreement, and the
 recorded verdicts.  Entries committed under ``tests/synth/corpus/`` are
-replayed by the tier-1 suite on every run: once the underlying bug is
+replayed by the tier-1 suite on every run, on the cell they record and
+through the campaign runner's own backends: once the underlying bug is
 fixed, the entry keeps guarding the regression (oracle == simulation on
-the minimal program, for every policy it records).
+the minimal program, for every policy it records that the cell takes).
 
 Entry schema (``schema: 1``)::
 
     {"schema": 1,
-     "family": "jop",              # generator family (provenance)
+     "family": "jop",              # generator family; replays as synth-<family>
      "seed": 1234,                 # generator seed (provenance)
      "note": "...",                # human context
      "policy": "coarse",           # the disagreeing policy (or null)
-     "config": {...},              # backend/engine knobs of the finding
+     "config": {"backend": "cosim"},   # the cell (see cell_config)
      "model": {...},               # the minimized IR
      "expected": {"shadow-stack": true, ...}}   # oracle verdicts
+
+``config`` holds the cell's :class:`~repro.campaign.spec.Scenario`
+fields that differ from their defaults, leaving out victim, policy and
+seed; replay runs ``Scenario(victim=f"synth-{family}", **config)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -29,9 +35,19 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SynthError
 from repro.synth.oracle import expected_verdicts
-from repro.synth.verify import assemble_model, simulated_verdict
+from repro.synth.verify import assemble_model, verify_model
 
 ENTRY_SCHEMA = 1
+
+
+def cell_config(cell) -> dict:
+    """The ``config`` of an entry found on ``cell`` (a
+    :class:`~repro.campaign.spec.Scenario`): the victim follows the
+    family, replay sweeps the policies, and the seed is provenance."""
+    return {field.name: getattr(cell, field.name)
+            for field in dataclasses.fields(cell)
+            if field.name not in ("victim", "policy", "seed")
+            and getattr(cell, field.name) != field.default}
 
 
 def make_entry(
@@ -41,10 +57,9 @@ def make_entry(
     note: str = "",
     policy: Optional[str] = None,
     config: Optional[dict] = None,
-    base: Optional[int] = None,
 ) -> dict:
     """Build a corpus entry for ``model`` (verdicts recomputed fresh)."""
-    program = assemble_model(model, base)
+    program = assemble_model(model)
     return {
         "schema": ENTRY_SCHEMA,
         "family": family,
@@ -99,23 +114,26 @@ def load_corpus(directory: Path) -> List[Tuple[Path, dict]]:
     return entries
 
 
-def replay_entry(entry: dict, base: Optional[int] = None) -> Dict[str, dict]:
-    """Re-run a corpus entry; returns per-policy verdict comparison.
+def replay_entry(entry: dict) -> Dict[str, dict]:
+    """Re-run a corpus entry on its recorded cell; returns per-policy
+    verdict comparison.
 
-    For every policy the entry records, recompute the oracle verdict and
-    the reference-backend simulated verdict on today's code.  The tier-1
-    corpus test asserts all three agree — recorded, oracle, simulated —
-    so neither a generator/oracle drift nor a policy/simulator
-    regression can land silently.
+    For every policy the entry records that the cell takes (cosim drops
+    ``none``), recompute the oracle verdict and the simulated verdict on
+    today's code.  The tier-1 corpus test asserts all three agree —
+    recorded, oracle, simulated — so neither a generator/oracle drift
+    nor a policy/simulator regression can land silently.
     """
-    model = entry["model"]
-    program = assemble_model(model, base)
-    oracle = expected_verdicts(model, program)
-    report: Dict[str, dict] = {}
-    for policy, recorded in entry["expected"].items():
-        report[policy] = {
-            "recorded": bool(recorded),
-            "oracle": oracle[policy],
-            "simulated": simulated_verdict(model, policy, base=base),
+    from repro.campaign.spec import Scenario
+
+    cell = Scenario(victim=f"synth-{entry['family']}", **entry["config"])
+    return {
+        policy: {
+            "recorded": bool(entry["expected"][policy]),
+            "oracle": oracle,
+            "simulated": simulated,
         }
-    return report
+        for policy, (oracle, simulated)
+        in verify_model(entry["model"], cell).items()
+        if policy in entry["expected"]
+    }

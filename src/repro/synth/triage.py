@@ -1,92 +1,81 @@
 """Auto-triage: campaign disagreements → minimized reproducers.
 
 When a campaign run finds a synthesized scenario whose simulated verdict
-contradicts the oracle (``expectation_met == False`` on a ``synth-*``
-victim), the CLI hands the failing results here instead of merely
-failing the run.  For each one, triage rebuilds the exact model from
-``(family, scenario seed)``, re-checks the disagreement under the
-scenario's own backend configuration, shrinks it with
+contradicts the oracle (``expectation_met == False`` on a ``synth-*`` or
+``cov-*`` victim), the CLI hands the failing results here, with the
+matrix's cells by name, instead of merely failing the run.  For each
+one, triage starts from the very model the runner ran
+(:func:`repro.campaign.runner._victim_bundle`, generator features
+included), re-checks the disagreement on the result's own cell through
+the runner's backends, shrinks it with
 :func:`repro.synth.minimize.minimize_model`, and saves a corpus entry
-(:mod:`repro.synth.corpus`) — the artifact a developer commits under
-``tests/synth/corpus/`` so the tier-1 suite guards the fix forever.
+that records the cell (:mod:`repro.synth.corpus`) — the artifact a
+developer commits under ``tests/synth/corpus/`` so the tier-1 suite
+guards the fix forever.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.synth import bundle_for_seed
-from repro.synth.corpus import make_entry, save_entry
+from repro.synth.corpus import cell_config, make_entry, save_entry
 from repro.synth.minimize import minimize_model
 from repro.synth.verify import disagreement_predicate
 
 
-def _scenario_config(result: Dict[str, object]) -> dict:
-    """Backend knobs of a campaign result, for the reproduction predicate.
+def shrink_and_save(cell, model: dict, origin: Tuple[int, str],
+                    out_dir: Path, max_evals: int = 200) -> Path:
+    """Shrink ``model``'s disagreement on ``cell`` into a saved reproducer.
 
-    Every config field the runner records that can change a verdict is
-    carried over, so config-dependent disagreements (a fabric profile,
-    a cycle cap) reproduce under the scenario's exact configuration.
+    ``origin`` is ``(seed, source)``: the seed behind ``model`` and the
+    finding's provenance for the note.  A disagreement that does not
+    reproduce on the cell standalone (e.g. a sharding-environment
+    artifact) is saved unminimized, so it is still not dropped
+    silently.  Returns the entry's path.
     """
-    config: dict = {"backend": result["backend"]}
-    if result.get("max_cycles") is not None:
-        config["max_cycles"] = int(result["max_cycles"])
-    if result["backend"] == "cosim":
-        config.update(
-            firmware=result["firmware"],
-            queue_depth=result["queue_depth"],
-            blocking=bool(result["blocking"]),
-            fabric=result.get("fabric") or "standard",
-            policy_backend=result["policy_backend"],
-        )
-    return config
+    from repro.campaign.spec import VICTIMS
+
+    seed, source = origin
+    family = VICTIMS[cell.victim].synth_family
+    predicate = disagreement_predicate(cell)
+    if predicate(model):
+        model = minimize_model(model, predicate, max_evals=max_evals)
+        note = f"minimized from {source} (family {family}, seed {seed})"
+    else:
+        note = (f"{source} disagreed with the oracle but does not "
+                f"reproduce standalone")
+    entry = make_entry(model, family=family, seed=seed, note=note,
+                       policy=cell.policy, config=cell_config(cell))
+    return save_entry(out_dir, entry)
 
 
 def triage_results(
     results: Sequence[Dict[str, object]],
+    cells: Mapping[str, object],
     out_dir: Path,
-    family_of: Dict[str, str],
-    base: int,
     max_evals: int = 200,
 ) -> List[Path]:
     """Minimize every disagreeing synth result into a saved reproducer.
 
     Args:
         results: failing campaign result dicts (synth victims only).
+        cells: scenario name → :class:`~repro.campaign.spec.Scenario`,
+            covering every result (the campaign's full matrix).
         out_dir: where reproducer JSON files are written.
-        family_of: victim name → synthesis family.
-        base: image load address (the campaign's DRAM base).
         max_evals: shrink budget per finding (each eval is a simulation).
 
     Returns:
-        the saved reproducer paths (one per finding that still
-        reproduces outside the campaign harness).
+        the saved reproducer paths, one per result.
     """
+    from repro.campaign.runner import _victim_bundle
+
     paths: List[Path] = []
     for result in results:
-        family = family_of[str(result["victim"])]
+        cell = cells[str(result["name"])]
         seed = int(result["seed"])
-        found = bundle_for_seed(family, seed, base)
-        config = _scenario_config(result)
-        predicate = disagreement_predicate(
-            str(result["policy"]), base=base, **config
-        )
-        if not predicate(found.model):
-            # The disagreement does not reproduce standalone (e.g. a
-            # sharding-environment artifact): record it unminimized so
-            # it is still not dropped silently.
-            minimal = found.model
-            note = (f"campaign scenario {result['name']} disagreed with the "
-                    f"oracle but does not reproduce standalone")
-        else:
-            minimal = minimize_model(found.model, predicate,
-                                     max_evals=max_evals)
-            note = (f"minimized from campaign scenario {result['name']} "
-                    f"(family {family}, seed {seed})")
-        entry = make_entry(
-            minimal, family=family, seed=seed, note=note,
-            policy=str(result["policy"]), config=config, base=base,
-        )
-        paths.append(save_entry(out_dir, entry))
+        paths.append(shrink_and_save(
+            cell, _victim_bundle(cell, seed).model,
+            (seed, f"campaign scenario {cell.name}"), out_dir, max_evals,
+        ))
     return paths

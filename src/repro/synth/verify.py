@@ -1,11 +1,14 @@
 """Oracle-vs-simulation verification of synthesized models.
 
 The bridge between the static oracle and the real simulators: given a
-raw model (not a registered campaign victim — minimized reproducers and
-ad-hoc generator output arrive here), assemble it, run it on a chosen
-backend/engine and compare the simulated verdict with the oracle's
-prediction per policy.  The campaign CLI's triage path and the corpus
-replay tests are both built on these helpers.
+raw model (not a registered campaign victim — minimized reproducers,
+fuzz mutants and ad-hoc generator output arrive here) and a campaign
+cell (a :class:`repro.campaign.spec.Scenario`), build the model's
+:class:`~repro.synth.SynthBundle` once and run it on that cell through
+:func:`repro.campaign.runner.simulate`, the campaign's own backends, so
+a verdict here is the verdict the campaign records for the same program
+on the same cell.  The campaign CLI's triage path, the corpus replay
+and ``python -m repro.synth verify`` are all built on these helpers.
 
 Imports from :mod:`repro.campaign` stay inside the functions: the
 campaign registry imports :mod:`repro.synth` for its victim builders,
@@ -14,129 +17,74 @@ so the module graph must not close the cycle at import time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+import dataclasses
+from typing import Dict, Optional, Tuple
 
+from repro.errors import AxisConflict
 from repro.isa.asm import Program
-from repro.synth.ir import emit, label_sets
-from repro.synth.oracle import ORACLE_POLICIES, expected_verdicts
+from repro.synth import SynthBundle, model_bundle
+from repro.synth.ir import emit
+from repro.synth.oracle import ORACLE_POLICIES
+from repro.system.addresses import AddressMap
 
 
 def assemble_model(model: dict, base: Optional[int] = None) -> Program:
     """Assemble ``model`` at ``base`` (default: the host DRAM base)."""
-    if base is None:
-        from repro.system.addresses import AddressMap
-
-        base = AddressMap().dram_base
-    return emit(model, base)
+    return emit(model, AddressMap().dram_base if base is None else base)
 
 
-def _build_policy(policy: str, model: dict, program: Program):
-    from repro.campaign.runner import build_policy
+def _verdicts(found: SynthBundle, scenario,
+              sim_mode: Optional[str]) -> Tuple[bool, bool]:
+    """``(oracle, simulated)`` verdicts of ``found`` on ``scenario``'s
+    policy, seeded like the cell in a campaign with seed 0."""
+    from repro.campaign.runner import simulate
+    from repro.campaign.spec import derive_seed
 
-    entry_names, function_names = label_sets(model)
-    return build_policy(policy, program, entry_names, function_names)
-
-
-def simulated_verdict(
-    model: dict,
-    policy: str,
-    base: Optional[int] = None,
-    backend: str = "reference",
-    sim_mode: Optional[str] = None,
-    firmware: str = "irq",
-    queue_depth: int = 8,
-    blocking: bool = False,
-    fabric: str = "standard",
-    max_cycles: int = 10_000_000,
-    policy_backend: Optional[str] = None,
-) -> bool:
-    """Run ``model`` under ``policy`` and return the simulator's verdict.
-
-    ``backend`` selects the campaign's reference trace-check or the full
-    cosim platform; on cosim, ``policy_backend`` defaults to the
-    firmware for the shadow stack and the policy host otherwise (the
-    campaign's ``auto`` resolution).  The remaining knobs mirror
-    :class:`repro.campaign.spec.Scenario`, so a campaign cell's exact
-    configuration is reproducible here.
-    """
-    program = assemble_model(model, base)
-    if backend == "reference":
-        from repro.campaign.runner import capture_commit_logs
-        from repro.firmware.policies import CheckResult
-        from repro.system.addresses import AddressMap
-
-        logs, _hart = capture_commit_logs(program, AddressMap(),
-                                          max_steps=max_cycles)
-        policy_obj = _build_policy(policy, model, program)
-        if policy_obj is None:
-            return False
-        return any(
-            policy_obj.check(log) is CheckResult.VIOLATION for log in logs
-        )
-
-    from repro.attacks.rop import run_attack_scenario
-
-    if policy_backend is None:
-        policy_backend = "firmware" if policy == "shadow-stack" else "host"
-    policy_obj = None
-    if policy_backend == "host":
-        policy_obj = _build_policy(policy, model, program)
-    outcome = run_attack_scenario(
-        program,
-        firmware_variant=firmware,
-        queue_depth=queue_depth,
-        blocking=blocking,
-        fabric=fabric,
-        max_cycles=max_cycles,
-        sim_mode=sim_mode,
-        policy_backend=policy_backend,
-        policy=policy_obj,
-    )
-    return outcome.detected
+    outcome = simulate(scenario, derive_seed(0, scenario), bundle=found,
+                       sim_mode=sim_mode)
+    return found.expected[scenario.policy], bool(outcome["detected"])
 
 
-def verify_model(
-    model: dict,
-    base: Optional[int] = None,
-    policies: Optional[Iterable[str]] = None,
-    backend: str = "reference",
-    **kwargs,
-) -> Dict[str, Tuple[bool, bool]]:
-    """Compare oracle and simulator per policy.
+def _bundle(model: dict) -> SynthBundle:
+    return model_bundle(model, AddressMap().dram_base)
+
+
+def simulated_verdict(model: dict, scenario,
+                      sim_mode: Optional[str] = None) -> bool:
+    """Run ``model`` on ``scenario``'s cell; returns the simulated
+    verdict for the cell's policy.  ``sim_mode`` picks the co-sim
+    engine (both are cycle-exact)."""
+    return _verdicts(_bundle(model), scenario, sim_mode)[1]
+
+
+def verify_model(model: dict, scenario,
+                 sim_mode: Optional[str] = None) -> Dict[str, Tuple[bool, bool]]:
+    """Compare oracle and simulator under every oracle policy the cell
+    accepts (``scenario`` with its policy swapped; a combination that
+    raises :class:`~repro.errors.AxisConflict`, such as policy ``none``
+    on the cosim backend, is skipped).
 
     Returns ``{policy: (oracle_verdict, simulated_verdict)}`` — callers
     filter for inequality to find disagreements.
     """
-    program = assemble_model(model, base)
-    oracle = expected_verdicts(model, program)
-    chosen = tuple(policies) if policies is not None else ORACLE_POLICIES
+    found = _bundle(model)
     results: Dict[str, Tuple[bool, bool]] = {}
-    for policy in chosen:
-        if backend != "reference" and policy == "none":
+    for policy in ORACLE_POLICIES:
+        try:
+            cell = dataclasses.replace(scenario, policy=policy)
+        except AxisConflict:
             continue
-        results[policy] = (
-            oracle[policy],
-            simulated_verdict(model, policy, base=base, backend=backend,
-                              **kwargs),
-        )
+        results[policy] = _verdicts(found, cell, sim_mode)
     return results
 
 
-def disagreement_predicate(
-    policy: str,
-    base: Optional[int] = None,
-    backend: str = "reference",
-    **kwargs,
-):
+def disagreement_predicate(scenario, sim_mode: Optional[str] = None):
     """A :func:`repro.synth.minimize.minimize_model` predicate: "oracle
-    and simulator still disagree on ``policy``" under a fixed backend
-    configuration."""
+    and simulator still disagree on ``scenario``'s policy" on its
+    cell."""
 
     def predicate(model: dict) -> bool:
-        program = assemble_model(model, base)
-        oracle = expected_verdicts(model, program)[policy]
-        simulated = simulated_verdict(model, policy, base=base,
-                                      backend=backend, **kwargs)
+        oracle, simulated = _verdicts(_bundle(model), scenario, sim_mode)
         return oracle != simulated
 
     return predicate

@@ -38,6 +38,54 @@ def test_cli_reports_a_typed_error_in_one_line(tmp_path, capsys):
     assert err.startswith("error: iteration budget 3") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--jobs", "0", "jobs must be >= 1"),
+    ("--jobs", "-2", "jobs must be >= 1"),
+    ("--seeds-per-family", "-1", "seeds_per_family must be >= 0"),
+])
+def test_cli_rejects_bad_worker_and_seed_counts(tmp_path, capsys, flag,
+                                                value, message):
+    code = main(["run", "--iters", str(ITERS), flag, value,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "fuzz.jsonl").exists()
+
+
+def test_dead_worker_fails_the_run_and_resume_converges(tmp_path):
+    """A pool worker that dies mid-batch must end the run with one typed
+    error line, not hang it; the journal holds only whole batches, so
+    a resume reconverges every byte.  The dying ``_worker`` is
+    module-level (pool workers unpickle it by name), and the run is a
+    subprocess with a liveness bound, so a hang fails this test instead
+    of stalling the suite."""
+    reference = fuzz(tmp_path / "ref", FuzzConfig(iterations=ITERS, seed=SEED))
+    code = (
+        "import importlib\n"
+        "import os\n"
+        "import sys\n"
+        "from repro.coverage.__main__ import main\n"
+        "fuzz = importlib.import_module('repro.coverage.fuzz')\n"
+        "real_worker = fuzz._worker\n"
+        "def _worker(payload):\n"
+        "    if payload['index'] == 5:\n"
+        "        os._exit(9)\n"
+        "    return real_worker(payload)\n"
+        "fuzz._worker = _worker\n"
+        f"sys.exit(main(['run', '--iters', '{ITERS}', '--seed', '{SEED}', "
+        f"'--jobs', '2', '--out', {str(tmp_path / 'crash')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: worker crashed while running scenario "
+                           "'fuzz candidates 4..7'\n")
+    resumed = fuzz(tmp_path / "crash", FuzzConfig(iterations=ITERS, seed=SEED),
+                   resume=True)
+    assert resumed == reference
+    assert run_bytes(tmp_path / "crash") == run_bytes(tmp_path / "ref")
+
+
 def test_two_runs_are_byte_identical(tmp_path):
     config = FuzzConfig(iterations=ITERS, seed=SEED)
     a = fuzz(tmp_path / "a", config)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.spec import Scenario
 from repro.synth.corpus import (
     ENTRY_SCHEMA,
     entry_name,
@@ -39,7 +40,7 @@ class TestCommittedCorpus:
     )
     def test_replay_agrees_everywhere(self, path_entry):
         path, entry = path_entry
-        report = replay_entry(entry, base=BASE)
+        report = replay_entry(entry)
         for policy, verdicts in report.items():
             assert verdicts["recorded"] == verdicts["oracle"], (path, policy)
             assert verdicts["oracle"] == verdicts["simulated"], (path, policy)
@@ -53,7 +54,7 @@ class TestCorpusMechanics:
     def test_round_trip(self, tmp_path):
         model = generate("rop", 11)
         entry = make_entry(model, family="rop", seed=11,
-                           note="round-trip test", base=BASE)
+                           note="round-trip test")
         path = save_entry(tmp_path, entry)
         loaded = load_corpus(tmp_path)
         assert len(loaded) == 1
@@ -62,8 +63,8 @@ class TestCorpusMechanics:
 
     def test_replay_reports_every_recorded_policy(self):
         model = generate("jop", 5)
-        entry = make_entry(model, family="jop", seed=5, base=BASE)
-        report = replay_entry(entry, base=BASE)
+        entry = make_entry(model, family="jop", seed=5)
+        report = replay_entry(entry)
         assert set(report) == set(entry["expected"])
 
     def test_missing_directory_is_empty_corpus(self, tmp_path):
@@ -101,6 +102,8 @@ class TestTriage:
                 if any(op["op"] == "dispatch" for op in model_ops(
                     bundle_for_seed("benign", s, BASE).model))
             )
+            cell = Scenario(victim="synth-benign", policy="forward-edge",
+                            seed=seed)
             result = {
                 "name": f"reference/synth-benign/forward-edge/s{seed}",
                 "victim": "synth-benign",
@@ -108,8 +111,8 @@ class TestTriage:
                 "backend": "reference",
                 "seed": seed,
             }
-            paths = triage_results([result], tmp_path, {"synth-benign": "benign"},
-                                   BASE, max_evals=120)
+            paths = triage_results([result], {cell.name: cell}, tmp_path,
+                                   max_evals=120)
             assert len(paths) == 1
             assert paths[0].exists()
             entries = load_corpus(tmp_path)

@@ -3,6 +3,7 @@ pipeline (forced through a deliberately broken oracle rule)."""
 
 import pytest
 
+from repro.campaign.spec import Scenario
 from repro.errors import SynthError
 from repro.synth import bundle
 from repro.synth.generator import generate
@@ -101,7 +102,8 @@ class TestDisagreementPipeline:
         def disagree(m):
             program = assemble_model(m, BASE)
             predicted = oracle.expected_verdicts(m, program)["forward-edge"]
-            actual = simulated_verdict(m, "forward-edge", base=BASE)
+            actual = simulated_verdict(
+                m, Scenario(victim="synth-benign", policy="forward-edge"))
             return predicted != actual
 
         assert disagree(model), "broken rule must manifest"
