@@ -397,7 +397,7 @@ def run_coverage_pass(iters: int = 60, seed: int = 3) -> dict:
 
     from repro.coverage import CoverageCorpus, CoverageMap, FuzzConfig, fuzz
     from repro.coverage import uniform_baseline
-    from repro.coverage.fuzz import (
+    from repro.coverage.loop import (
         CORPUS_DIR,
         MAP_NAME,
         _draw_parent,

@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 from repro.coverage import CoverageCorpus, FuzzConfig, fuzz, uniform_baseline
-from repro.coverage.fuzz import CORPUS_DIR
+from repro.coverage.loop import CORPUS_DIR
 
 ITERS = 60
 SEED = 3

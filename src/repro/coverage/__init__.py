@@ -12,14 +12,14 @@ control-flow shapes.  This package closes the loop AFL-style:
   of coverage-novel programs with deterministic eviction;
 * :mod:`repro.coverage.mutate` — seeded IR-level mutators that stay
   inside the oracle's ``plan_events`` contract;
-* :mod:`repro.coverage.fuzz` — the crash-safe steering loop, folding
+* :mod:`repro.coverage.loop` — the crash-safe steering loop, folding
   verdicts into standard campaign artifacts.
 
 ``python -m repro.coverage run --iters 40`` drives it from the shell.
 """
 
 from repro.coverage.corpus import CoverageCorpus, model_digest
-from repro.coverage.fuzz import FuzzConfig, fuzz, uniform_baseline
+from repro.coverage.loop import FuzzConfig, fuzz, uniform_baseline
 from repro.coverage.mutate import MUTATORS, mutate
 from repro.coverage.shape import (
     AXES,

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.coverage.corpus import CoverageCorpus
-from repro.coverage.fuzz import (
+from repro.coverage.loop import (
     CORPUS_DIR,
     MAP_NAME,
     FuzzConfig,

@@ -36,23 +36,31 @@ class RotConfig:
 
     Attributes:
         fabric: ``"standard"`` or ``"optimized"`` (paper §V-B).
-        wake_cycles: doorbell-to-wake latency of Ibex.
+        wake_cycles: doorbell-to-wake latency of Ibex, an ``int`` >= 0.
         plic_sources: interrupt source count.
+
+    Raises:
+        ConfigError: for an unknown fabric or an invalid wake latency.
     """
 
     fabric: str = "standard"
     wake_cycles: int = 45
     plic_sources: int = 4
 
+    def __post_init__(self) -> None:
+        if self.fabric not in ("standard", "optimized"):
+            raise ConfigError(f"unknown fabric profile {self.fabric!r}")
+        wake = self.wake_cycles
+        if not isinstance(wake, int) or isinstance(wake, bool) or wake < 0:
+            raise ConfigError(f"wake_cycles must be an int >= 0, got {wake!r}")
+
     def tlul_timings(self) -> TlulTimings:
         """TL-UL timing for the chosen fabric profile."""
         if self.fabric == "standard":
             # 2+2 fabric + 1-cycle SRAM = the paper's ~5-cycle scratchpad.
             return TlulTimings(request_latency=2, response_latency=2)
-        if self.fabric == "optimized":
-            # Low-latency interconnect: single-cycle private accesses.
-            return TlulTimings(request_latency=0, response_latency=0)
-        raise ConfigError(f"unknown fabric profile {self.fabric!r}")
+        # Low-latency interconnect: single-cycle private accesses.
+        return TlulTimings(request_latency=0, response_latency=0)
 
     def bridge_region_latency(self) -> int:
         """Device latency of the bridge window region.

@@ -42,10 +42,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.commit_log import CommitLog
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.isa import opcodes as op
 from repro.isa.encode import encode_i, encode_j
+from repro.opentitan.rot import RotConfig
+from repro.system.sim import MODE_BATCHED, SystemSimulator
 from repro.system.soc import build_soc
 
 #: Reference path every service delta is measured against.
@@ -106,17 +108,18 @@ def _probe_plan() -> List[Tuple[Tuple[str, str], List[CommitLog], CommitLog]]:
 
 
 class _MicroRig:
-    """A frozen RoT servicing the CFI mailbox, stepped like the cosim.
+    """A frozen RoT servicing the CFI mailbox, run by the co-simulator.
 
-    Replicates the co-simulator's per-cycle Ibex scheduling exactly
-    (one :meth:`~repro.hart.core.Hart.step` when no cycle debt remains)
-    and replicates the component ordering within a cycle: a doorbell
-    rung "at cycle T" lands *after* Ibex's step of cycle T, which is
-    where the log writer's ring lands in the busy loop (the CFI stage
-    ticks after the RoT core).  Completion times are recorded through
-    the mailbox's ``on_completion`` callback, i.e. at the cycle the
-    firmware's completion store executes — the cycle the log writer's
-    same-cycle tick observes it.
+    The platform is the cosim's own (``build_soc`` without CFI, the
+    application hart halted), so Ibex runs through the batched engine's
+    windows, debt jumps and WFI-sleep jumps exactly as in a
+    firmware-backed run.  A doorbell rung "at cycle T" lands *after*
+    every agent's tick of cycle T, which is where the log writer's ring
+    lands in the busy loop (the CFI stage ticks after the RoT core).
+    The completion cycle is the cycle the firmware's completion store
+    executes — the cycle the log writer's same-cycle tick observes it;
+    that store ends its window on its own retire cycle, so it is the
+    clock when the advance stops.
     """
 
     def __init__(self, variant: str, fabric: str, wake_cycles: int):
@@ -124,67 +127,50 @@ class _MicroRig:
         soc = build_soc(fabric=fabric, with_cfi=False, wake_cycles=wake_cycles)
         self.firmware = shadow_stack_firmware(variant, FirmwareLayout(soc.addresses))
         soc.load_firmware(self.firmware.data)
-        self.soc = soc
+        soc.harts[0].halted = True
+        self.sim = SystemSimulator(soc, mode=MODE_BATCHED)
         self.ibex = soc.rot.ibex
         self.mailbox = soc.cfi_mailbox
-        self.now = 0
-        self._debt = 0
-        self.completion_at: Optional[int] = None
-        self.mailbox.on_completion = self._note_completion
-
-    def _note_completion(self) -> None:
-        self.completion_at = self.now
-
-    def tick(self) -> None:
-        self.now += 1
-        if self._debt:
-            self._debt -= 1
-        elif not self.ibex.halted:
-            result = self.ibex.step()
-            if result.cycles > 1:
-                self._debt = result.cycles - 1
 
     def run_to(self, cycle: int) -> None:
-        if cycle < self.now:
+        if cycle < self.sim.now:
             raise SimulationError(
                 f"calibration rig asked to ring in the past "
-                f"({cycle} < {self.now})"
+                f"({cycle} < {self.sim.now})"
             )
-        while self.now < cycle:
-            self.tick()
+        self.sim.advance(cycle)
 
     def response(self, cycle: int, log: CommitLog,
                  limit: int = 200_000) -> int:
         """Ring the doorbell at ``cycle``; return the completion cycle."""
         self.run_to(cycle)
-        self.completion_at = None
-        self.mailbox.deposit(log.pack())
-        deadline = self.now + limit
-        while self.completion_at is None:
-            if self.now >= deadline:
-                raise SimulationError(
-                    f"{self.variant} firmware never completed the "
-                    f"calibration check rung at cycle {cycle}"
-                )
-            self.tick()
-        return self.completion_at
+        sim, mailbox = self.sim, self.mailbox
+        mailbox.deposit(log.pack())
+        if not sim.advance(sim.now + limit, lambda: mailbox.completion_pending):
+            raise SimulationError(
+                f"{self.variant} firmware never completed the "
+                f"calibration check rung at cycle {cycle}"
+            )
+        return sim.now
 
     def settle(self, limit: int = 100_000) -> int:
         """Run the boot sequence to the steady idle point; returns its
         cycle (WFI sleep for the IRQ variant, poll-loop entry for the
-        polling variant)."""
-        deadline = self.now + limit
+        polling variant).  Stepped cycle by cycle: the polling
+        firmware's idle point is a pc, which a window would run past."""
+        sim = self.sim
+        deadline = sim.now + limit
         if self.variant == "irq":
             while not self.ibex.sleeping:
-                if self.now >= deadline:
+                if sim.now >= deadline:
                     raise SimulationError("IRQ firmware never reached wfi")
-                self.tick()
-            return self.now
+                sim.tick()
+            return sim.now
         while self.firmware.region_at(self.ibex.pc) != "poll":
-            if self.now >= deadline:
+            if sim.now >= deadline:
                 raise SimulationError("polling firmware never reached its loop")
-            self.tick()
-        return self.now
+            sim.tick()
+        return sim.now
 
 
 def _find_period(values: List[int], max_period: int = _MAX_PERIOD,
@@ -363,7 +349,7 @@ class ResponseModel:
     def __init__(self, variant: str = "irq", fabric: str = "standard",
                  wake_cycles: int = 45):
         if variant not in ("irq", "polling"):
-            raise SimulationError(f"unknown firmware variant {variant!r}")
+            raise ConfigError(f"unknown firmware variant {variant!r}")
         self.variant = variant
         self.fabric = fabric
         self.wake_cycles = wake_cycles
@@ -552,6 +538,9 @@ _MODELS: Dict[Tuple[str, str, int], ResponseModel] = {}
 def calibrate(variant: str = "irq", fabric: str = "standard",
               wake_cycles: int = 45) -> ResponseModel:
     """The (memoised) response model for one firmware configuration."""
+    # Validate before the lookup: ``True == 1`` would find the model
+    # memoised for a one-cycle wake.
+    RotConfig(fabric=fabric, wake_cycles=wake_cycles)
     key = (variant, fabric, wake_cycles)
     model = _MODELS.get(key)
     if model is None:

@@ -21,7 +21,7 @@ doorbell arbitration deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.log_writer import LogWriter
 from repro.cva6.commit import CommitStage
@@ -301,7 +301,9 @@ class SystemSimulator:
     def _skippable_cycles(self) -> int:
         """Cycles the whole platform can fast-forward with no event: the
         minimum "next interesting cycle" over every agent.  0 means the
-        very next tick can change state and must be stepped normally."""
+        very next tick can change state and must be stepped normally;
+        ``_UNBOUNDED`` means no agent can act again on its own (the
+        caller clips the jump to its budget)."""
         bound = _UNBOUNDED
         for skippable_cycles in self._bounds:
             cycles = skippable_cycles()
@@ -309,7 +311,7 @@ class SystemSimulator:
                 if cycles <= 0:
                     return 0
                 bound = cycles
-        return 0 if bound >= _UNBOUNDED else bound
+        return bound
 
     def _advance(self, cycles: int) -> None:
         """Jump ``cycles`` event-free cycles: exactly what ``cycles``
@@ -319,8 +321,9 @@ class SystemSimulator:
         for skip in self._skips:
             skip(cycles)
 
-    def _window(self, max_cycles: int) -> bool:
-        """Run the active harts through one interaction-free window.
+    def _window(self, until: int) -> bool:
+        """Run the active harts through one interaction-free window that
+        ends at cycle ``until`` at the latest.
 
         1. The active slots (able to retire on the next tick) are the
            participants.
@@ -363,7 +366,7 @@ class SystemSimulator:
         if not participants:
             return False
         passive = self._passive
-        budget = max_cycles - self.now - 1
+        budget = until - self.now
         for agents in (idle, passive):
             for agent in agents:
                 bound = agent.skippable_cycles()
@@ -423,6 +426,37 @@ class SystemSimulator:
                     agent.skip(span)
         return True
 
+    def advance(self, until: int,
+                stop: Optional[Callable[[], bool]] = None) -> bool:
+        """Advance the platform to cycle ``until``, never past it.
+
+        ``busy`` ticks; ``batched`` follows each tick with clock jumps
+        and windows to a fixed point: a window that ends in cycle debt
+        is followed by a jump (and possibly another window) without
+        paying for a full tick in between.  Every action re-validates
+        its own preconditions, so the composition stays cycle-exact; the
+        next tick then lands on a provably interesting cycle.
+
+        ``stop`` is checked after every tick and every window, so both
+        engines see it on the same cycle.  Returns True when ``stop``
+        ended the advance, False when the clock reached ``until``.
+        """
+        batched = self.mode == MODE_BATCHED
+        while self.now < until:
+            self.tick()
+            if stop is not None and stop():
+                return True
+            if batched:
+                while True:
+                    skip = self._skippable_cycles()
+                    if skip > 0:
+                        self._advance(min(skip, until - self.now))
+                    if not self._window(until):
+                        break
+                    if stop is not None and stop():
+                        return True
+        return False
+
     def run(self, max_cycles: int = 10_000_000) -> SimulationReport:
         """Run until every application hart halts and the CFI pipeline
         drains.
@@ -430,32 +464,8 @@ class SystemSimulator:
         A CFI violation stops the run immediately and is reported, not
         re-raised — detection is the expected outcome of attack runs.
         """
-        batched = self.mode == MODE_BATCHED
         try:
-            while self.now < max_cycles:
-                self.tick()
-                if self._all_halted() and self._quiescent():
-                    break
-                if batched:
-                    # Apply clock jumps and windows to a fixed point: a
-                    # window that ends in cycle debt is followed by a
-                    # jump (and possibly another window) without paying
-                    # for a full tick in between.  Every action
-                    # re-validates its own preconditions, so the
-                    # composition stays cycle-exact; the next tick then
-                    # lands on a provably interesting cycle.
-                    while True:
-                        skip = self._skippable_cycles()
-                        if skip > 0:
-                            # Stay one cycle short of the budget so the
-                            # exhaustion path fires on the same cycle
-                            # as the busy loop's.
-                            skip = min(skip, max_cycles - self.now - 1)
-                            if skip > 0:
-                                self._advance(skip)
-                        if not self._window(max_cycles):
-                            break
-            else:
+            if not self.advance(max_cycles, self._finished):
                 raise SimulationError(
                     f"co-simulation exceeded {max_cycles} cycles"
                 )
@@ -463,13 +473,11 @@ class SystemSimulator:
             self.violation = violation
         return self.report()
 
-    def _all_halted(self) -> bool:
+    def _finished(self) -> bool:
+        """Every application hart halted and the CFI pipeline drained."""
         for hart in self._apps:
             if not hart.halted:
                 return False
-        return True
-
-    def _quiescent(self) -> bool:
         for stage, commit in zip(self._stages, self._commits):
             if stage is not None and not stage.quiescent:
                 return False

@@ -5,11 +5,12 @@ uniform generation at double the iteration budget."""
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
 from repro.coverage.__main__ import main
-from repro.coverage.fuzz import FuzzConfig, fuzz, uniform_baseline
+from repro.coverage.loop import FuzzConfig, fuzz, uniform_baseline
 from repro.errors import ConfigError
 
 ITERS = 16
@@ -52,6 +53,20 @@ def test_cli_rejects_bad_worker_and_seed_counts(tmp_path, capsys, flag,
     assert not (tmp_path / "fuzz.jsonl").exists()
 
 
+def test_loop_module_is_reachable_by_its_dotted_name(monkeypatch):
+    """The package re-exports the function ``fuzz``; the loop module has
+    a name of its own, so a dotted-path import yields the module and a
+    dotted-path patch reaches its attributes."""
+    import repro.coverage
+    import repro.coverage.loop as loop
+
+    assert isinstance(loop, types.ModuleType)
+    assert repro.coverage.fuzz is loop.fuzz
+    sentinel = object()
+    monkeypatch.setattr("repro.coverage.loop._worker", sentinel)
+    assert sys.modules["repro.coverage.loop"]._worker is sentinel
+
+
 def test_dead_worker_fails_the_run_and_resume_converges(tmp_path):
     """A pool worker that dies mid-batch must end the run with one typed
     error line, not hang it; the journal holds only whole batches, so
@@ -61,17 +76,16 @@ def test_dead_worker_fails_the_run_and_resume_converges(tmp_path):
     of stalling the suite."""
     reference = fuzz(tmp_path / "ref", FuzzConfig(iterations=ITERS, seed=SEED))
     code = (
-        "import importlib\n"
         "import os\n"
         "import sys\n"
+        "import repro.coverage.loop as loop\n"
         "from repro.coverage.__main__ import main\n"
-        "fuzz = importlib.import_module('repro.coverage.fuzz')\n"
-        "real_worker = fuzz._worker\n"
+        "real_worker = loop._worker\n"
         "def _worker(payload):\n"
         "    if payload['index'] == 5:\n"
         "        os._exit(9)\n"
         "    return real_worker(payload)\n"
-        "fuzz._worker = _worker\n"
+        "loop._worker = _worker\n"
         f"sys.exit(main(['run', '--iters', '{ITERS}', '--seed', '{SEED}', "
         f"'--jobs', '2', '--out', {str(tmp_path / 'crash')!r}]))\n"
     )
@@ -121,7 +135,7 @@ def test_kill9_then_resume_matches_uninterrupted(tmp_path):
     code = (
         "import os\n"
         "from repro import durable\n"
-        "from repro.coverage.fuzz import FuzzConfig, fuzz\n"
+        "from repro.coverage.loop import FuzzConfig, fuzz\n"
         "append = durable.AppendLog.append\n"
         "def append_then_die(self, record, sync=True):\n"
         "    append(self, record, sync=sync)\n"

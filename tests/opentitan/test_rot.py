@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram
 from repro.opentitan.plic_device import CLAIM_OFFSET, ENABLE_OFFSET, PlicDevice
@@ -9,6 +10,7 @@ from repro.opentitan.rot import OpenTitan, RotConfig
 from repro.soc.axi import AxiXbar
 from repro.soc.plic import Plic
 from repro.system.addresses import AddressMap
+from repro.system.soc import build_soc
 
 
 def make_rot(fabric="standard"):
@@ -35,9 +37,35 @@ class TestFabricLatencies:
         assert make_rot("optimized").soc_access_cycles() == 8
 
     def test_unknown_fabric_rejected(self):
-        from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             RotConfig(fabric="warp").tlul_timings()
+
+
+class TestConfigValidation:
+    """A bad RoT option fails when the config is built, with a typed
+    error, before any platform exists."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fabric": "warp"},
+        {"fabric": None},
+        {"wake_cycles": -5},
+        {"wake_cycles": "45"},
+        {"wake_cycles": True},
+        {"wake_cycles": 4.5},
+    ], ids=repr)
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            RotConfig(**kwargs)
+
+    @pytest.mark.parametrize("wake_cycles", [-1, "45", False])
+    def test_build_soc_rejects_bad_wake_cycles(self, wake_cycles):
+        with pytest.raises(ConfigError, match="wake_cycles"):
+            build_soc(wake_cycles=wake_cycles)
+
+    @pytest.mark.parametrize("wake_cycles", [0, 45, 200])
+    def test_valid_wake_cycles_reach_ibex(self, wake_cycles):
+        soc = build_soc(wake_cycles=wake_cycles)
+        assert soc.rot.ibex.timing.wake_cycles == wake_cycles
 
 
 class TestBridgeView:

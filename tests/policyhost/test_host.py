@@ -24,7 +24,8 @@ from repro.firmware.policies import (
     ShadowStackPolicy,
 )
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
-from repro.policyhost.calibration import ResponseCurve, calibrate
+from repro.policyhost import calibration
+from repro.policyhost.calibration import ResponseCurve, ResponseModel, calibrate
 from repro.policyhost.host import firmware_path, mount_policy_host, resolve_path_key
 from repro.system.addresses import AddressMap
 from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
@@ -279,6 +280,26 @@ class TestCalibration:
     def test_models_are_memoised(self):
         assert calibrate("irq") is calibrate("irq")
         assert calibrate("irq") is not calibrate("polling")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"variant": "bogus"},
+        {"fabric": "warp"},
+        {"wake_cycles": -5},
+        {"wake_cycles": "45"},
+        {"wake_cycles": True},
+        {"wake_cycles": 4.5},
+    ], ids=repr)
+    def test_bad_config_is_a_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            ResponseModel(**kwargs)
+
+    def test_memo_does_not_alias_a_bool_wake(self, monkeypatch):
+        """``True == 1``: a memoised one-cycle-wake model must not
+        answer ``wake_cycles=True``."""
+        monkeypatch.setitem(calibration._MODELS, ("irq", "standard", 1),
+                            object())
+        with pytest.raises(ConfigError, match="wake_cycles"):
+            calibrate(wake_cycles=True)
 
     def test_response_curve_periodic_extrapolation(self):
         curve = ResponseCurve(start=0, values=(9, 8, 7, 5, 6, 5, 6), period=2)

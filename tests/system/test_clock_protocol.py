@@ -8,7 +8,9 @@ Every clocked agent answers ``tick()``, ``skippable_cycles()`` and
 * the platform's ``_advance(n)``, for ``n`` up to the min bound over
   every agent, is ``n`` platform ticks;
 * a window is the ticks it accounts for, once any run-ahead it left as
-  cycle debt has melted.
+  cycle debt has melted;
+* ``advance(until, stop)`` lands both engines on the same cycle in the
+  same state, whether the clock or ``stop`` ends it.
 
 The engine suites compare the two engines' final reports.  Here two
 identically built platforms run in lockstep: one takes the batched
@@ -31,7 +33,7 @@ from repro.firmware.policies import ShadowStackPolicy
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.isa import opcodes as op
 from repro.policyhost import mount_policy_host
-from repro.system.sim import MODE_BATCHED, HartSlot, SystemSimulator
+from repro.system.sim import MODE_BATCHED, MODE_BUSY, HartSlot, SystemSimulator
 from repro.system.soc import build_soc
 from repro.system.topology import Topology
 
@@ -161,7 +163,7 @@ def agents(sim):
 
 
 def done(sim):
-    return sim._all_halted() and sim._quiescent()
+    return sim._finished()
 
 
 #: Cycle cap for a run.
@@ -373,3 +375,72 @@ def test_window_is_its_ticks(name):
     assert done(fast)
     assert_same(fast, slow, (name, "end"))
     assert set(windows) >= EXPECTED_WINDOWS[name], dict(windows)
+
+
+def advance_busy(sim, until, stop=None):
+    """``advance`` on the busy engine.  The twin is built batched and
+    switched back after, so the two snapshots agree on ``mode``."""
+    sim.mode = MODE_BUSY
+    try:
+        return sim.advance(until, stop)
+    finally:
+        sim.mode = MODE_BATCHED
+
+
+def melt(fast, slow):
+    """Tick both twins through the longest cycle debt the batched one
+    holds, so any confined-window run-ahead is accounted on both."""
+    cycles = max(slot.debt for slot in fast._slots)
+    ticks(fast, cycles)
+    ticks(slow, cycles)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_advance_to_a_cycle_is_engine_invariant(name):
+    """Both engines ``advance`` to the same sampled cycles and must agree
+    there.  Odd, growing strides land the targets inside windows, clock
+    jumps and WFI sleep alike; the twins must still agree 10,000 cycles
+    after the run has ended."""
+    fast, slow = twins(name)
+    stride, samples = 7, 0
+    while not done(slow):
+        assert slow.now < MAX_CYCLES, name
+        until = slow.now + stride
+        assert not fast.advance(until)
+        assert not advance_busy(slow, until)
+        assert fast.now == slow.now == until
+        melt(fast, slow)
+        assert_same(fast, slow, (name, until))
+        samples += 1
+        if samples % 8 == 0:
+            stride = 2 * stride + 1
+    assert done(fast)
+    assert samples >= 16, samples
+    until = fast.now + 10_000
+    fast.advance(until)
+    advance_busy(slow, until)
+    assert_same(fast, slow, (name, "after the end"))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_advance_stops_on_the_same_cycle(name):
+    """A ``stop`` predicate ends both engines' ``advance`` on the same
+    cycle: "the k-th doorbell was rung", for growing k, then the run's
+    own end."""
+    fast, slow = twins(name)
+
+    def rung(sim, k):
+        mailbox = sim.soc.cfi_mailbox
+        return lambda: mailbox.doorbell_count >= k or done(sim)
+
+    k, rung_stops = 1, 0
+    while not done(slow):
+        assert fast.advance(MAX_CYCLES, rung(fast, k))
+        assert advance_busy(slow, MAX_CYCLES, rung(slow, k))
+        assert fast.now == slow.now, (name, k)
+        rung_stops += slow.soc.cfi_mailbox.doorbell_count >= k
+        melt(fast, slow)
+        assert_same(fast, slow, (name, k, slow.now))
+        k += max(1, k // 4)
+    assert done(fast)
+    assert rung_stops >= 4, rung_stops
