@@ -381,18 +381,3 @@ class LogWriter:
         elif self.state is not WriterState.IDLE:
             self.stats.busy_cycles += cycles
             self._countdown -= cycles
-
-    def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Tick until the queue is empty and the FSM is idle.
-
-        Only usable when the mailbox is serviced by a zero-time
-        responder (unit tests); the co-simulator interleaves ticks with
-        the Ibex ISS instead.  Returns the cycles consumed.
-        """
-        spent = 0
-        while not (self.idle and self.queue.empty):
-            self.tick()
-            spent += 1
-            if spent > max_cycles:
-                raise RuntimeError("log writer failed to drain")
-        return spent

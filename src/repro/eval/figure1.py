@@ -125,7 +125,7 @@ def compute() -> Dict[str, object]:
 
 
 def main() -> None:
-    """CLI entry point (``titancfi-figure1``): prints DOT + verdicts."""
+    """CLI entry point (``python -m repro.eval.figure1``): prints DOT + verdicts."""
     data = compute()
     print(data["dot"])
     problems = data["problems"]

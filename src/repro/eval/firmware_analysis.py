@@ -1,8 +1,11 @@
 """Firmware cycle/instruction accounting (the measurement behind Table I).
 
-Runs the real shadow-stack firmware on the Ibex ISS, feeds it single
-commit logs through the CFI mailbox, and classifies every retired
-instruction three ways, exactly as the paper does (§V-B):
+Runs the real shadow-stack firmware on the shared firmware rig
+(:class:`repro.firmware.rig.FirmwareRig`, the platform calibration
+measures too), rings single commit logs through the CFI mailbox, and
+classifies every step the probe (:meth:`SystemSimulator.probe
+<repro.system.sim.SystemSimulator.probe>`) sees three ways, exactly as
+the paper does (§V-B):
 
 * section — **IRQ** (interrupt entry/exit plumbing, tagged ``.region
   irq`` in the firmware, plus the wake and trap-entry cycles) versus
@@ -12,25 +15,24 @@ instruction three ways, exactly as the paper does (§V-B):
   crossing the bridge into the host domain);
 * cost — instructions and cycles per (section, category) cell.
 
-The *Polling* and *Optimized* rows measure only the CFI section (the
-paper's polling numbers exclude the busy-wait loop, whose length is
-workload-dependent).
+An IRQ check runs from the wake through ``mret``; the firmware's idle
+loop back into ``wfi`` is not part of it.  The *Polling* and
+*Optimized* rows measure only the CFI section up to the completion
+store (the paper's polling numbers exclude the busy-wait loop, whose
+length is workload-dependent), so a return row starts with the
+previous call's ``ret``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.commit_log import CommitLog
-from repro.errors import ConfigError, SimulationError
-from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
-from repro.hart.core import StepEvent
-from repro.isa import opcodes as op
-from repro.isa.asm import Program
-from repro.isa.encode import encode_i, encode_j
+from repro.errors import ConfigError
+from repro.firmware.rig import FirmwareRig, call_log, ret_log
+from repro.hart.core import StepEvent, StepResult
 from repro.system.addresses import AddressMap
-from repro.system.soc import TitanCfiSoc, build_soc
 
 SECTIONS = ("irq", "cfi")
 CATEGORIES = ("logic", "mem_rot", "mem_soc")
@@ -91,151 +93,73 @@ class CheckBreakdown:
         return sum(cell.instructions for cell in self.cells.values())
 
 
-def _call_log(pc: int = 0x8000_1000, target: int = 0x8000_2000) -> CommitLog:
-    """A synthetic `jal ra` call event."""
-    return CommitLog(
-        pc=pc,
-        encoding=encode_j(op.OP_JAL, 1, 0x100),
-        next_address=pc + 4,
-        target=target,
-    )
-
-
-def _return_log(pc: int = 0x8000_2040, target: int = 0x8000_1004) -> CommitLog:
-    """A synthetic `jalr x0, 0(ra)` return event."""
-    return CommitLog(
-        pc=pc,
-        encoding=encode_i(op.OP_JALR, 0, 0, 1, 0),
-        next_address=pc + 4,
-        target=target,
-    )
-
-
 class FirmwareAnalyzer:
-    """Measures one firmware variant's per-check cost on the Ibex ISS."""
+    """Measures one firmware variant's per-check cost on the firmware rig."""
 
     def __init__(self, variant: str, addresses: Optional[AddressMap] = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown firmware variant {variant!r}")
         self.variant = variant
-        fabric = "optimized" if variant == "optimized" else "standard"
-        fw_variant = "irq" if variant == "irq" else "polling"
-        self.soc: TitanCfiSoc = build_soc(fabric=fabric, addresses=addresses,
-                                          with_cfi=False)
-        self.layout = FirmwareLayout(self.soc.addresses)
-        self.firmware: Program = shadow_stack_firmware(fw_variant, self.layout)
-        self.soc.load_firmware(self.firmware.data)
-        self._boot()
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _boot(self) -> None:
-        """Run the firmware's boot region to its steady state."""
-        ibex = self.soc.rot.ibex
-        if self.variant == "irq":
-            for _ in range(10_000):
-                result = ibex.step()
-                if result.event is StepEvent.WFI_SLEEP:
-                    return
-            raise SimulationError("IRQ firmware never reached its wfi loop")
-        # Polling firmware parks in the poll-wait loop.
-        for _ in range(10_000):
-            ibex.step()
-            region = self.firmware.region_at(ibex.pc)
-            if region == "poll":
-                return
-        raise SimulationError("polling firmware never reached its poll loop")
-
-    def _classify_category(self, mem_address: Optional[int]) -> str:
-        if mem_address is None:
-            return "logic"
-        tag = self.soc.rot.tl_map.tag(mem_address)
-        return "mem_soc" if tag == "soc" else "mem_rot"
+        self.rig = FirmwareRig(
+            "irq" if variant == "irq" else "polling",
+            fabric="optimized" if variant == "optimized" else "standard",
+            addresses=addresses,
+        )
+        self.rig.settle()
 
     def measure(self, kind: str) -> CheckBreakdown:
-        """Deposit one event and account the servicing of it.
+        """Ring one event at the idle point and account its servicing.
 
         Args:
             kind: ``"call"`` or ``"return"``.  A return is always
                 preceded by a matching call (in a separate, unmeasured
-                deposit) so the shadow stack pops successfully.
+                ring) so the shadow stack pops successfully.
         """
         if kind == "return":
-            self._service(_call_log(), measure=False)
-            return self._service(_return_log(), measure=True)
+            self._service(call_log())
+            return self._service(ret_log())
         if kind == "call":
-            return self._service(_call_log(), measure=True)
+            return self._service(call_log())
         raise ConfigError(f"unknown check kind {kind!r}")
 
-    def _service(self, log: CommitLog, measure: bool) -> CheckBreakdown:
-        mailbox = self.soc.cfi_mailbox
-        ibex = self.soc.rot.ibex
+    def _service(self, log: CommitLog) -> CheckBreakdown:
+        """Ring ``log`` now and classify every step up to completion —
+        through ``mret`` and back to the idle point for the IRQ
+        firmware, whose idle-loop steps the classifier skips."""
+        rig = self.rig
         breakdown = CheckBreakdown()
-        mailbox.deposit(log.pack())
-
-        measuring_started = False
-        for _ in range(100_000):
-            result = ibex.step()
-
-            if result.event is StepEvent.WAKE:
-                # Doorbell→wake latency: IRQ-section logic cost (§V-B).
-                breakdown.cell("irq", "logic").add(result.cycles, instructions=0)
-                measuring_started = True
-                continue
-            if result.event is StepEvent.INTERRUPT:
-                breakdown.cell("irq", "logic").add(result.cycles, instructions=0)
-                measuring_started = True
-                continue
-            if result.event is StepEvent.SLEEPING:
-                continue
-
-            region = self.firmware.region_at(result.pc) or "boot"
-            if region == "cfi" or region == "spill":
-                measuring_started = True
-
-            if result.insn is not None and measuring_started:
-                section = "irq" if region in ("irq", "boot") else "cfi"
-                if region in ("cfi", "spill", "irq"):
-                    category = self._classify_category(result.mem_address)
-                    if region in ("cfi", "spill"):
-                        breakdown.cell("cfi", category).add(result.cycles)
-                    else:
-                        breakdown.cell("irq", category).add(result.cycles)
-                elif self.variant == "irq" and region == "boot":
-                    # Instructions between mret and wfi (idle loop) are
-                    # not part of the check.
-                    pass
-
-            done_event = (
-                result.event is StepEvent.MRET
-                if self.variant == "irq"
-                else mailbox.completion_pending
-            )
-            if done_event and measuring_started:
-                if self.variant == "irq" and result.event is StepEvent.MRET:
-                    # mret already accounted above (region irq).
-                    pass
-                if mailbox.completion_pending or self.variant == "irq":
-                    break
-        else:
-            raise SimulationError("firmware never completed the check")
-
-        # Consume the completion so the next deposit is legal.
-        mailbox.completion_pending = False
+        rig.sim.probe(rig.ibex, self._classifier(breakdown))
+        rig.response(rig.sim.now, log)
         if self.variant == "irq":
-            self._drain_to_sleep()
+            rig.settle()
+        rig.sim.probe(rig.ibex, None)
         return breakdown
 
-    def _drain_to_sleep(self) -> None:
-        """After mret, run the idle loop back into wfi."""
-        ibex = self.soc.rot.ibex
-        for _ in range(1_000):
-            if ibex.sleeping:
+    def _classifier(self, breakdown: CheckBreakdown) -> Callable[[StepResult], None]:
+        """The per-step probe that accounts one check into ``breakdown``."""
+        region_at = self.rig.firmware.region_at
+        tag = self.rig.soc.rot.tl_map.tag
+
+        def observe(result: StepResult) -> None:
+            if result.event in (StepEvent.WAKE, StepEvent.INTERRUPT):
+                # Doorbell→wake latency and trap entry: IRQ-section logic (§V-B).
+                breakdown.cell("irq", "logic").add(result.cycles, instructions=0)
                 return
-            result = ibex.step()
-            if result.event is StepEvent.WFI_SLEEP:
-                return
-        raise SimulationError("firmware never returned to sleep")
+            if result.insn is None:
+                return  # asleep (busy engine only) or a synchronous trap
+            region = region_at(result.pc)
+            if region in ("cfi", "spill"):
+                section = "cfi"
+            elif region == "irq":
+                section = "irq"
+            else:
+                return  # boot / poll: the idle loop is not part of the check
+            address = result.mem_address
+            category = ("logic" if address is None
+                        else "mem_soc" if tag(address) == "soc" else "mem_rot")
+            breakdown.cell(section, category).add(result.cycles)
+
+        return observe
 
 
 def analyze_all(addresses: Optional[AddressMap] = None) -> Dict[str, Dict[str, CheckBreakdown]]:

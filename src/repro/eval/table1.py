@@ -116,7 +116,7 @@ def render(computed: Optional[Dict[str, object]] = None) -> str:
 
 
 def main() -> None:
-    """CLI entry point (``titancfi-table1``)."""
+    """CLI entry point (``python -m repro.eval.table1``)."""
     print(render())
 
 

@@ -119,7 +119,7 @@ def render(latencies: str = "measured", policy=None,
 
 
 def main() -> None:
-    """CLI entry point (``titancfi-table2``)."""
+    """CLI entry point (``python -m repro.eval.table2``)."""
     from repro.firmware.policies import CryptoReturnPolicy
 
     print(render(latencies="paper"))

@@ -84,7 +84,7 @@ def render(latencies: str = "paper", queue_depth: int = QUEUE_DEPTH) -> str:
 
 
 def main() -> None:
-    """CLI entry point (``titancfi-table3``)."""
+    """CLI entry point (``python -m repro.eval.table3``)."""
     print(render(latencies="paper"))
 
 

@@ -106,7 +106,7 @@ def render(queue_depth: int = 8) -> str:
 
 
 def main() -> None:
-    """CLI entry point (``titancfi-table4``)."""
+    """CLI entry point (``python -m repro.eval.table4``)."""
     print(render())
 
 

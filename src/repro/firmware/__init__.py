@@ -15,6 +15,8 @@ run on the low-latency fabric profile (``fabric="optimized"``).
 :mod:`repro.firmware.policies` holds Python-level reference policies
 (shadow stack with authenticated spill, forward-edge label policy) used
 by the trace-driven model and as an executable spec for the assembly.
+:mod:`repro.firmware.rig` is the one platform that runs a firmware
+check for Table I, calibration and the firmware differential test.
 """
 
 from repro.firmware.shadow_stack import (

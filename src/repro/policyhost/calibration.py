@@ -3,10 +3,10 @@
 The policy host must answer doorbells with the *same* cycle timing the
 RV32 shadow-stack firmware exhibits, or host-backed co-simulations
 would drift from the firmware-backed ones.  Rather than hard-coding
-latency constants, this module **measures** the real firmware on the
-Ibex ISS — the same measurement philosophy as the Table I harness
-(:mod:`repro.eval.firmware_analysis`) — and condenses the results into
-a :class:`ResponseModel`:
+latency constants, this module **measures** the real firmware on
+:class:`repro.firmware.rig.FirmwareRig` — the rig the Table I harness
+(:mod:`repro.eval.firmware_analysis`) classifies its steps on — and
+condenses the results into a :class:`ResponseModel`:
 
 * **busy curve** — ring→completion latency as a function of the
   doorbell's offset ``d`` from the previous completion, measured by
@@ -28,7 +28,7 @@ a :class:`ResponseModel`:
 * **shadow sessions** — a first doorbell that lands *before* the
   firmware's steady idle point (the host program's first control-flow
   event often beats the RoT boot sequence) is answered by a private
-  ISS rig replaying the exact ring sequence, until the run's first
+  firmware rig replaying the exact ring sequence, until the run's first
   steady-length gap hands over to the curves.  This keeps the boot
   epoch exact by construction instead of modelling every boot phase.
 
@@ -43,12 +43,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.commit_log import CommitLog
 from repro.errors import ConfigError, SimulationError
-from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
+from repro.firmware.rig import (
+    PROBE_PC,
+    PROBE_TARGET,
+    FirmwareRig,
+    call_log,
+    probe_log,
+    ret_log,
+)
 from repro.isa import opcodes as op
 from repro.isa.encode import encode_i, encode_j
 from repro.opentitan.rot import RotConfig
-from repro.system.sim import MODE_BATCHED, SystemSimulator
-from repro.system.soc import build_soc
 
 #: Reference path every service delta is measured against.
 P0_KEY = ("call-jal-ra", "ok")
@@ -62,24 +67,6 @@ _CONFIRM = 2 * _MAX_PERIOD
 #: means the firmware is not in a steady regime — a calibration bug).
 _SWEEP_CAP = 1024
 
-_PROBE_PC = 0x8000_1000
-_PROBE_TARGET = 0x8000_2000
-
-
-def _probe_log(encoding: int, target: int = _PROBE_TARGET) -> CommitLog:
-    return CommitLog(pc=_PROBE_PC, encoding=encoding,
-                     next_address=_PROBE_PC + 4, target=target)
-
-
-def _call_log(rd: int = 1, jal: bool = True) -> CommitLog:
-    encoding = (encode_j(op.OP_JAL, rd, 0x100) if jal
-                else encode_i(op.OP_JALR, 0, rd, 10, 0))
-    return _probe_log(encoding)
-
-
-def _ret_log(rs1: int = 1, target: int = _PROBE_PC + 4) -> CommitLog:
-    return _probe_log(encode_i(op.OP_JALR, 0, 0, rs1, 0), target=target)
-
 
 def _probe_plan() -> List[Tuple[Tuple[str, str], List[CommitLog], CommitLog]]:
     """(path key, setup logs, probe log) for every firmware check path.
@@ -88,89 +75,23 @@ def _probe_plan() -> List[Tuple[Tuple[str, str], List[CommitLog], CommitLog]]:
     every return probe is preceded by its own matching call so the
     resident depth never drifts past a handful of entries.
     """
-    match = _PROBE_PC + 4
+    match = PROBE_PC + 4
     return [
-        (("ret-ra", "underflow"), [], _ret_log(1)),
-        (("ret-t0", "underflow"), [], _ret_log(5)),
-        (P0_KEY, [], _call_log(1)),
-        (("call-jal-t0", "ok"), [], _call_log(5)),
-        (("call-jalr-ra", "ok"), [], _call_log(1, jal=False)),
-        (("call-jalr-t0", "ok"), [], _call_log(5, jal=False)),
-        (("ret-ra", "ok"), [_call_log(1)], _ret_log(1, target=match)),
-        (("ret-ra", "bad"), [_call_log(1)], _ret_log(1, target=_PROBE_TARGET)),
-        (("ret-t0", "ok"), [_call_log(1)], _ret_log(5, target=match)),
-        (("ret-t0", "bad"), [_call_log(1)], _ret_log(5, target=_PROBE_TARGET)),
-        (("jump-rs", "ok"), [], _probe_log(encode_i(op.OP_JALR, 0, 0, 10, 0))),
-        (("jump-rd", "ok"), [], _probe_log(encode_i(op.OP_JALR, 0, 6, 10, 0))),
-        (("jal-jump", "ok"), [], _probe_log(encode_j(op.OP_JAL, 0, 0x100))),
-        (("other", "ok"), [], _probe_log(0x13)),  # addi x0,x0,0
+        (("ret-ra", "underflow"), [], ret_log(1)),
+        (("ret-t0", "underflow"), [], ret_log(5)),
+        (P0_KEY, [], call_log(1)),
+        (("call-jal-t0", "ok"), [], call_log(5)),
+        (("call-jalr-ra", "ok"), [], call_log(1, jal=False)),
+        (("call-jalr-t0", "ok"), [], call_log(5, jal=False)),
+        (("ret-ra", "ok"), [call_log(1)], ret_log(1, target=match)),
+        (("ret-ra", "bad"), [call_log(1)], ret_log(1, target=PROBE_TARGET)),
+        (("ret-t0", "ok"), [call_log(1)], ret_log(5, target=match)),
+        (("ret-t0", "bad"), [call_log(1)], ret_log(5, target=PROBE_TARGET)),
+        (("jump-rs", "ok"), [], probe_log(encode_i(op.OP_JALR, 0, 0, 10, 0))),
+        (("jump-rd", "ok"), [], probe_log(encode_i(op.OP_JALR, 0, 6, 10, 0))),
+        (("jal-jump", "ok"), [], probe_log(encode_j(op.OP_JAL, 0, 0x100))),
+        (("other", "ok"), [], probe_log(0x13)),  # addi x0,x0,0
     ]
-
-
-class _MicroRig:
-    """A frozen RoT servicing the CFI mailbox, run by the co-simulator.
-
-    The platform is the cosim's own (``build_soc`` without CFI, the
-    application hart halted), so Ibex runs through the batched engine's
-    windows, debt jumps and WFI-sleep jumps exactly as in a
-    firmware-backed run.  A doorbell rung "at cycle T" lands *after*
-    every agent's tick of cycle T, which is where the log writer's ring
-    lands in the busy loop (the CFI stage ticks after the RoT core).
-    The completion cycle is the cycle the firmware's completion store
-    executes — the cycle the log writer's same-cycle tick observes it;
-    that store ends its window on its own retire cycle, so it is the
-    clock when the advance stops.
-    """
-
-    def __init__(self, variant: str, fabric: str, wake_cycles: int):
-        self.variant = variant
-        soc = build_soc(fabric=fabric, with_cfi=False, wake_cycles=wake_cycles)
-        self.firmware = shadow_stack_firmware(variant, FirmwareLayout(soc.addresses))
-        soc.load_firmware(self.firmware.data)
-        soc.harts[0].halted = True
-        self.sim = SystemSimulator(soc, mode=MODE_BATCHED)
-        self.ibex = soc.rot.ibex
-        self.mailbox = soc.cfi_mailbox
-
-    def run_to(self, cycle: int) -> None:
-        if cycle < self.sim.now:
-            raise SimulationError(
-                f"calibration rig asked to ring in the past "
-                f"({cycle} < {self.sim.now})"
-            )
-        self.sim.advance(cycle)
-
-    def response(self, cycle: int, log: CommitLog,
-                 limit: int = 200_000) -> int:
-        """Ring the doorbell at ``cycle``; return the completion cycle."""
-        self.run_to(cycle)
-        sim, mailbox = self.sim, self.mailbox
-        mailbox.deposit(log.pack())
-        if not sim.advance(sim.now + limit, lambda: mailbox.completion_pending):
-            raise SimulationError(
-                f"{self.variant} firmware never completed the "
-                f"calibration check rung at cycle {cycle}"
-            )
-        return sim.now
-
-    def settle(self, limit: int = 100_000) -> int:
-        """Run the boot sequence to the steady idle point; returns its
-        cycle (WFI sleep for the IRQ variant, poll-loop entry for the
-        polling variant).  Stepped cycle by cycle: the polling
-        firmware's idle point is a pc, which a window would run past."""
-        sim = self.sim
-        deadline = sim.now + limit
-        if self.variant == "irq":
-            while not self.ibex.sleeping:
-                if sim.now >= deadline:
-                    raise SimulationError("IRQ firmware never reached wfi")
-                sim.tick()
-            return sim.now
-        while self.firmware.region_at(self.ibex.pc) != "poll":
-            if sim.now >= deadline:
-                raise SimulationError("polling firmware never reached its loop")
-            sim.tick()
-        return sim.now
 
 
 def _find_period(values: List[int], max_period: int = _MAX_PERIOD,
@@ -281,7 +202,7 @@ class ShadowSession:
 
     def __init__(self, model: "ResponseModel"):
         self._model = model
-        self._rig: Optional[_MicroRig] = None
+        self._rig: Optional[FirmwareRig] = None
         self.drift = 0
         self._last_rig_respond: Optional[int] = None
         self._chain: List[Tuple[int, bytes]] = []
@@ -293,7 +214,7 @@ class ShadowSession:
         #: (and growing) a replaced trie.
         self._generation = model._chain_generation
 
-    def _ensure_rig(self) -> _MicroRig:
+    def _ensure_rig(self) -> FirmwareRig:
         """The replay rig, built on first miss and caught up through
         every ring already answered from the chain table."""
         if self._rig is None:
@@ -373,8 +294,8 @@ class ResponseModel:
 
     # -- rig plumbing --------------------------------------------------------
 
-    def _new_rig(self) -> _MicroRig:
-        return _MicroRig(self.variant, self.fabric, self.wake_cycles)
+    def _new_rig(self) -> FirmwareRig:
+        return FirmwareRig(self.variant, self.fabric, self.wake_cycles)
 
     # -- measurements --------------------------------------------------------
 
@@ -388,7 +309,7 @@ class ResponseModel:
         """
         rig = self._new_rig()
         settle = rig.settle()
-        probe = _call_log(1)
+        probe = call_log(1)
         if outcome == "ok":
             anchor = rig.response(settle + 8, probe)
 
@@ -403,8 +324,8 @@ class ResponseModel:
             state = {"anchor": rig.response(settle + 8, probe)}
 
             def sample(offset: int) -> int:
-                prev = rig.response(state["anchor"] + 64, _call_log(1))
-                bad = rig.response(prev + 64, _ret_log(1, target=_PROBE_TARGET))
+                prev = rig.response(state["anchor"] + 64, call_log(1))
+                bad = rig.response(prev + 64, ret_log(1, target=PROBE_TARGET))
                 ring = bad + offset
                 respond = rig.response(ring, probe)
                 state["anchor"] = respond
@@ -422,7 +343,7 @@ class ResponseModel:
         period is confirmed independently, but with the busy curve's
         period already known the sweep converges quickly.
         """
-        probe = _call_log(1)
+        probe = call_log(1)
         start = self._new_rig().settle()
 
         def sample(offset: int) -> int:
@@ -450,7 +371,7 @@ class ResponseModel:
         offset = len(busy.values) + 2 * busy.period
         # Anchor the chain with a stack-neutral event (the underflow
         # probes that follow need an empty shadow stack).
-        prev = rig.response(settle + 8, _probe_log(0x13))
+        prev = rig.response(settle + 8, probe_log(0x13))
         latencies: Dict[Tuple[str, str], int] = {}
         for key, setups, probe in _probe_plan():
             for setup in setups:

@@ -15,37 +15,24 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.commit_log import CommitLog
 from repro.firmware.policies import Policy
-from repro.isa import opcodes as op
-from repro.isa.encode import encode_i, encode_j
-
-_PC = 0x8000_1000
-
-
-def _probe_pair():
-    """A matched (call, return) probe pair — the Table I measurement's
-    event mix (one ``jal ra`` call, one ``jalr x0, 0(ra)`` return)."""
-    call = CommitLog(pc=_PC, encoding=encode_j(op.OP_JAL, 1, 0x100),
-                     next_address=_PC + 4, target=0x8000_2000)
-    ret = CommitLog(pc=0x8000_2040, encoding=encode_i(op.OP_JALR, 0, 0, 1, 0),
-                    next_address=0x8000_2044, target=_PC + 4)
-    return call, ret
+from repro.firmware.rig import call_log, ret_log
 
 
 def policy_extra_cycles(policy: Policy) -> float:
     """Mean per-check surcharge of ``policy`` over the call/return mix.
 
-    Runs the probe pair through the policy (mutating it — pass a fresh
-    instance) so surcharges that depend on internal state (the crypto
-    policy's underflow short-circuit) are evaluated on the real path.
+    Runs Table I's matched probe pair (one ``jal ra`` call, one
+    ``jalr x0, 0(ra)`` return) through the policy (mutating it — pass a
+    fresh instance) so surcharges that depend on internal state (the
+    crypto policy's underflow short-circuit) are evaluated on the real
+    path.
     """
     extra = getattr(policy, "host_extra_cycles", None)
     if extra is None:
         return 0.0
     total = 0
-    call, ret = _probe_pair()
-    for log in (call, ret):
+    for log in (call_log(), ret_log()):
         verdict = policy.check(log)
         total += extra(log, verdict)
     return total / 2

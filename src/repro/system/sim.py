@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.log_writer import LogWriter
 from repro.cva6.commit import CommitStage
 from repro.errors import CfiViolation, ConfigError, SimulationError
-from repro.hart.core import Hart
+from repro.hart.core import Hart, StepResult
 from repro.system.soc import TitanCfiSoc
 
 
@@ -109,6 +109,12 @@ POLICY_BACKEND_HOST = "host"
 POLICY_BACKENDS = (POLICY_BACKEND_FIRMWARE, POLICY_BACKEND_HOST)
 
 
+def _check_cycles(name: str, value: object) -> None:
+    """``RotConfig.wake_cycles``' rule: an ``int``, not a ``bool``, >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{name} must be an int >= 0, got {value!r}")
+
+
 class HartSlot:
     """A hart as a clocked agent: the hart, its commit stage (``None``
     for the RoT core, which retires directly) and its cycle debt.
@@ -131,7 +137,7 @@ class HartSlot:
         debt: initial cycle debt (a staggered start).
     """
 
-    __slots__ = ("hart", "commit", "window", "segment", "debt")
+    __slots__ = ("hart", "commit", "window", "segment", "debt", "observe")
 
     def __init__(self, hart: Hart, commit: Optional[CommitStage],
                  window: Tuple[int, int], segment: Tuple[int, int],
@@ -141,26 +147,34 @@ class HartSlot:
         self.window = window
         self.segment = segment
         self.debt = debt
+        #: Per-step probe (:meth:`SystemSimulator.probe`), else ``None``.
+        self.observe: Optional[Callable[[StepResult], None]] = None
 
     def tick(self) -> None:
         """One cycle: melt debt, else advance the hart (through its
-        commit stage) and take on the instruction's remaining cost."""
+        commit stage), take on the instruction's remaining cost and
+        hand the step to the probe, if one is attached."""
         if self.debt > 0:
             self.debt -= 1
         elif not self.hart.halted:
             commit = self.commit
             result = (self.hart.step() if commit is None
                       else commit.try_advance())
-            if result is not None and result.cycles > 1:
-                self.debt = result.cycles - 1
+            if result is not None:
+                if result.cycles > 1:
+                    self.debt = result.cycles - 1
+                if self.observe is not None:
+                    self.observe(result)
 
     @property
     def active(self) -> bool:
-        """True when the hart retires on its next tick."""
+        """True when the hart retires on its next tick inside a window
+        (a probed hart only ever retires through :meth:`tick`)."""
         hart = self.hart
         commit = self.commit
         return not (self.debt or hart.halted or hart.sleeping
-                    or (commit is not None and commit.stalled))
+                    or (commit is not None and commit.stalled)
+                    or self.observe is not None)
 
     def skippable_cycles(self) -> int:
         """Cycles the slot can fast-forward with no state change.
@@ -253,8 +267,7 @@ class SystemSimulator:
             if len(delays) != n:
                 raise ConfigError(f"{len(delays)} start delays for {n} harts")
             for delay in delays:
-                if not isinstance(delay, int) or delay < 0:
-                    raise ConfigError(f"invalid start delay {delay!r}")
+                _check_cycles("start delay", delay)
         addresses = soc.addresses
         dram = (addresses.dram_base, addresses.dram_base + soc.dram.size)
         harts = [
@@ -287,6 +300,24 @@ class SystemSimulator:
         if self._phost is not None:
             return POLICY_BACKEND_HOST
         return POLICY_BACKEND_FIRMWARE
+
+    def probe(self, hart: Hart,
+              observe: Optional[Callable[[StepResult], None]]) -> None:
+        """Hand every step ``hart`` takes to ``observe``; ``None``
+        detaches the probe.
+
+        A probed hart never joins a window, so each retiring, wake and
+        trap step reaches ``observe`` in both engines alike.  Its debt
+        and WFI sleep still jump, so only ``busy`` also delivers the
+        per-cycle ``SLEEPING`` steps.  Detached, the probe is one
+        ``is None`` test per step and per window scan.  A hart this
+        simulator does not step (a frozen RoT core) raises ConfigError.
+        """
+        for slot in self._slots:
+            if slot.hart is hart:
+                slot.observe = observe
+                return
+        raise ConfigError(f"{hart.name} is not scheduled by this simulator")
 
     def tick(self) -> None:
         """Advance the whole platform by one cycle, every agent in tick
@@ -439,8 +470,10 @@ class SystemSimulator:
 
         ``stop`` is checked after every tick and every window, so both
         engines see it on the same cycle.  Returns True when ``stop``
-        ended the advance, False when the clock reached ``until``.
+        ended the advance, False when the clock reached ``until``.  An
+        ``until`` that is not an ``int`` >= 0 raises ConfigError.
         """
+        _check_cycles("until", until)
         batched = self.mode == MODE_BATCHED
         while self.now < until:
             self.tick()
@@ -463,7 +496,9 @@ class SystemSimulator:
 
         A CFI violation stops the run immediately and is reported, not
         re-raised — detection is the expected outcome of attack runs.
+        A ``max_cycles`` that is not an ``int`` >= 0 raises ConfigError.
         """
+        _check_cycles("max_cycles", max_cycles)
         try:
             if not self.advance(max_cycles, self._finished):
                 raise SimulationError(

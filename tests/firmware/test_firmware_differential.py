@@ -13,47 +13,22 @@ from hypothesis import strategies as st
 
 from repro.core.commit_log import CommitLog
 from repro.firmware.policies import CheckResult, ShadowStackPolicy
-from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
-from repro.hart.core import StepEvent
+from repro.firmware.rig import FirmwareRig
 from repro.isa.encode import encode_i, encode_j
 from repro.isa import opcodes as op
 from repro.soc.mailbox import VERDICT_OK
-from repro.system.soc import build_soc
 
 
 class FirmwareOracle:
-    """Feeds commit logs to the polling firmware on the Ibex ISS."""
+    """Feeds commit logs to the polling firmware on the firmware rig."""
 
     def __init__(self):
-        self.soc = build_soc(with_cfi=False)
-        firmware = shadow_stack_firmware("polling", FirmwareLayout(self.soc.addresses))
-        self.soc.load_firmware(firmware.data)
-        self._run_until_polling()
-
-    def _run_until_polling(self):
-        ibex = self.soc.rot.ibex
-        for _ in range(10_000):
-            ibex.step()
-            if ibex.pc >= self.soc.addresses.ot_rom_base:
-                # crude but sufficient: wait for the boot region to settle
-                from repro.firmware.shadow_stack import shadow_stack_firmware  # noqa
-                break
-        # Let the poll loop actually start (status reads begin).
-        for _ in range(200):
-            ibex.step()
+        self.rig = FirmwareRig("polling")
+        self.rig.settle()
 
     def verdict(self, log: CommitLog) -> CheckResult:
-        mailbox = self.soc.cfi_mailbox
-        mailbox.deposit(log.pack())
-        ibex = self.soc.rot.ibex
-        for _ in range(100_000):
-            ibex.step()
-            if mailbox.completion_pending:
-                break
-        else:
-            raise AssertionError("firmware never completed the check")
-        mailbox.completion_pending = False
-        value = mailbox.result()
+        self.rig.response(self.rig.sim.now, log)
+        value = self.rig.mailbox.result()
         return CheckResult.OK if value == VERDICT_OK else CheckResult.VIOLATION
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.programs import CLEAN_MARKER, benign_program
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.system.sim import SystemSimulator
 from repro.system.soc import build_soc
@@ -77,3 +77,47 @@ class TestBaselineComparison:
         assert base.host_instructions == prot.host_instructions
         assert prot.cycles >= base.cycles
         assert protected.cva6.regs.read(10) == CLEAN_MARKER
+
+
+class TestProbe:
+    def test_probe_is_invisible_in_cycles(self):
+        reports, steps = [], []
+        for probe in (None, steps.append):
+            soc = protected_soc()
+            soc.load_host_program(benign_program(soc.addresses))
+            simulator = SystemSimulator(soc)
+            simulator.probe(soc.rot.ibex, probe)
+            reports.append(simulator.run())
+        assert reports[0] == reports[1]
+        retired = [step for step in steps if step.insn is not None]
+        assert len(retired) == reports[1].ibex_instructions
+
+    def test_probe_needs_a_scheduled_hart(self):
+        soc = protected_soc()
+        with pytest.raises(ConfigError, match="not scheduled"):
+            SystemSimulator(soc, run_rot=False).probe(soc.rot.ibex, print)
+
+
+class TestCycleArguments:
+    """Cycle counts at the simulator's entry points follow
+    ``RotConfig.wake_cycles``' rule: an ``int``, not a ``bool``, >= 0."""
+
+    def test_bool_start_delay_rejected(self):
+        with pytest.raises(ConfigError, match="start delay"):
+            SystemSimulator(protected_soc(), start_delays=[True])
+
+    @pytest.mark.parametrize("max_cycles", ["10", True, -1, 10.0])
+    def test_bad_max_cycles_rejected(self, max_cycles):
+        soc = protected_soc()
+        soc.load_host_program(benign_program(soc.addresses))
+        simulator = SystemSimulator(soc)
+        with pytest.raises(ConfigError, match="max_cycles"):
+            simulator.run(max_cycles=max_cycles)
+        assert simulator.now == 0
+
+    @pytest.mark.parametrize("until", ["10", False, -1, 2.5])
+    def test_bad_advance_bound_rejected(self, until):
+        simulator = SystemSimulator(protected_soc())
+        with pytest.raises(ConfigError, match="until"):
+            simulator.advance(until)
+        assert simulator.now == 0
