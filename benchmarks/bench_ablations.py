@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for TitanCFI's design choices.
 
 Not paper tables — these sweep the knobs the paper fixes (queue depth,
 check latency, firmware variant) and the end-to-end co-simulation, so a

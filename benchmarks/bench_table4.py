@@ -21,7 +21,7 @@ def test_table4_regeneration(benchmark):
 
 @pytest.mark.table("IV")
 def test_queue_depth_area_ablation(benchmark):
-    """DESIGN.md ablation: how the queue depth drives the register bill."""
+    """Ablation: how the queue depth drives the register bill."""
     def sweep():
         return {
             depth: table4.compute(queue_depth=depth)["host"]["delta"].registers

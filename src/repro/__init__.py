@@ -12,8 +12,8 @@ Entry points most users want:
 * :mod:`repro.eval.table1` … ``table4`` / ``figure1`` — regenerate the
   paper's evaluation.
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for
-paper-vs-measured results.
+README.md maps the architecture (its "Layout" section) and lists the
+table CLIs (its "Regenerating the paper's tables" section).
 """
 
 __version__ = "1.0.0"

@@ -1,6 +1,6 @@
 """Width-driven structural area estimation for the TitanCFI RTL blocks.
 
-We cannot run Vivado (DESIGN.md §2); instead every block added by
+We cannot run Vivado; instead every block added by
 TitanCFI is costed from its datapath widths with per-primitive
 constants typical of UltraScale+ mappings:
 

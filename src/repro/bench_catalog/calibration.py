@@ -1,7 +1,7 @@
 """Burst-parameter calibration for the synthetic traces.
 
-We cannot have the authors' RTL commit traces; DESIGN.md §2 documents
-the substitution: synthetic traces reproducing the published first-order
+We cannot have the authors' RTL commit traces.  The substitution is
+synthetic traces reproducing the published first-order
 statistics exactly, with a two-parameter burst structure fitted against
 the published **IRQ** slowdown only (queue depth 8, IRQ latency).  The
 Polling and Optimized columns are then *predictions* of the fitted

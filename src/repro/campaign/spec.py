@@ -44,7 +44,7 @@ from repro.attacks.programs import (
     return_to_callsite_program,
     rop_program,
 )
-from repro.errors import AxisConflict, ConfigError, UnknownHartError
+from repro.errors import AxisConflict, ConfigError, UnknownHartError, check_int
 from repro.faults.plan import FAULT_PLANS
 from repro.isa.asm import Program
 from repro.system.addresses import AddressMap
@@ -436,10 +436,10 @@ class Scenario:
             raise ConfigError(f"unknown firmware variant {self.firmware!r}")
         if self.fabric not in ("standard", "optimized"):
             raise ConfigError(f"unknown fabric {self.fabric!r}")
-        if self.queue_depth < 1:
-            raise ConfigError("queue_depth must be >= 1")
-        if self.stagger < 0:
-            raise ConfigError("stagger must be >= 0")
+        check_int("queue_depth", self.queue_depth, 1)
+        check_int("stagger", self.stagger, 0)
+        check_int("max_cycles", self.max_cycles, 1)
+        check_int("seed", self.seed, 0)
         if self.fault_plan is not None and self.fault_plan not in FAULT_PLANS:
             raise ConfigError(
                 f"unknown fault plan {self.fault_plan!r} "

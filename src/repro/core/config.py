@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class TitanCfiConfig:
     lossy: bool = False
 
     def __post_init__(self):
-        if self.queue_depth < 1:
-            raise ConfigError("queue_depth must be >= 1")
-        if self.commit_ports < 1:
-            raise ConfigError("commit_ports must be >= 1")
+        check_int("queue_depth", self.queue_depth, 1)
+        check_int("commit_ports", self.commit_ports, 1)
         if self.lossy and self.blocking:
             raise ConfigError(
                 "lossy and blocking are mutually exclusive: blocking "

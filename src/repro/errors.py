@@ -130,6 +130,14 @@ class ConfigError(ReproError):
     """An invalid configuration was supplied to a component."""
 
 
+def check_int(name: str, value: object, minimum: int) -> None:
+    """The one rule for an integer configuration field: an ``int``, not
+    a ``bool``, at least ``minimum``; anything else raises
+    :class:`ConfigError`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 class AxisConflict(ConfigError):
     """Two configuration fields, each valid on its own, cannot be
     combined (e.g. a fault plan on the reference backend, or

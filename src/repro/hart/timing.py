@@ -1,7 +1,7 @@
 """Static per-instruction timing models for the two cores.
 
 The reproduction replaces RTL cycle accuracy with calibrated static
-models (see DESIGN.md §2).  Costs are charged per *retired* instruction:
+models.  Costs are charged per *retired* instruction:
 
 * :class:`IbexTiming` follows the public Ibex documentation for the
   3-stage, single-issue core (taken branches 3 cycles, jumps 2, loads

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 from repro.hart.core import Hart
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram, Rom
@@ -50,9 +50,7 @@ class RotConfig:
     def __post_init__(self) -> None:
         if self.fabric not in ("standard", "optimized"):
             raise ConfigError(f"unknown fabric profile {self.fabric!r}")
-        wake = self.wake_cycles
-        if not isinstance(wake, int) or isinstance(wake, bool) or wake < 0:
-            raise ConfigError(f"wake_cycles must be an int >= 0, got {wake!r}")
+        check_int("wake_cycles", self.wake_cycles, 0)
 
     def tlul_timings(self) -> TlulTimings:
         """TL-UL timing for the chosen fabric profile."""

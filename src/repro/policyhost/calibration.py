@@ -32,13 +32,27 @@ condenses the results into a :class:`ResponseModel`:
   steady-length gap hands over to the curves.  This keeps the boot
   epoch exact by construction instead of modelling every boot phase.
 
-Models are memoised per ``(firmware variant, fabric, wake_cycles)`` —
-one calibration serves every scenario of a campaign shard.
+The tables are committed data.  ``calibration_tables.json`` beside this
+module holds them for both firmware variants on both fabrics at the
+default 45-cycle wake, keyed ``"{variant}/{fabric}/{wake_cycles}"`` and
+stamped with the SHA-256 of the firmware image they were measured on.
+A model is built from its shipped entry when the key and the digest
+match, and otherwise from a fresh :func:`measure_tables` run, the same
+function that generates the file::
+
+    PYTHONPATH=src python tests/policyhost/test_calibration_tables.py
+
+Tier-1 re-measures every shipped entry and compares.  Models are
+memoised per ``(firmware variant, fabric, wake_cycles)`` — one model
+serves every scenario of a campaign shard.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.commit_log import CommitLog
@@ -51,9 +65,13 @@ from repro.firmware.rig import (
     probe_log,
     ret_log,
 )
+from repro.firmware.shadow_stack import shadow_stack_firmware
 from repro.isa import opcodes as op
 from repro.isa.encode import encode_i, encode_j
 from repro.opentitan.rot import RotConfig
+
+#: The committed calibration tables, read when a model is built.
+TABLES = Path(__file__).with_name("calibration_tables.json")
 
 #: Reference path every service delta is measured against.
 P0_KEY = ("call-jal-ra", "ok")
@@ -141,6 +159,16 @@ class ResponseCurve:
     values: Tuple[int, ...]
     period: int
 
+    @classmethod
+    def from_table(cls, table: Dict[str, object]) -> "ResponseCurve":
+        return cls(start=table["start"], values=tuple(table["values"]),
+                   period=table["period"])
+
+    def table(self) -> Dict[str, object]:
+        """The curve as its :data:`TABLES` entry."""
+        return {"start": self.start, "values": list(self.values),
+                "period": self.period}
+
     def latency(self, offset: int) -> int:
         index = offset - self.start
         if index < 0:
@@ -152,6 +180,149 @@ class ResponseCurve:
             return self.values[index]
         base = n - self.period
         return self.values[base + (index - base) % self.period]
+
+
+# -- measurements ------------------------------------------------------------
+
+def _measure_busy_curve(new_rig: Callable[[], FirmwareRig], outcome: str,
+                        label: str) -> ResponseCurve:
+    """Sweep ring offsets over a steady back-to-back chain.
+
+    For the ``ok`` curve each probe's completion anchors the next
+    probe; for the ``bad`` curve every offset is anchored at a
+    fresh return-mismatch completion (the post-violation epilogue
+    could, in principle, differ from the benign one).
+    """
+    rig = new_rig()
+    settle = rig.settle()
+    probe = call_log(1)
+    if outcome == "ok":
+        anchor = rig.response(settle + 8, probe)
+
+        def sample(offset: int) -> int:
+            nonlocal anchor
+            ring = anchor + offset
+            respond = rig.response(ring, probe)
+            anchor = respond
+            return respond - ring
+
+    else:
+        state = {"anchor": rig.response(settle + 8, probe)}
+
+        def sample(offset: int) -> int:
+            prev = rig.response(state["anchor"] + 64, call_log(1))
+            bad = rig.response(prev + 64, ret_log(1, target=PROBE_TARGET))
+            ring = bad + offset
+            respond = rig.response(ring, probe)
+            state["anchor"] = respond
+            return respond - ring
+
+    values, period = _collect_periodic(sample, f"busy/{outcome} of {label}")
+    return ResponseCurve(start=0, values=tuple(values), period=period)
+
+
+def _measure_boot_tail(new_rig: Callable[[], FirmwareRig], busy_period: int,
+                       label: str) -> ResponseCurve:
+    """First-doorbell latency from the steady idle point onward.
+
+    One fresh rig per sample (boot happens once per rig); the tail
+    period is confirmed independently, but with the busy curve's
+    period already known the sweep converges quickly.
+    """
+    probe = call_log(1)
+    start = new_rig().settle()
+
+    def sample(offset: int) -> int:
+        rig = new_rig()
+        ring = start + offset
+        return rig.response(ring, probe) - ring
+
+    values, period = _collect_periodic(
+        sample, f"boot of {label}", initial=busy_period + _CONFIRM + 4,
+    )
+    return ResponseCurve(start=start, values=tuple(values), period=period)
+
+
+def _measure_deltas(new_rig: Callable[[], FirmwareRig], busy: ResponseCurve,
+                    label: str) -> Dict[Tuple[str, str], int]:
+    """Per-path latency deltas versus the reference path, in
+    :func:`_probe_plan` order.
+
+    Every probe is rung at the identical offset from its previous
+    completion, so the pre-check segment (wake, trap entry, ISR
+    prologue / poll observation) contributes identically and the
+    deltas isolate the check-path cost alone.
+    """
+    rig = new_rig()
+    settle = rig.settle()
+    offset = len(busy.values) + 2 * busy.period
+    # Anchor the chain with a stack-neutral event (the underflow
+    # probes that follow need an empty shadow stack).
+    prev = rig.response(settle + 8, probe_log(0x13))
+    latencies: Dict[Tuple[str, str], int] = {}
+    for key, setups, probe in _probe_plan():
+        for setup in setups:
+            prev = rig.response(prev + offset, setup)
+        ring = prev + offset
+        respond = rig.response(ring, probe)
+        latencies[key] = respond - ring
+        prev = respond
+    base = latencies[P0_KEY]
+    expected = busy.latency(offset)
+    if base != expected:
+        raise SimulationError(
+            f"calibration self-check failed: reference probe latency "
+            f"{base} != busy-curve extrapolation {expected} ({label})"
+        )
+    return {key: lat - base for key, lat in latencies.items()}
+
+
+def table_key(variant: str, fabric: str, wake_cycles: int) -> str:
+    """The :data:`TABLES` key of one firmware configuration."""
+    return f"{variant}/{fabric}/{wake_cycles}"
+
+
+def firmware_digest(variant: str) -> str:
+    """SHA-256 of the assembled ``variant`` firmware image."""
+    return hashlib.sha256(shadow_stack_firmware(variant).data).hexdigest()
+
+
+def measure_tables(variant: str, fabric: str = "standard",
+                   wake_cycles: int = 45) -> Dict[str, object]:
+    """Measure every table of one firmware configuration on fresh rigs.
+
+    Returns the configuration's :data:`TABLES` entry: the firmware
+    digest, both busy curves (``ok`` and ``bad``), the boot tail, every
+    service delta in probe order and ``bad_bias``.
+    """
+    label = table_key(variant, fabric, wake_cycles)
+
+    def new_rig() -> FirmwareRig:
+        return FirmwareRig(variant, fabric, wake_cycles)
+
+    busy = {outcome: _measure_busy_curve(new_rig, outcome, label)
+            for outcome in ("ok", "bad")}
+    boot_tail = _measure_boot_tail(new_rig, busy["ok"].period, label)
+    deltas = _measure_deltas(new_rig, busy["ok"], label)
+    return {
+        "firmware": firmware_digest(variant),
+        "busy": {outcome: curve.table() for outcome, curve in busy.items()},
+        "boot_tail": boot_tail.table(),
+        "deltas": {f"{name}/{outcome}": delta
+                   for (name, outcome), delta in deltas.items()},
+        "bad_bias": deltas[("ret-ra", "bad")] - deltas[("ret-ra", "ok")],
+    }
+
+
+def _shipped_tables(variant: str, fabric: str,
+                    wake_cycles: int) -> Optional[Dict[str, object]]:
+    """The committed entry of one configuration, or ``None`` when none
+    is shipped or it was measured on another firmware image."""
+    entry = json.loads(TABLES.read_text()).get(
+        table_key(variant, fabric, wake_cycles))
+    if entry is None or entry["firmware"] != firmware_digest(variant):
+        return None
+    return entry
 
 
 #: Node cap of the boot-chain trie, per model.  Bounds memory only —
@@ -271,6 +442,9 @@ class ResponseModel:
                  wake_cycles: int = 45):
         if variant not in ("irq", "polling"):
             raise ConfigError(f"unknown firmware variant {variant!r}")
+        # Validate before the table lookup: ``wake_cycles="45"`` would
+        # find the shipped ``…/45`` entry.
+        RotConfig(fabric=fabric, wake_cycles=wake_cycles)
         self.variant = variant
         self.fabric = fabric
         self.wake_cycles = wake_cycles
@@ -287,110 +461,19 @@ class ResponseModel:
         #: Replay rigs actually constructed by shadow sessions (the
         #: boot-chain table's effectiveness metric; see the tests).
         self.shadow_rig_builds = 0
-        self._busy: Dict[str, ResponseCurve] = {}
-        self._busy["ok"] = self._measure_busy_curve("ok")
-        self.boot_tail = self._measure_boot_tail()
-        self._deltas, self.bad_bias = self._measure_deltas()
-
-    # -- rig plumbing --------------------------------------------------------
+        tables = (_shipped_tables(variant, fabric, wake_cycles)
+                  or measure_tables(variant, fabric, wake_cycles))
+        self._busy = {outcome: ResponseCurve.from_table(curve)
+                      for outcome, curve in tables["busy"].items()}
+        self.boot_tail = ResponseCurve.from_table(tables["boot_tail"])
+        self._deltas: Dict[Tuple[str, str], int] = {
+            tuple(key.split("/")): delta
+            for key, delta in tables["deltas"].items()
+        }
+        self.bad_bias: int = tables["bad_bias"]
 
     def _new_rig(self) -> FirmwareRig:
         return FirmwareRig(self.variant, self.fabric, self.wake_cycles)
-
-    # -- measurements --------------------------------------------------------
-
-    def _measure_busy_curve(self, outcome: str) -> ResponseCurve:
-        """Sweep ring offsets over a steady back-to-back chain.
-
-        For the ``ok`` curve each probe's completion anchors the next
-        probe; for the ``bad`` curve every offset is anchored at a
-        fresh return-mismatch completion (the post-violation epilogue
-        could, in principle, differ from the benign one).
-        """
-        rig = self._new_rig()
-        settle = rig.settle()
-        probe = call_log(1)
-        if outcome == "ok":
-            anchor = rig.response(settle + 8, probe)
-
-            def sample(offset: int) -> int:
-                nonlocal anchor
-                ring = anchor + offset
-                respond = rig.response(ring, probe)
-                anchor = respond
-                return respond - ring
-
-        else:
-            state = {"anchor": rig.response(settle + 8, probe)}
-
-            def sample(offset: int) -> int:
-                prev = rig.response(state["anchor"] + 64, call_log(1))
-                bad = rig.response(prev + 64, ret_log(1, target=PROBE_TARGET))
-                ring = bad + offset
-                respond = rig.response(ring, probe)
-                state["anchor"] = respond
-                return respond - ring
-
-        values, period = _collect_periodic(
-            sample, f"busy/{self.variant}/{outcome}"
-        )
-        return ResponseCurve(start=0, values=tuple(values), period=period)
-
-    def _measure_boot_tail(self) -> ResponseCurve:
-        """First-doorbell latency from the steady idle point onward.
-
-        One fresh rig per sample (boot happens once per rig); the tail
-        period is confirmed independently, but with the busy curve's
-        period already known the sweep converges quickly.
-        """
-        probe = call_log(1)
-        start = self._new_rig().settle()
-
-        def sample(offset: int) -> int:
-            rig = self._new_rig()
-            ring = start + offset
-            return rig.response(ring, probe) - ring
-
-        values, period = _collect_periodic(
-            sample, f"boot/{self.variant}",
-            initial=self._busy["ok"].period + _CONFIRM + 4,
-        )
-        return ResponseCurve(start=start, values=tuple(values), period=period)
-
-    def _measure_deltas(self) -> Tuple[Dict[Tuple[str, str], int], int]:
-        """Per-path latency deltas versus the reference path.
-
-        Every probe is rung at the identical offset from its previous
-        completion, so the pre-check segment (wake, trap entry, ISR
-        prologue / poll observation) contributes identically and the
-        deltas isolate the check-path cost alone.
-        """
-        rig = self._new_rig()
-        settle = rig.settle()
-        busy = self._busy["ok"]
-        offset = len(busy.values) + 2 * busy.period
-        # Anchor the chain with a stack-neutral event (the underflow
-        # probes that follow need an empty shadow stack).
-        prev = rig.response(settle + 8, probe_log(0x13))
-        latencies: Dict[Tuple[str, str], int] = {}
-        for key, setups, probe in _probe_plan():
-            for setup in setups:
-                prev = rig.response(prev + offset, setup)
-            ring = prev + offset
-            respond = rig.response(ring, probe)
-            latencies[key] = respond - ring
-            prev = respond
-        base = latencies[P0_KEY]
-        expected = busy.latency(offset)
-        if base != expected:
-            raise SimulationError(
-                f"calibration self-check failed: reference probe latency "
-                f"{base} != busy-curve extrapolation {expected} "
-                f"({self.variant}/{self.fabric})"
-            )
-        deltas = {key: lat - base for key, lat in latencies.items()}
-        bad_bias = deltas[("ret-ra", "bad")] - deltas[("ret-ra", "ok")]
-        return deltas, bad_bias
 
     # -- queries -------------------------------------------------------------
 
@@ -408,11 +491,8 @@ class ResponseModel:
         return len(self._busy["ok"].values)
 
     def busy_curve(self, outcome: str) -> ResponseCurve:
-        curve = self._busy.get(outcome)
-        if curve is None:
-            curve = self._measure_busy_curve(outcome)
-            self._busy[outcome] = curve
-        return curve
+        """The busy curve anchored at an ``ok`` or a ``bad`` completion."""
+        return self._busy[outcome]
 
     def service_delta(self, path_key: Tuple[str, str]) -> int:
         delta = self._deltas.get(path_key)

@@ -7,8 +7,9 @@ Every executed campaign cell is stored once, under a composite key:
   per-scenario seed, stable under dict ordering and equivalent-spec
   round-trips;
 * the **code fingerprint** (:func:`code_fingerprint`) — a SHA-256 over
-  the ``repro`` source tree, so any code change invalidates every
-  cached result at once (results are functions of code *and* spec).
+  the ``repro`` source tree and its calibration tables, so any code
+  change invalidates every cached result at once (results are
+  functions of code *and* spec).
 
 Layout (all writes go through :func:`repro.durable.atomic_write`:
 temp file + fsync + rename, with a deterministic temp name, so a
@@ -49,17 +50,21 @@ STORE_SCHEMA_VERSION = 1
 #: handful of code versions a store ever holds).
 FINGERPRINT_LEN = 16
 
+#: Package data that results depend on, relative to the package root:
+#: the policy host's committed calibration tables.
+_DATA_FILES = ("policyhost/calibration_tables.json",)
+
 _fingerprint_cache: Dict[str, str] = {}
 
 
 def code_fingerprint(root: Optional[Path] = None) -> str:
     """Fingerprint of the ``repro`` source tree (memoised per path).
 
-    SHA-256 over every ``*.py`` file under ``root`` (default: the
-    installed :mod:`repro` package), hashed as sorted
-    ``(relative path, content digest)`` pairs — so renames, deletions
-    and edits all change the fingerprint, while mtimes and ``.pyc``
-    artifacts cannot.
+    SHA-256 over every ``*.py`` file and every ``_DATA_FILES`` entry
+    under ``root`` (default: the installed :mod:`repro` package), hashed
+    as sorted ``(relative path, content digest)`` pairs — so renames,
+    deletions and edits all change the fingerprint, while mtimes and
+    ``.pyc`` artifacts cannot.
     """
     if root is None:
         import repro
@@ -69,8 +74,9 @@ def code_fingerprint(root: Optional[Path] = None) -> str:
     cached = _fingerprint_cache.get(str(root))
     if cached is not None:
         return cached
+    data = [root / name for name in _DATA_FILES if (root / name).is_file()]
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *data]):
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.log_writer import LogWriter
 from repro.cva6.commit import CommitStage
-from repro.errors import CfiViolation, ConfigError, SimulationError
+from repro.errors import CfiViolation, ConfigError, SimulationError, check_int
 from repro.hart.core import Hart, StepResult
 from repro.system.soc import TitanCfiSoc
 
@@ -107,12 +107,6 @@ POLICY_BACKEND_FIRMWARE = "firmware"
 POLICY_BACKEND_HOST = "host"
 
 POLICY_BACKENDS = (POLICY_BACKEND_FIRMWARE, POLICY_BACKEND_HOST)
-
-
-def _check_cycles(name: str, value: object) -> None:
-    """``RotConfig.wake_cycles``' rule: an ``int``, not a ``bool``, >= 0."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"{name} must be an int >= 0, got {value!r}")
 
 
 class HartSlot:
@@ -267,7 +261,7 @@ class SystemSimulator:
             if len(delays) != n:
                 raise ConfigError(f"{len(delays)} start delays for {n} harts")
             for delay in delays:
-                _check_cycles("start delay", delay)
+                check_int("start delay", delay, 0)
         addresses = soc.addresses
         dram = (addresses.dram_base, addresses.dram_base + soc.dram.size)
         harts = [
@@ -473,7 +467,7 @@ class SystemSimulator:
         ended the advance, False when the clock reached ``until``.  An
         ``until`` that is not an ``int`` >= 0 raises ConfigError.
         """
-        _check_cycles("until", until)
+        check_int("until", until, 0)
         batched = self.mode == MODE_BATCHED
         while self.now < until:
             self.tick()
@@ -498,7 +492,7 @@ class SystemSimulator:
         re-raised — detection is the expected outcome of attack runs.
         A ``max_cycles`` that is not an ``int`` >= 0 raises ConfigError.
         """
-        _check_cycles("max_cycles", max_cycles)
+        check_int("max_cycles", max_cycles, 0)
         try:
             if not self.advance(max_cycles, self._finished):
                 raise SimulationError(

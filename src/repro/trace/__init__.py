@@ -10,7 +10,7 @@ for CFI enforcement".  This package is that model:
   for everything in between;
 * :mod:`repro.trace.generator` — synthetic commit-trace generators
   (uniform and burst arrival processes) substituting for the authors'
-  RTL traces (see DESIGN.md §2).
+  RTL traces (fitted in :mod:`repro.bench_catalog.calibration`).
 """
 
 from repro.trace.analytic import blocking_slowdown_percent, saturation_slowdown_percent

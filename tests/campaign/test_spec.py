@@ -16,7 +16,7 @@ from repro.campaign.spec import (
     resolve_matrix,
     spec_key,
 )
-from repro.errors import ConfigError
+from repro.errors import AxisConflict, ConfigError
 
 
 class TestScenario:
@@ -77,6 +77,20 @@ class TestScenario:
     def test_bad_queue_depth_rejected(self):
         with pytest.raises(ConfigError):
             Scenario(victim="rop", queue_depth=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("queue_depth", "8"), ("queue_depth", True), ("queue_depth", 2.5),
+        ("max_cycles", "x"), ("max_cycles", -1), ("max_cycles", 0),
+        ("seed", "a"), ("seed", -1), ("stagger", 1.5),
+    ], ids=repr)
+    def test_bad_int_field_is_a_config_error(self, field, value):
+        """Integer fields follow the one rule: an ``int``, not a
+        ``bool``, at least the field's minimum.  A bad value raises a
+        plain ConfigError, never the AxisConflict a grid would drop,
+        even where it also conflicts (a stagger on one hart)."""
+        with pytest.raises(ConfigError, match=field) as raised:
+            Scenario(victim="rop", backend=BACKEND_COSIM, **{field: value})
+        assert not isinstance(raised.value, AxisConflict)
 
     def test_name_is_stable_and_parameter_bearing(self):
         a = Scenario(victim="rop", backend=BACKEND_COSIM, queue_depth=1,

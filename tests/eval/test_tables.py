@@ -1,8 +1,8 @@
 """Experiment-harness tests: every table reproduces the paper's shape.
 
 These are the reproduction's acceptance tests: they encode how close
-each regenerated number must be to the published one (see
-EXPERIMENTS.md for the recorded values).
+each regenerated number must be to the published one (the table CLIs in
+README.md's "Regenerating the paper's tables" print both).
 """
 
 import pytest

@@ -1,13 +1,15 @@
-"""Committed calibration tables: every number the response model measures.
+"""Shipped calibration tables against a fresh measurement.
 
-The other policy-host suites check properties of the tables (an IRQ
-busy curve's period is 1, every probed path has a delta) and compare
-host-backed runs against firmware-backed ones, so a drift in a table
-value shows up only indirectly.  This suite pins the values themselves
-in ``calibration_tables.json``: for the ``irq`` and ``polling``
+:class:`~repro.policyhost.calibration.ResponseModel` is built from
+``src/repro/policyhost/calibration_tables.json`` whenever the entry's
+key and firmware digest match, so no other suite measures the firmware
+for the four shipped configurations: the ``irq`` and ``polling``
 firmware on the ``standard`` and ``optimized`` fabrics at the default
-45-cycle wake, both busy curves (``ok`` and the lazily measured
-``bad``), the boot tail, every service delta and ``bad_bias``.
+45-cycle wake.  This suite re-measures each of them with
+:func:`~repro.policyhost.calibration.measure_tables`, the function that
+generates the file, and compares every value (both busy curves, the
+boot tail, every service delta, ``bad_bias`` and the firmware digest).
+It also checks that a digest mismatch falls back to measuring.
 
 A change that alters the measured firmware timing on purpose
 regenerates the file and says so in CHANGES.md::
@@ -16,44 +18,74 @@ regenerates the file and says so in CHANGES.md::
 """
 
 import json
-from pathlib import Path
-from typing import Dict
 
 import pytest
 
-from repro.policyhost.calibration import ResponseCurve, calibrate
+from repro.policyhost import calibration
+from repro.policyhost.calibration import (
+    TABLES,
+    ResponseModel,
+    measure_tables,
+    table_key,
+)
 
-TABLES = Path(__file__).with_name("calibration_tables.json")
+REGENERATE = "PYTHONPATH=src python tests/policyhost/test_calibration_tables.py"
 
 CONFIGS = [(variant, fabric) for variant in ("irq", "polling")
            for fabric in ("standard", "optimized")]
+WAKE = 45
 
 
-def _curve(curve: ResponseCurve) -> Dict[str, object]:
-    return {"start": curve.start, "values": list(curve.values),
-            "period": curve.period}
+def _fields(model: ResponseModel):
+    """Every table a model was built from, deltas in probe order."""
+    return (model._busy, model.boot_tail, list(model._deltas.items()),
+            model.bad_bias)
 
 
-def tables(variant: str, fabric: str) -> Dict[str, object]:
-    """Every measured table of one firmware configuration, as JSON."""
-    model = calibrate(variant, fabric, 45)
-    return {
-        "busy": {outcome: _curve(model.busy_curve(outcome))
-                 for outcome in ("ok", "bad")},
-        "boot_tail": _curve(model.boot_tail),
-        "deltas": {f"{name}/{outcome}": model.service_delta((name, outcome))
-                   for name, outcome in model._deltas},
-        "bad_bias": model.bad_bias,
-    }
+@pytest.fixture
+def rig_builds(monkeypatch):
+    """Count the firmware rigs calibration constructs."""
+    built = []
+
+    class CountingRig(calibration.FirmwareRig):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "FirmwareRig", CountingRig)
+    return built
 
 
 @pytest.mark.parametrize("variant,fabric", CONFIGS)
 def test_tables_match_committed(variant, fabric):
-    committed = json.loads(TABLES.read_text())[f"{variant}/{fabric}"]
-    assert tables(variant, fabric) == committed
+    shipped = json.loads(TABLES.read_text())[table_key(variant, fabric, WAKE)]
+    assert measure_tables(variant, fabric, WAKE) == shipped, (
+        f"calibration tables are stale; regenerate with: {REGENERATE}")
+
+
+def test_every_shipped_entry_is_re_measured():
+    assert list(json.loads(TABLES.read_text())) == [
+        table_key(variant, fabric, WAKE) for variant, fabric in CONFIGS]
+
+
+def test_matching_digest_builds_no_rig(rig_builds):
+    ResponseModel("irq", "standard", WAKE)
+    assert rig_builds == []
+
+
+def test_digest_mismatch_measures_the_same_tables(rig_builds, monkeypatch):
+    shipped = ResponseModel("irq", "standard", WAKE)
+    monkeypatch.setattr(calibration, "firmware_digest",
+                        lambda variant: "0" * 64)
+    measured = ResponseModel("irq", "standard", WAKE)
+    assert len(rig_builds) > 0
+    assert _fields(measured) == _fields(shipped)
 
 
 if __name__ == "__main__":
     TABLES.write_text(json.dumps(
-        {f"{v}/{f}": tables(v, f) for v, f in CONFIGS}, indent=1
+        {table_key(variant, fabric, WAKE): measure_tables(variant, fabric, WAKE)
+         for variant, fabric in CONFIGS},
+        indent=1,
     ) + "\n")
+    print(f"wrote {TABLES}")

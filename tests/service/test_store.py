@@ -1,9 +1,12 @@
 """Content-addressed result store: keys, atomicity, invalidation, gc."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign.spec import Scenario
 from repro.errors import StoreCorruptError
 from repro.service.store import (
@@ -145,3 +148,18 @@ class TestFingerprint:
         fingerprint = code_fingerprint()
         assert len(fingerprint) == 16
         assert fingerprint == code_fingerprint()
+
+    def test_covers_the_calibration_tables(self, tmp_path):
+        """Rows depend on the policy host's shipped calibration tables,
+        so editing one value must invalidate the store."""
+        package = Path(repro.__file__).resolve().parent
+        ignore = shutil.ignore_patterns("__pycache__")
+        copy, edited = tmp_path / "copy", tmp_path / "edited"
+        shutil.copytree(package, copy, ignore=ignore)
+        shutil.copytree(package, edited, ignore=ignore)
+        tables = edited / "policyhost" / "calibration_tables.json"
+        entries = json.loads(tables.read_text())
+        entries["irq/standard/45"]["bad_bias"] += 1
+        tables.write_text(json.dumps(entries, indent=1) + "\n")
+        assert code_fingerprint(copy) == code_fingerprint()
+        assert code_fingerprint(edited) != code_fingerprint(copy)

@@ -99,8 +99,9 @@ class TestProbe:
 
 
 class TestCycleArguments:
-    """Cycle counts at the simulator's entry points follow
-    ``RotConfig.wake_cycles``' rule: an ``int``, not a ``bool``, >= 0."""
+    """Cycle counts at the simulator's entry points follow the one
+    integer-field rule (``repro.errors.check_int``): an ``int``, not a
+    ``bool``, >= 0."""
 
     def test_bool_start_delay_rejected(self):
         with pytest.raises(ConfigError, match="start delay"):
