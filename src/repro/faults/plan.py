@@ -83,7 +83,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import FaultPlanError
+from repro.errors import FaultPlanError, check_int
 
 FAULT_DOORBELL_DROP = "doorbell-drop"
 FAULT_DOORBELL_DUP = "doorbell-dup"
@@ -465,7 +465,14 @@ FAULT_PLANS: Dict[str, PlanSpec] = {
 
 
 def build_plan(name: str, seed: int) -> FaultPlan:
-    """Materialise the named plan for ``seed`` (pure and deterministic)."""
+    """Materialise the named plan for ``seed`` (pure and deterministic).
+
+    ``seed`` must be an ``int`` >= 0 (a ``bool`` is not one): the plan
+    is drawn from a stream named after its text, so ``True`` and ``1``
+    would otherwise name two different plans.  Anything else raises
+    :class:`~repro.errors.ConfigError`.
+    """
+    check_int("seed", seed, 0)
     try:
         spec = FAULT_PLANS[name]
     except KeyError:

@@ -26,6 +26,7 @@ from repro.hart.timing import TimingModel
 from repro.isa import opcodes as op
 from repro.isa.decode import Instruction, decode, is_compressed_word
 from repro.isa.registers import LINK_REGS
+from repro.mem.map import PAGE_BITS
 from repro.utils.bits import mask, sext
 
 #: Mnemonics :meth:`Hart.run_n` always stops *before*: they halt or
@@ -204,13 +205,16 @@ class Hart:
         # without the precomputed table.
         self._fixed_cycles: Dict[str, int] = getattr(timing, "_fixed", None) or {}
         self._code_pages: set = set()
-        # Prefer a fabric-wide store hook (sees every master's writes);
-        # without one, fall back to watching this hart's own stores.
+        # Prefer a fabric-wide store hook (sees every master's writes to
+        # the pages this hart declares in the returned memory map's
+        # code-page count); without one, fall back to watching this
+        # hart's own stores.
         subscribe = getattr(bus, "on_store", None)
         if subscribe is not None:
-            subscribe(self._note_store)
+            self._store_map = subscribe(self._note_store)
             self._self_watch_stores = False
         else:
+            self._store_map = None
             self._self_watch_stores = True
         # Stable hot-loop context, hoisted once: run_n unpacks this
         # single tuple instead of chasing ~10 attribute chains per
@@ -232,8 +236,6 @@ class Hart:
         )
 
     # -- helpers -----------------------------------------------------------------
-
-    _PAGE_BITS = 12
 
     @property
     def external_irq(self) -> Callable[[], bool]:
@@ -259,20 +261,27 @@ class Hart:
         pages = self._code_pages
         if not pages:
             return
-        first = address >> self._PAGE_BITS
-        last = (address + size - 1) >> self._PAGE_BITS
+        first = address >> PAGE_BITS
+        last = (address + size - 1) >> PAGE_BITS
         # Iterate the (tiny) cached-page set, not the written span — a
         # bulk DRAM-image write can cover thousands of pages.
         if first in pages or (
             last != first and any(first < page <= last for page in pages)
         ):
-            self._pc_cache.clear()
-            pages.clear()
+            self.flush_fetch_cache()
 
     def flush_fetch_cache(self) -> None:
-        """Drop every cached (pc → decoded instruction) entry."""
+        """Drop every cached (pc → decoded instruction) entry, and this
+        hart's hold on their pages in the fabric's code-page count."""
         self._pc_cache.clear()
+        if self._store_map is not None:
+            self._store_map.drop_code_pages(self._code_pages)
         self._code_pages.clear()
+
+    def _hold_code_page(self, page: int) -> None:
+        self._code_pages.add(page)
+        if self._store_map is not None:
+            self._store_map.hold_code_page(page)
 
     def _fetch_decode(self, pc: int) -> Tuple:
         """Fetch+decode miss handler; populates the pc cache."""
@@ -297,8 +306,13 @@ class Hart:
             cost,
         )
         self._pc_cache[pc] = entry
-        self._code_pages.add(pc >> self._PAGE_BITS)
-        self._code_pages.add((pc + insn.length - 1) >> self._PAGE_BITS)
+        pages = self._code_pages
+        first = pc >> PAGE_BITS
+        if first not in pages:
+            self._hold_code_page(first)
+        last = (pc + insn.length - 1) >> PAGE_BITS
+        if last not in pages:
+            self._hold_code_page(last)
         return entry
 
     def _interrupt_pending(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Protocol, Tuple
 
-from repro.mem.map import MemoryMap, StoreHook
+from repro.mem.map import PAGE_BITS, MemoryMap, StoreHook
 from repro.soc.tilelink import TlulXbar
 
 
@@ -31,15 +31,17 @@ class BusPort(Protocol):
         """Instruction fetch; returns ``(value, cycles)``."""
         ...
 
-    def on_store(self, hook: StoreHook) -> None:
+    def on_store(self, hook: StoreHook) -> MemoryMap:
         """Subscribe to writes reaching fetchable memory.
 
         The hook fires for *every* master's writes through the fabric
-        (including bulk image loads), which is what lets a hart keep a
-        per-pc decoded-instruction cache coherent with self-modifying
-        code and with foreign writers.  Optional — harts probe for it
-        with ``getattr`` and fall back to invalidating on their own
-        stores only.
+        (including bulk image loads) that touch a page the subscriber
+        declared through the returned map's
+        :meth:`~repro.mem.map.MemoryMap.hold_code_page`, which is what
+        lets a hart keep a per-pc decoded-instruction cache coherent
+        with self-modifying code and with foreign writers.  Optional —
+        harts probe for it with ``getattr`` and fall back to
+        invalidating on their own stores only.
         """
         ...
 
@@ -113,8 +115,10 @@ class MapPort:
             lo, hi, latency, fn = memo
             if lo <= address and address + size <= hi:
                 fn(address - lo, size, value)
-                for hook in m._store_hooks:
-                    hook(address, size)
+                pages = m._code_pages
+                if ((address >> PAGE_BITS) in pages
+                        or ((address + size - 1) >> PAGE_BITS) in pages):
+                    m.note_store(address, size)
                 return latency
         return self._write_slow(address, size, value)
 
@@ -126,8 +130,7 @@ class MapPort:
         memo = _region_memo(region, "fast_write")
         self._write_memo = memo
         memo[3](address - region.base, size, value)
-        for hook in m._store_hooks:
-            hook(address, size)
+        m.note_store(address, size)
         return region.latency
 
     def fetch(self, address: int, size: int) -> Tuple[int, int]:
@@ -144,8 +147,8 @@ class MapPort:
         self._fetch_memo = memo
         return memo[3](address - region.base, size), region.latency
 
-    def on_store(self, hook: StoreHook) -> None:
-        self.map.add_store_hook(hook)
+    def on_store(self, hook: StoreHook) -> MemoryMap:
+        return self.map.add_store_hook(hook)
 
 
 class TlulPort:
@@ -224,8 +227,10 @@ class TlulPort:
             lo, hi, latency, fn = memo
             if lo <= address and address + size <= hi:
                 fn(address - lo, size, value)
-                for hook in m._store_hooks:
-                    hook(address, size)
+                pages = m._code_pages
+                if ((address >> PAGE_BITS) in pages
+                        or ((address + size - 1) >> PAGE_BITS) in pages):
+                    m.note_store(address, size)
                 cycles = self._cycles.get((size, latency))
                 if cycles is None:
                     cycles = self.xbar._access_cycles(size, latency)
@@ -245,8 +250,7 @@ class TlulPort:
         memo = _region_memo(region, "fast_write")
         self._write_memo = memo
         memo[3](address - region.base, size, value)
-        for hook in m._store_hooks:
-            hook(address, size)
+        m.note_store(address, size)
         cycles = xbar._access_cycles(size, region.latency)
         self._stats.record("write", size, cycles)
         return cycles
@@ -265,5 +269,5 @@ class TlulPort:
         self._fetch_memo = memo
         return memo[3](address - region.base, size), 0
 
-    def on_store(self, hook: StoreHook) -> None:
-        self.xbar.map.add_store_hook(hook)
+    def on_store(self, hook: StoreHook) -> MemoryMap:
+        return self.xbar.map.add_store_hook(hook)

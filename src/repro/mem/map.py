@@ -13,7 +13,7 @@ tag without touching the firmware itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.errors import AccessFault, ConfigError
 
@@ -79,10 +79,14 @@ class BusAccess:
 AccessObserver = Callable[[BusAccess], None]
 
 #: Lightweight write notification ``(address, size)`` — fired on every
-#: CPU/bus write and bulk image load.  Harts use this to invalidate
-#: their per-pc decoded-instruction caches when a store lands in a page
-#: they have executed from (self-modifying code).
+#: CPU/bus write and bulk image load that touches a page some subscribed
+#: hart holds decoded code from.  Harts use this to invalidate their
+#: per-pc decoded-instruction caches when a store lands in a page they
+#: have executed from (self-modifying code).
 StoreHook = Callable[[int, int], None]
+
+#: log2 of the page size at which code is tracked for store hooks.
+PAGE_BITS = 12
 
 
 class MemoryMap:
@@ -97,6 +101,10 @@ class MemoryMap:
         self._regions: List[Region] = []
         self._observers: List[AccessObserver] = []
         self._store_hooks: List[StoreHook] = []
+        # Per page, how many subscribed harts hold decoded code from it.
+        # Every hook ignores a store to any other page, so a store calls
+        # the hooks only when it touches a counted page.
+        self._code_pages: Dict[int, int] = {}
         # Last-hit region memo: bus traffic is strongly clustered (code
         # fetches, then a burst of data accesses), so remembering the
         # previous region short-circuits the linear scan.
@@ -138,14 +146,49 @@ class MemoryMap:
         """Unregister a previously-added observer."""
         self._observers.remove(observer)
 
-    def add_store_hook(self, hook: StoreHook) -> None:
+    def add_store_hook(self, hook: StoreHook) -> "MemoryMap":
         """Register a write-notification hook ``(address, size)``.
 
         Unlike observers, store hooks see bulk loads too and carry no
-        :class:`BusAccess` allocation — they are cheap enough to leave
-        armed on the hot path.
+        :class:`BusAccess` allocation.  A hook fires only for writes
+        touching a page its subscriber holds through
+        :meth:`hold_code_page`, so the subscriber must declare every
+        page it caches code from; returns this map for that purpose.
         """
         self._store_hooks.append(hook)
+        return self
+
+    def hold_code_page(self, page: int) -> None:
+        """Count one more subscriber holding decoded code from ``page``
+        (an address shifted right by :data:`PAGE_BITS`)."""
+        pages = self._code_pages
+        pages[page] = pages.get(page, 0) + 1
+
+    def drop_code_pages(self, held: Iterable[int]) -> None:
+        """Undo :meth:`hold_code_page` for each page in ``held`` (a
+        subscriber flushed its decoded code)."""
+        pages = self._code_pages
+        for page in held:
+            count = pages[page] - 1
+            if count:
+                pages[page] = count
+            else:
+                del pages[page]
+
+    def note_store(self, address: int, size: int) -> None:
+        """Call the store hooks when the ``size`` bytes written at
+        ``address`` touch a page some subscriber holds code from (a
+        bulk write's interior pages included)."""
+        pages = self._code_pages
+        if not pages:
+            return
+        first = address >> PAGE_BITS
+        last = (address + size - 1) >> PAGE_BITS
+        if first in pages or (
+            last != first and any(first < page <= last for page in pages)
+        ):
+            for hook in self._store_hooks:
+                hook(address, size)
 
     # -- lookup --------------------------------------------------------------
 
@@ -204,8 +247,7 @@ class MemoryMap:
         """Write ``size`` bytes of ``value``."""
         region = self._region_checked(address, size, "write")
         region.device.write(address - region.base, size, value)
-        for hook in self._store_hooks:
-            hook(address, size)
+        self.note_store(address, size)
         if self._observers:
             self._notify(BusAccess("write", address, size, value, region.latency, region.tag))
 
@@ -213,8 +255,7 @@ class MemoryMap:
         """:meth:`write` returning the region latency (one lookup)."""
         region = self._region_checked(address, size, "write")
         region.device.write(address - region.base, size, value)
-        for hook in self._store_hooks:
-            hook(address, size)
+        self.note_store(address, size)
         if self._observers:
             self._notify(BusAccess("write", address, size, value, region.latency, region.tag))
         return region.latency
@@ -244,8 +285,7 @@ class MemoryMap:
         else:
             for i, byte in enumerate(data):
                 region.device.write(offset + i, 1, byte)
-        for hook in self._store_hooks:
-            hook(address, len(data))
+        self.note_store(address, len(data))
 
     def _region_checked(self, address: int, size: int, kind: str) -> Region:
         try:

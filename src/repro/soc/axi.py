@@ -183,8 +183,7 @@ class AxiXbar:
                     and region.base <= beat_address
                     and beat_address + nbytes <= region.end):
                 region.device.write(beat_address - region.base, nbytes, value)
-                for hook in m._store_hooks:
-                    hook(beat_address, nbytes)
+                m.note_store(beat_address, nbytes)
             else:
                 if not m._observers:
                     self._write_region = m._region_checked(
@@ -210,8 +209,7 @@ class AxiXbar:
             region.device.write(
                 address - region.base, nbytes, value & ((1 << (nbytes * 8)) - 1)
             )
-            for hook in m._store_hooks:
-                hook(address, nbytes)
+            m.note_store(address, nbytes)
             cycles = self._txn_memo.get(nbytes)
             if cycles is None:
                 cycles = self._txn_cycles(nbytes)

@@ -16,6 +16,19 @@ fixed order: the application harts in hart-id order, then the RoT core
 / policy host, then every CFI stage in hart-id order.  Both engines
 replay that order identically, which is what makes the shared-mailbox
 doorbell arbitration deterministic.
+
+The batched engine pays per CFI event, not per agent.  It keeps one
+absolute *due cycle* per agent (the first cycle on which its tick can
+change state), jumps the clock straight to the earliest one and ticks
+only the agents due then; every other agent is settled lazily, with one
+``skip``, when it next ticks, when it is woken, or when
+:meth:`SystemSimulator.advance` returns.  After a real tick only the
+agents that tick can change are re-polled (the *wake fan-out*, fixed by
+the platform): a hart wakes its CFI stage; a stage wakes its hart, the
+monitor and, when the doorbell grant moves, the stage it moves to; the
+policy host wakes the stage awaiting its completion; Ibex, and a host
+with the cross-hart defense or faults attached, wake every stage (the
+host: every agent).
 """
 
 from __future__ import annotations
@@ -83,6 +96,10 @@ _SUMMED = ("examined", "selected", "full_stalls", "conflict_stalls",
 #: (shared with the log writer so its parked-state sentinel compares
 #: correctly against hart bounds).
 _UNBOUNDED = LogWriter.UNBOUNDED
+
+#: A due cycle later than any real one (an unbounded agent's due cycle
+#: is ``now + 1 + _UNBOUNDED``).
+_NEVER = 1 << 64
 
 
 #: Execution engines.  Both are cycle-exact; ``batched`` only changes
@@ -213,12 +230,12 @@ class SystemSimulator:
         mode: execution engine (``None`` selects ``"batched"``):
 
             * ``"busy"`` — the reference: one :meth:`tick` per cycle;
-            * ``"batched"`` — jump the clock over cycles in which no
-              agent can change state (:meth:`_skippable_cycles`), and
-              run harts through whole instruction *windows* in a tight
-              in-hart loop (:meth:`repro.hart.core.Hart.run_n`)
-              whenever every other agent is provably inert for the
-              window (:meth:`_window`).
+            * ``"batched"`` — jump the clock to the next cycle on which
+              some agent is due and tick only the agents due then
+              (:meth:`_pass`), and run harts through whole instruction
+              *windows* in a tight in-hart loop
+              (:meth:`repro.hart.core.Hart.run_n`) whenever only active
+              harts are due (:meth:`_run_window`).
 
             The observable timeline is cycle-exact in both engines: all
             ``SimulationReport`` fields and every per-cycle statistic
@@ -286,6 +303,47 @@ class SystemSimulator:
         # Window order: Ibex first, so its run-ahead is accounted before
         # any application hart's.
         self._slots = rot + harts
+        self._window_slots = [(slot, agents.index(slot))
+                              for slot in self._slots]
+        # Lazy settlement (batched engine): per agent, the cycle its
+        # state reflects and the first cycle its tick can change state.
+        # ``_due`` ends in a sentinel, set to the cycle a pass ticks so
+        # its ``index`` scan always stops there.
+        self._settled = [0] * len(agents)
+        self._due = [0] * len(agents) + [_NEVER]
+        self._n_slots = len(self._slots)
+        # Wake fan-out (see the module docstring), in agent indices: the
+        # harts, then the monitor (Ibex or the policy host) at index n
+        # when one is scheduled, then the stages in hart-id order.
+        phost = self._phost
+        monitor = (n,) if rot or phost is not None else ()
+        index = iter(range(n + len(monitor), len(agents)))
+        self._stage_of = [None if stage is None else next(index)
+                          for stage in self._stages]
+        stages = self._all_stages = tuple(
+            k for k in self._stage_of if k is not None)
+        wakes: List[Optional[Tuple[int, ...]]] = [
+            () if k is None else (k,) for k in self._stage_of]
+        if rot:
+            wakes.append(stages)
+        elif phost is not None:
+            # ``None``: the stage holding the doorbell grant, resolved
+            # per tick.  The defense or a fault plan also lets the host
+            # move the grant, seal a hart or flip its queue lossy.
+            guarded = phost.defense is not None or phost.faults is not None
+            wakes.append(tuple(range(n)) + stages if guarded else None)
+        wakes += [(i,) + monitor
+                  for i, k in enumerate(self._stage_of) if k is not None]
+        self._wakes = wakes
+        # The policy host, which must be settled to the cycle before any
+        # stage ticks: its doorbell service stamps the ring with its own
+        # clock.  ``len(agents)`` when there is none.
+        self._host = n if phost is not None else len(agents)
+        # What every pass reads, hoisted into one tuple (a pass can be a
+        # single tick, so its prologue is measurable).
+        self._pass_ctx = (self._due, self._settled, self._ticks,
+                          self._bounds, self._skips, wakes,
+                          soc.doorbell_arbiter, self._host, len(agents))
 
     @property
     def policy_backend(self) -> str:
@@ -321,55 +379,148 @@ class SystemSimulator:
         for tick in self._ticks:
             tick()
 
-    # -- batched fast path --------------------------------------------------------
+    # -- batched engine -----------------------------------------------------------
 
-    def _skippable_cycles(self) -> int:
-        """Cycles the whole platform can fast-forward with no event: the
-        minimum "next interesting cycle" over every agent.  0 means the
-        very next tick can change state and must be stepped normally;
-        ``_UNBOUNDED`` means no agent can act again on its own (the
-        caller clips the jump to its budget)."""
-        bound = _UNBOUNDED
-        for skippable_cycles in self._bounds:
-            cycles = skippable_cycles()
-            if cycles < bound:
-                if cycles <= 0:
-                    return 0
-                bound = cycles
-        return bound
+    def _poll(self) -> None:
+        """Take every agent's state to reflect ``now`` and re-poll its
+        due cycle.  Run on every :meth:`advance` entry, since callers
+        may change agents between calls (a rig deposits a log, a test
+        attaches a probe)."""
+        now = self.now
+        settled, due = self._settled, self._due
+        for k, bound in enumerate(self._bounds):
+            settled[k] = now
+            due[k] = now + 1 + bound()
 
-    def _advance(self, cycles: int) -> None:
-        """Jump ``cycles`` event-free cycles: exactly what ``cycles``
-        calls to :meth:`tick` would have done, without per-cycle
-        dispatch."""
-        self.now += cycles
-        for skip in self._skips:
-            skip(cycles)
+    def _settle(self) -> None:
+        """Replay every lagging agent up to the clock with one ``skip``."""
+        now = self.now
+        settled, skips = self._settled, self._skips
+        for k, s in enumerate(settled):
+            if s < now:
+                skips[k](now - s)
+                settled[k] = now
 
-    def _window(self, until: int) -> bool:
-        """Run the active harts through one interaction-free window that
-        ends at cycle ``until`` at the latest.
+    def _pass(self, cycle: int, first: int = 0) -> None:
+        """Tick, in tick order from agent ``first`` on, every agent due
+        at ``cycle``.
 
-        1. The active slots (able to retire on the next tick) are the
-           participants.
-        2. Every other agent bounds the window; any zero bound (it may
-           act on the next tick) means no window.
-        3. The participants run.  A window pushes no commit logs, so a
-           parked log writer or policy host provably stays parked and
-           an in-flight countdown just melts.
-        4. The clock advances by the window's accounted span; a
+        Each agent is first settled to ``cycle - 1`` and re-polled after
+        its tick, and so is every agent its tick can wake: one later in
+        tick order is settled to ``cycle - 1`` (and ticks in this pass
+        if it is due now), an earlier one to ``cycle`` (its tick this
+        cycle is already behind it).  A :class:`CfiViolation` leaves the
+        agents after the raiser at ``cycle - 1`` and the rest at
+        ``cycle``, exactly where the busy loop's unwinding tick does.
+        """
+        self.now = cycle
+        last = cycle - 1
+        (due, settled, ticks, bounds, skips, wakes, arbiter, host,
+         n) = self._pass_ctx
+        due[n] = cycle
+        k = due.index(cycle, first)
+        try:
+            while k < n:
+                if k > host and settled[host] < cycle:
+                    skips[host](cycle - settled[host])
+                    settled[host] = cycle
+                s = settled[k]
+                if s < last:
+                    skips[k](last - s)
+                owner = arbiter.owner if arbiter is not None else None
+                ticks[k]()
+                settled[k] = cycle
+                due[k] = cycle + 1 + bounds[k]()
+                targets = wakes[k]
+                if targets is None:
+                    targets = (self._all_stages if owner is None
+                               else (self._stage_of[owner],))
+                if arbiter is not None and arbiter.owner != owner:
+                    moved = arbiter.owner
+                    targets += (self._all_stages
+                                if owner is None or moved is None
+                                else (self._stage_of[moved],))
+                for j in targets:
+                    c = cycle if j <= k else last
+                    s = settled[j]
+                    if s < c:
+                        skips[j](c - s)
+                        settled[j] = c
+                    due[j] = c + 1 + bounds[j]()
+                k = due.index(cycle, k + 1)
+        except CfiViolation:
+            due[n] = _NEVER
+            for j, s in enumerate(settled):
+                c = cycle if j <= k else last
+                if s < c and j != k:
+                    skips[j](c - s)
+                settled[j] = c
+            raise
+        due[n] = _NEVER
+
+    def _step(self, until: int) -> Optional[List[Tuple[HartSlot, int]]]:
+        """One step of the batched engine: jump the clock to the next
+        due cycle (at most ``until``), then run a window there when
+        every agent due is an active hart, else tick the agents due.
+        Returns the window's participants as ``(slot, agent index)``
+        pairs, or None when it ticked or only jumped."""
+        due = self._due
+        cycle = min(due)
+        if cycle > until:
+            self.now = until
+            return None
+        first = due.index(cycle)
+        if first < self._n_slots:
+            participants = []
+            settled, skips = self._settled, self._skips
+            last = cycle - 1
+            for slot, k in self._window_slots:
+                if due[k] != cycle:
+                    continue
+                s = settled[k]
+                if s < last:
+                    skips[k](last - s)
+                    settled[k] = last
+                if slot.active:
+                    participants.append((slot, k))
+                    continue
+                # Due as its cycle debt ran out: the hart may now wait
+                # on a stall or a sleep, which its bound then covers.
+                due[k] = cycle + self._bounds[k]()
+                if due[k] == cycle:
+                    break
+            else:
+                if (participants and len(participants) == due.count(cycle)
+                        and self._run_window(cycle, until, participants)):
+                    return participants
+        self._pass(cycle, first)
+        return None
+
+    def _run_window(self, cycle: int, until: int,
+                    participants: List[Tuple[HartSlot, int]]) -> bool:
+        """Run ``participants`` — the active harts, and the only agents
+        due at ``cycle`` — through one interaction-free window from
+        ``cycle`` on, ending at ``until`` at the latest.
+
+        1. The budget is the span before any other agent is due.  A
+           window pushes no commit logs, so a parked log writer or
+           policy host provably stays parked and an in-flight countdown
+           just melts.
+        2. The participants run.
+        3. The clock advances by the window's accounted span; a
            participant's overshoot past it becomes its cycle debt.
-        5. Every other agent replays the span through ``skip``.
+           Every other agent stays where it is, to be settled lazily.
 
         A single participant runs *unconfined*: an application hart
         over all of DRAM, stopping before any CFI-relevant instruction;
         Ibex below the bridge, *executing* its first store above it
         (mailbox verdict, doorbell clear) as the window's last
         instruction.  That store retires on the window's final cycle T,
-        so the agents ticking after Ibex (the CFI stages) replay T-1
-        cycles and then tick for real at T, observing the store exactly
-        as the busy loop's same-cycle ticks would (and possibly raising
-        the resulting :class:`CfiViolation`, caught by :meth:`run`).
+        so Ibex's fan-out is woken there and the agents ticking after
+        Ibex (the CFI stages) tick for real at T, observing the store
+        exactly as the busy loop's same-cycle ticks would (and possibly
+        raising the resulting :class:`CfiViolation`, caught by
+        :meth:`run`).
 
         Several participants run *confined*: loads and stores only
         inside each one's own range (an application hart's DRAM
@@ -384,27 +535,16 @@ class SystemSimulator:
 
         Returns False when no window ran (the caller ticks instead).
         """
-        participants: List[HartSlot] = []
-        idle: List[HartSlot] = []
-        for slot in self._slots:
-            (participants if slot.active else idle).append(slot)
-        if not participants:
-            return False
-        passive = self._passive
-        budget = until - self.now
-        for agents in (idle, passive):
-            for agent in agents:
-                bound = agent.skippable_cycles()
-                if bound <= 0:
-                    return False
-                if bound < budget:
-                    budget = bound
-        if budget <= 0:
-            return False
+        due, settled, bounds = self._due, self._settled, self._bounds
+        for _slot, k in participants:
+            due[k] = _NEVER
+        budget = min(until - cycle + 1, min(due) - cycle)
+        for _slot, k in participants:
+            due[k] = cycle
 
         term = 0
         if len(participants) == 1:
-            slot = participants[0]
+            slot, k = participants[0]
             app = slot.commit is not None
             retired, spent, term = slot.hart.run_n(
                 budget, *slot.window,
@@ -415,12 +555,12 @@ class SystemSimulator:
             span = spent - term + 1 if term else min(spent, budget)
             runs = [(slot, retired, spent)]
         else:
-            for slot in participants:
+            for slot, _k in participants:
                 if slot.hart._irq_wired and slot.hart.csrs.mie_enabled:
                     return False
             span = budget
             runs = []
-            for slot in participants:
+            for slot, _k in participants:
                 if span <= 0:
                     break
                 retired, spent, _term = slot.hart.run_n(
@@ -433,56 +573,67 @@ class SystemSimulator:
             if not any(retired for _slot, retired, _spent in runs):
                 return False
 
-        self.now += span
+        now = self.now = cycle - 1 + span
         for slot, retired, spent in runs:
             slot.debt = spent - span
             if retired and slot.commit is not None:
                 slot.commit.note_batch_retired(retired)
-        if span:
-            for slot in idle:
-                slot.skip(span)
-            if term:
-                for agent in passive:
-                    agent.skip(span - 1)
-                for agent in passive:
-                    agent.tick()
-            else:
-                for agent in passive:
-                    agent.skip(span)
+        for _slot, k in participants:
+            settled[k] = now
+            due[k] = now + 1 + bounds[k]()
+        if term:
+            # Ibex's mailbox store retired at ``now``: the stages see it
+            # on their own ticks of that cycle.
+            last = now - 1
+            skips = self._skips
+            for j in self._wakes[k]:
+                s = settled[j]
+                if s < last:
+                    skips[j](last - s)
+                    settled[j] = last
+                due[j] = now + bounds[j]()
+            self._pass(now, k + 1)
         return True
 
     def advance(self, until: int,
                 stop: Optional[Callable[[], bool]] = None) -> bool:
         """Advance the platform to cycle ``until``, never past it.
 
-        ``busy`` ticks; ``batched`` follows each tick with clock jumps
-        and windows to a fixed point: a window that ends in cycle debt
-        is followed by a jump (and possibly another window) without
-        paying for a full tick in between.  Every action re-validates
-        its own preconditions, so the composition stays cycle-exact; the
-        next tick then lands on a provably interesting cycle.
+        ``busy`` ticks every agent every cycle.  ``batched`` re-polls
+        every agent's due cycle on entry (:meth:`_poll`) and then steps
+        from due cycle to due cycle (:meth:`_step`): each step is a
+        window of the active harts or a pass over the agents due.  Its
+        first step is always the pass at ``now + 1``, as ``busy``'s
+        first tick.  Agents that are not due are settled when the
+        advance returns (also when a :class:`CfiViolation` unwinds it).
 
-        ``stop`` is checked after every tick and every window, so both
-        engines see it on the same cycle.  Returns True when ``stop``
-        ended the advance, False when the clock reached ``until``.  An
-        ``until`` that is not an ``int`` >= 0 raises ConfigError.
+        ``stop`` is checked after every tick (``busy``) or step
+        (``batched``), so both engines see it on the same cycle.  It
+        must read agent *state* — halted, quiescent, stalled, a mailbox
+        flag or counter an agent moves only when it really acts — never
+        a per-cycle counter (an agent's ``now``, stall or wait cycles),
+        because an agent that is not due is settled only when
+        ``advance`` returns.  Returns True when ``stop`` ended the
+        advance, False when the clock reached ``until``.  An ``until``
+        that is not an ``int`` >= 0 raises ConfigError.
         """
         check_int("until", until, 0)
-        batched = self.mode == MODE_BATCHED
-        while self.now < until:
-            self.tick()
-            if stop is not None and stop():
-                return True
-            if batched:
-                while True:
-                    skip = self._skippable_cycles()
-                    if skip > 0:
-                        self._advance(min(skip, until - self.now))
-                    if not self._window(until):
-                        break
-                    if stop is not None and stop():
-                        return True
-        return False
+        if self.now >= until:
+            return False
+        if self.mode == MODE_BUSY:
+            while self.now < until:
+                self.tick()
+                if stop is not None and stop():
+                    return True
+            return False
+        self._poll()
+        self._pass(self.now + 1)
+        stopped = stop is not None and bool(stop())
+        while not stopped and self.now < until:
+            self._step(until)
+            stopped = stop is not None and bool(stop())
+        self._settle()
+        return stopped
 
     def run(self, max_cycles: int = 10_000_000) -> SimulationReport:
         """Run until every application hart halts and the CFI pipeline

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FaultPlanError
+from repro.errors import ConfigError, FaultPlanError
 from repro.faults.plan import (
     ADVERSARIAL_FAULTS,
     FAULT_DOORBELL_DROP,
@@ -114,6 +114,13 @@ class TestRegistry:
         assert plan.kinds <= (
             TRANSPORT_FAULTS | MONITOR_FAULTS | ADVERSARIAL_FAULTS
         )
+
+    @pytest.mark.parametrize("seed", ["x", True, -3, 2.5])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # The plan stream is named by the seed's text: True and 1 (or
+        # 2.5, "x") would otherwise each name a plan of their own.
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            build_plan("drop-window", seed)
 
     def test_seed_perturbs_windowed_plans(self):
         # The windowed plans draw their index from the seeded RNG, so

@@ -6,6 +6,9 @@ the hart's own stores and for foreign masters writing through the same
 memory map.
 """
 
+from repro.hart.core import Hart
+from repro.hart.ports import MapPort
+from repro.hart.timing import IbexTiming
 from repro.isa.asm import assemble
 from repro.isa.encode import encode_i
 from repro.isa import opcodes as op
@@ -121,3 +124,56 @@ def test_fence_i_flushes_fetch_cache():
     # including) the fence.i was dropped; only the two instructions
     # executed afterwards are cached.
     assert set(hart._pc_cache) == {8, 12}
+
+
+def test_store_hooks_fire_only_for_pages_holding_code():
+    """The map calls its store hooks only for a store touching a page
+    some hart holds decoded code from; the hart's hold ends with its
+    flush, and the next fetch takes it again."""
+    hart, bus, program = build_hart(
+        """
+        main:
+            addi a0, zero, 1
+            ebreak
+        """
+    )
+    calls = []
+    bus.add_store_hook(lambda address, size: calls.append(address))
+    hart.run(max_steps=10)
+    assert bus._code_pages == {0: 1}
+    bus.write(0x4000, 4, 0)                  # a data page: no hook runs
+    assert calls == []
+    bus.write(0x0800, 4, 0)                  # the code page: hooks run
+    assert calls == [0x0800]
+    assert bus._code_pages == {} and hart._pc_cache == {}
+    hart.halted = False
+    hart.pc = program.symbols["main"]
+    hart.run(max_steps=10)
+    assert bus._code_pages == {0: 1}
+    hart.flush_fetch_cache()                 # fence.i drops the hold too
+    assert bus._code_pages == {}
+
+
+def test_shared_code_page_outlives_one_harts_flush():
+    """Two harts hold code on one page.  One flushes; a store to the
+    page must still reach the other, whose decode would go stale."""
+    new_word = encode_i(op.OP_IMM, op.F3_ADD_SUB, 10, 0, 7)  # addi a0, x0, 7
+    first, bus, program = build_hart(
+        """
+        loop:
+            addi a0, zero, 1
+            ebreak
+        """
+    )
+    second = Hart(MapPort(bus), IbexTiming(), reset_pc=program.base)
+    for hart in (first, second):
+        hart.run(max_steps=10)
+        assert hart.regs.read(10) == 1
+    assert bus._code_pages == {0: 2}
+    first.flush_fetch_cache()
+    assert bus._code_pages == {0: 1}
+    bus.write(program.symbols["loop"], 4, new_word)
+    second.halted = False
+    second.pc = program.symbols["loop"]
+    second.run(max_steps=10)
+    assert second.regs.read(10) == 7

@@ -1,12 +1,14 @@
 """The scheduler core's clock protocol, checked state for state.
 
 Every clocked agent answers ``tick()``, ``skippable_cycles()`` and
-``skip(n)``; the batched engine rests on three claims about them:
+``skip(n)``; the batched engine rests on these claims about them:
 
 * an agent's ``skip(n)``, for ``n`` up to its own bound, is ``n`` of
   its ticks;
-* the platform's ``_advance(n)``, for ``n`` up to the min bound over
-  every agent, is ``n`` platform ticks;
+* a step of the engine (``_step``) is the platform ticks it jumps: the
+  clock goes to the next due cycle and only the agents due there tick,
+  while every other agent lags until it is settled by one ``skip`` —
+  which holds only if each real tick re-polls every agent it can wake;
 * a window is the ticks it accounts for, once any run-ahead it left as
   cycle debt has melted;
 * ``advance(until, stop)`` lands both engines on the same cycle in the
@@ -29,6 +31,8 @@ import pytest
 from repro.campaign.spec import VICTIMS
 from repro.core.config import TitanCfiConfig
 from repro.core.log_writer import LogWriter
+from repro.faults.inject import attach_faults
+from repro.faults.plan import build_plan
 from repro.firmware.policies import ShadowStackPolicy
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.isa import opcodes as op
@@ -39,12 +43,16 @@ from repro.system.topology import Topology
 
 #: Per class, the fields that may legitimately differ between two equal
 #: platforms: a hart's decoded-instruction cache (a window decodes the
-#: boundary instruction it stops before), the bus's last-region hint,
-#: and the policy host's process-wide calibration memo, which answers
-#: the second twin's doorbells from the chain table the first one grew.
+#: boundary instruction it stops before) and the bus's count of harts
+#: holding code per page, the bus's last-region hint, the batched
+#: engine's own bookkeeping (due and settled cycles, and the tuple that
+#: hoists them for a pass), and the policy host's process-wide
+#: calibration memo, which answers the second twin's doorbells from the
+#: chain table the first one grew.
 CACHES = {
     "Hart": {"_pc_cache", "_code_pages", "_batch_ctx"},
-    "MemoryMap": {"_hot_region"},
+    "MemoryMap": {"_hot_region", "_code_pages"},
+    "SystemSimulator": {"_due", "_settled", "_pass_ctx"},
     "PolicyHost": {"model"},
     "ShadowSession": {"_model", "_rig", "_chain", "_cursor", "_generation"},
 }
@@ -114,7 +122,12 @@ def first_difference(left, right, path="sim"):
 #: the policy host, Ibex joining confined windows beside application
 #: harts, and staggered starts — under the irq firmware the only way
 #: Ibex reaches its WFI sleep mid-run, since back-to-back doorbells
-#: keep it in the ISR.
+#: keep it in the ISR.  Two platforms take the wake fan-out's widest
+#: paths: eight harts whose writers mostly wait parked on the doorbell
+#: grant while their harts stall on full queues, and a guarded monitor
+#: (the cross-hart defense plus an arbiter-hold attacker, whose
+#: watchdog quarantines it and revokes its grant from the host's own
+#: tick) that wakes every agent.
 SCENARIOS = {
     "n1-irq": dict(victims=("deep-recursion",), monitor="irq"),
     "n1-polling": dict(victims=("deep-recursion",), monitor="polling"),
@@ -130,13 +143,23 @@ SCENARIOS = {
                            monitor="irq", start_delays=(0, 1500, 3000)),
     "n4-stagger": dict(victims=("benign", "deep-recursion", "rop", "benign"),
                        monitor="host", start_delays=(0, 300, 600, 900)),
+    "n8-host": dict(victims=("rop", "deep-recursion") + ("benign",) * 6,
+                    monitor="host"),
+    "n4-guard": dict(victims=("rop", "deep-recursion", "benign", "benign"),
+                     monitor="host", defense=True, fault=("xhart-hold", 1)),
 }
 
+#: Platforms for the per-agent claim: the eight-hart platform's agents
+#: are n4-stagger's, only more of them.
+AGENT_SCENARIOS = sorted(set(SCENARIOS) - {"n8-host"})
 
-def build(victims, monitor, start_delays=None, **config):
+
+def build(victims, monitor, start_delays=None, defense=False, fault=None,
+          **config):
     """A fresh simulator; two calls with equal arguments build equal
     platforms.  Violations are latched, so a run never unwinds
-    mid-lockstep."""
+    mid-lockstep.  ``fault`` is a ``(plan, hart)`` pair: the registered
+    plan, built for seed 7 and scoped to that hart."""
     topology = Topology(n_harts=len(victims))
     soc = build_soc(
         cfi_config=TitanCfiConfig(raise_on_violation=False, **config),
@@ -147,11 +170,23 @@ def build(victims, monitor, start_delays=None, **config):
         program = VICTIMS[victim].builder(amap, random.Random(99 + hart_id))
         soc.load_host_program(program, hart_id=hart_id)
     if monitor == "host":
-        mount_policy_host(soc, ShadowStackPolicy())
+        mount_policy_host(soc, ShadowStackPolicy(), defense=defense)
     else:
         layout = FirmwareLayout(soc.addresses)
         soc.load_firmware(shadow_stack_firmware(monitor, layout).data)
+    if fault is not None:
+        plan, hart = fault
+        attach_faults(soc, build_plan(plan, 7).scoped(hart))
     return SystemSimulator(soc, mode=MODE_BATCHED, start_delays=start_delays)
+
+
+def test_guard_platform_fires_the_hold_watchdog():
+    """n4-guard reaches the host's own state changes: the watchdog
+    revokes the squatter's grant and quarantines it from a host tick."""
+    sim = build(**SCENARIOS["n4-guard"])
+    sim.run(MAX_CYCLES)
+    defense = sim.soc.policy_host.defense.summary()
+    assert defense["holds_released"] == 1 and defense["quarantined"] == [1]
 
 
 def twins(name):
@@ -261,7 +296,7 @@ class TestHartSlot:
         assert slot.debt == hart.timing.wake_cycles - 1
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", AGENT_SCENARIOS)
 def test_agent_skip_is_its_ticks(name):
     """Each agent alone: ``skip(n)`` on one twin, ``n`` of the agent's
     own ticks on the other, for every agent whose bound is positive."""
@@ -287,39 +322,48 @@ def test_agent_skip_is_its_ticks(name):
     assert sorted(skipped) == list(range(len(agents(fast)))), dict(skipped)
 
 
+def ignore_step(result):
+    """A probe that records nothing: a probed hart never joins a
+    window, so every step of the batched engine is a jump and a pass."""
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_advance_is_platform_ticks(name):
-    """The platform jump (a min over agents, then a skip loop): the
-    batched twin advances, the other ticks through the same cycles."""
+    """The batched step with no window to take (every hart probed): the
+    clock jumps to the next due cycle and only the agents due there
+    tick; the rest lag, settled by one ``skip`` when they next tick or
+    are woken.  The batched twin steps, the other ticks through the same
+    cycles; at sampled steps the lagging agents are settled, as
+    ``advance`` settles them when it returns."""
     fast, slow = twins(name)
+    for sim in (fast, slow):
+        for slot in sim._slots:
+            sim.probe(slot.hart, ignore_step)
+    fast._poll()
     sample = Sample()
-    jumps = 0
+    steps = jumps = 0
     while slow.now < MAX_CYCLES:
-        fast.tick()
-        slow.tick()
+        assert fast._step(MAX_CYCLES) is None
+        cycles = fast.now - slow.now
+        ticks(slow, cycles)
+        steps += 1
+        jumps += cycles > 1
         if done(slow):
             break
-        cycles = fast._skippable_cycles()
-        assert (cycles > 0) == (slow._skippable_cycles() > 0)
-        if cycles <= 0:
-            continue
-        cycles = min(cycles, MAX_CYCLES - fast.now)
-        fast._advance(cycles)
-        ticks(slow, cycles)
-        jumps += 1
-        if sample.due(jumps):
+        if sample.due(steps):
+            fast._settle()
             assert_same(fast, slow, (name, slow.now, cycles))
+    fast._settle()
     assert done(fast)
     assert_same(fast, slow, (name, "end"))
     assert jumps >= 16, jumps
 
 
-def window_kind(sim):
-    """The window the planner would take next, by its participants."""
-    participants = [slot for slot in sim._slots if slot.active]
+def window_kind(participants):
+    """A window's kind, by its ``(slot, agent index)`` participants."""
     if len(participants) > 1:
         return "confined"
-    if participants and participants[0].commit is None:
+    if participants[0][0].commit is None:
         return "ibex-solo"
     return "hart-solo"
 
@@ -337,41 +381,44 @@ EXPECTED_WINDOWS = {
     "n3-irq": {"hart-solo", "ibex-solo", "confined"},
     "n3-irq-stagger": {"hart-solo", "ibex-solo", "confined"},
     "n4-stagger": {"hart-solo", "confined"},
+    "n8-host": {"hart-solo", "confined"},
+    "n4-guard": {"hart-solo", "confined"},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_window_is_its_ticks(name):
-    """The batched run loop on one twin, plain ticks on the other.  A
-    solo window leaves the platform exactly where its span of ticks
+    """The batched engine's steps on one twin, plain ticks on the other.
+    A solo window leaves the platform exactly where its span of ticks
     does.  A confined window may leave an earlier participant run
-    ahead of the span as cycle debt; the plain twin also ticks through
-    the longest such debt while the batched twin melts it by ticks, and
-    then the two platforms must be equal."""
+    ahead of the span as cycle debt; both twins then tick through the
+    longest such debt (the batched twin settled first and re-polled
+    after), and at sampled windows the two platforms must be equal."""
     fast, slow = twins(name)
+    fast._poll()
     windows = collections.Counter()
     samples = collections.defaultdict(Sample)
     while slow.now < MAX_CYCLES:
-        fast.tick()
-        slow.tick()
-        if done(slow):
-            break
-        while True:
-            cycles = min(fast._skippable_cycles(), MAX_CYCLES - fast.now)
-            if cycles > 0:
-                fast._advance(cycles)
-                ticks(slow, cycles)
-            kind = window_kind(fast)
-            if not fast._window(MAX_CYCLES):
+        participants = fast._step(MAX_CYCLES)
+        if participants is None:
+            ticks(slow, fast.now - slow.now)
+            if done(slow):
                 break
-            windows[kind] += 1
-            melt = 0
-            if kind == "confined":
-                melt = max(slot.debt for slot in fast._slots)
-            ticks(slow, fast.now - slow.now + melt)
+            continue
+        kind = window_kind(participants)
+        windows[kind] += 1
+        melt = 0
+        if kind == "confined":
+            melt = max(slot.debt for slot, _index in participants)
+        sampled = samples[kind].due(windows[kind])
+        if melt or sampled:
+            fast._settle()
             ticks(fast, melt)
-            if samples[kind].due(windows[kind]):
-                assert_same(fast, slow, (name, kind, slow.now))
+            fast._poll()
+        ticks(slow, fast.now - slow.now)
+        if sampled:
+            assert_same(fast, slow, (name, kind, slow.now))
+    fast._settle()
     assert done(fast)
     assert_same(fast, slow, (name, "end"))
     assert set(windows) >= EXPECTED_WINDOWS[name], dict(windows)

@@ -26,7 +26,7 @@ def cosim_scenarios(draw):
     victim = draw(st.sampled_from(ANY_VICTIM))
     n_harts = 1
     if not VICTIMS[victim].synthetic:
-        n_harts = draw(st.integers(1, 4))
+        n_harts = draw(st.integers(1, 8))
     hart_victims = tuple(draw(st.lists(
         st.sampled_from(CORPUS), min_size=n_harts - 1,
         max_size=n_harts - 1)))
