@@ -40,9 +40,8 @@ class CommitLog:
 
     Attributes:
         pc: program counter of the retired instruction.
-        encoding: its *uncompressed* 32-bit encoding (compressed forms
-            are expanded by the filter so the firmware parses one format).
-        next_address: fall-through address (``pc + length``); for calls
+        encoding: its 32-bit encoding.
+        next_address: fall-through address (``pc + 4``); for calls
             this is the return address the policy pushes.
         target: address control actually transferred to.
     """

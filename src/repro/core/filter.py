@@ -55,9 +55,8 @@ class CfiFilter:
             return None
         return CommitLog(
             pc=entry.pc & mask(64),
-            # The commit log carries the *uncompressed* encoding so the
-            # RoT firmware parses a single format (§IV-B1 field ii).
-            encoding=entry.insn.expanded & mask(32),
+            # The instruction's 32-bit encoding (§IV-B1 field ii).
+            encoding=entry.insn.raw,
             next_address=entry.fall_through & mask(64),
             target=entry.target & mask(64),
         )

@@ -33,11 +33,6 @@ class CfiQueue(BoundedFifo[CommitLog]):
         super().__init__(depth)
         self.depth = depth
 
-    @property
-    def headroom(self) -> int:
-        """Free slots before the controller would assert backpressure."""
-        return self.depth - self.occupancy
-
 
 @dataclass
 class StallStats:

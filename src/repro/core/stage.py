@@ -8,7 +8,7 @@ queue-controller rules) and drains the queue through the log writer.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.commit_log import CommitLog
 from repro.core.config import TitanCfiConfig
@@ -53,31 +53,15 @@ class CfiStage:
             arbiter=arbiter,
             tag_hart_id=tag_hart_id,
         )
-        # Pure-delegation accessors rebound to the writer's own methods:
-        # the co-simulator calls them every scheduler iteration, and the
-        # extra frame is measurable.  (The ``def`` bodies below remain
-        # as documentation of the contract and for subclasses that
-        # override the writer after construction.)
+        # The writer's clock methods, bound directly: the co-simulator
+        # calls them every scheduler iteration, and a delegating frame
+        # is measurable.  ``tick()`` advances the log writer one cycle,
+        # ``skippable_cycles()`` is how many cycles it can fast-forward
+        # with no state change, and ``skip(n)`` applies such a jump
+        # (see :class:`~repro.core.log_writer.LogWriter`).
         self.tick = self.writer.tick
         self.skippable_cycles = self.writer.skippable_cycles
         self.skip = self.writer.skip
-
-    def offer(self, entries: List[Optional[ScoreboardEntry]]) -> int:
-        """Present one cycle's retiring entries (one slot per port).
-
-        Returns the number of leading entries allowed to retire this
-        cycle; fewer than ``len(entries)`` means the commit stage must
-        stall the remainder (and replay them next cycle).
-        """
-        if len(entries) > self.config.commit_ports:
-            raise ValueError(
-                f"{len(entries)} entries offered to a "
-                f"{self.config.commit_ports}-port CFI stage"
-            )
-        logs: List[Optional[CommitLog]] = [
-            self.filters[i].examine(entry) for i, entry in enumerate(entries)
-        ]
-        return self.controller.arbitrate(logs)
 
     def examine_port(self, port: int, entry: Optional[ScoreboardEntry]) -> Optional[CommitLog]:
         """Run one port's filter only (no queue push).
@@ -92,42 +76,6 @@ class CfiStage:
         """Attempt a single-port push through the queue controller."""
         return self.controller.arbitrate([log]) == 1
 
-    def tick(self) -> None:
-        """Advance the log writer by one cycle."""
-        self.writer.tick()
-
-    def tick_n(self, cycles: int) -> None:
-        """Advance ``cycles`` cycles, jumping over idle stretches.
-
-        Exactly equivalent to ``cycles`` calls to :meth:`tick` — state
-        transitions land on the same cycle and every per-cycle statistic
-        (busy/wait counts, check latencies) matches — but stretches in
-        which the FSM provably cannot change state are applied in one
-        arithmetic step.
-
-        This is the standalone bulk API for external harnesses driving
-        the stage directly; the co-simulator instead interleaves
-        :meth:`skip` jumps with its own :meth:`tick` calls because it
-        must bound each jump by the harts' next events too.
-        """
-        writer = self.writer
-        while cycles > 0:
-            skip = min(cycles, writer.skippable_cycles())
-            if skip > 0:
-                writer.skip(skip)
-                cycles -= skip
-            if cycles > 0:
-                writer.tick()
-                cycles -= 1
-
-    def skippable_cycles(self) -> int:
-        """Cycles the stage can fast-forward with no state change."""
-        return self.writer.skippable_cycles()
-
-    def skip(self, cycles: int) -> None:
-        """Fast-forward ``cycles`` no-change cycles (see LogWriter.skip)."""
-        self.writer.skip(cycles)
-
     def note_batch_examined(self, count: int) -> None:
         """Bulk-account ``count`` not-selected retirements (batched path).
 
@@ -137,12 +85,6 @@ class CfiStage:
         per-kind counts are untouched, and nothing enters the queue).
         """
         self.filters[0].stats.examined += count
-
-    @property
-    def headroom(self) -> int:
-        """Free CFI-queue slots — how many commit logs a window could
-        absorb before the queue controller would inhibit commit."""
-        return self.queue.headroom
 
     @property
     def quiescent(self) -> bool:

@@ -24,8 +24,8 @@ class ScoreboardEntry:
 
     Attributes:
         pc: program counter of the instruction.
-        insn: decoded instruction (carries the uncompressed encoding).
-        fall_through: ``pc + insn.length``.
+        insn: decoded instruction (carries the 32-bit encoding).
+        fall_through: ``pc + 4``.
         target: architectural next pc (branch/jump destination if taken).
         taken: whether a control transfer happened.
         valid: commit-port valid bit.

@@ -67,10 +67,6 @@ class AccessFault(MemoryError_):
         self.access = access
 
 
-class EccError(MemoryError_):
-    """An uncorrectable ECC error was detected on a protected memory."""
-
-
 class SimulationError(ReproError):
     """The co-simulation reached an inconsistent or unsupported state."""
 

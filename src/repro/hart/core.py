@@ -24,7 +24,7 @@ from repro.hart.ports import BusPort
 from repro.hart.state import CsrFile, RegisterFile
 from repro.hart.timing import TimingModel
 from repro.isa import opcodes as op
-from repro.isa.decode import Instruction, decode, is_compressed_word
+from repro.isa.decode import Instruction, decode
 from repro.isa.registers import LINK_REGS
 from repro.mem.map import PAGE_BITS
 from repro.utils.bits import mask, sext
@@ -129,7 +129,7 @@ class StepResult:
         event: what happened.
         pc: pc of the retired instruction (or the sleeping/trap pc).
         insn: the retired instruction, or ``None`` for non-retiring steps.
-        fall_through: ``pc + insn.length`` (the commit log's *next
+        fall_through: ``pc + 4`` (the commit log's *next
             address* field), or ``pc`` for non-retiring steps.
         next_pc: architecturally next pc (branch/jump target if taken).
         taken: for branches/jumps, whether control transferred.
@@ -285,12 +285,7 @@ class Hart:
 
     def _fetch_decode(self, pc: int) -> Tuple:
         """Fetch+decode miss handler; populates the pc cache."""
-        low, _ = self.bus.fetch(pc, 2)
-        if is_compressed_word(low):
-            word = low
-        else:
-            high, _ = self.bus.fetch(pc + 2, 2)
-            word = low | (high << 16)
+        word, _ = self.bus.fetch(pc, 4)
         insn = decode(word, xlen=self.xlen)
         handler = _EXEC_TABLE.get(insn.mnemonic)
         cost = self._fixed_cycles.get(insn.mnemonic)
@@ -310,7 +305,7 @@ class Hart:
         first = pc >> PAGE_BITS
         if first not in pages:
             self._hold_code_page(first)
-        last = (pc + insn.length - 1) >> PAGE_BITS
+        last = (pc + 3) >> PAGE_BITS
         if last not in pages:
             self._hold_code_page(last)
         return entry
@@ -413,7 +408,7 @@ class Hart:
                 return self._enter_trap(op.CAUSE_FETCH_ACCESS, False, tval=pc)
         insn, handler = entry[0], entry[1]
 
-        fall_through = (pc + insn.length) & self._mask
+        fall_through = (pc + 4) & self._mask
         try:
             if handler is None:
                 raise TrapError(
@@ -606,7 +601,7 @@ class Hart:
                             cost = 1
                     else:
                         cost = cycles_for(insn, False, mem_cycles)
-                    pc = (pc + insn.length) & mask_
+                    pc = (pc + 4) & mask_
                     self.cycle += cost
                     self.instret += 1
                     spent += cost
@@ -625,7 +620,7 @@ class Hart:
                     # Retire the wfi in-window (same accounting as
                     # step(): one fixed-cost retire, then sleep) and
                     # end the window — the hart cannot fetch further.
-                    pc = (pc + insn.length) & mask_
+                    pc = (pc + 4) & mask_
                     if cost is None:
                         cost = cycles_for(insn, False, 0)
                     self.cycle += cost
@@ -645,7 +640,7 @@ class Hart:
                     if confined:
                         break
                     need_irq_check = irq_wired
-            fall_through = (pc + insn.length) & mask_
+            fall_through = (pc + 4) & mask_
             try:
                 outcome = handler(self, insn, pc, fall_through)
             except (TrapError, AccessFault):

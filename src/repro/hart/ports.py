@@ -91,19 +91,15 @@ class MapPort:
         self._fetch_memo = None
 
     def read(self, address: int, size: int) -> Tuple[int, int]:
-        m = self.map
         memo = self._read_memo
-        if memo is not None and not m._observers:
+        if memo is not None:
             lo, hi, latency, fn = memo
             if lo <= address and address + size <= hi:
                 return fn(address - lo, size), latency
         return self._read_slow(address, size)
 
     def _read_slow(self, address: int, size: int) -> Tuple[int, int]:
-        m = self.map
-        if m._observers:
-            return m.read_timed(address, size)
-        region = m._region_checked(address, size, "read")
+        region = self.map._region_checked(address, size, "read")
         memo = _region_memo(region, "fast_read")
         self._read_memo = memo
         return memo[3](address - region.base, size), region.latency
@@ -111,7 +107,7 @@ class MapPort:
     def write(self, address: int, size: int, value: int) -> int:
         m = self.map
         memo = self._write_memo
-        if memo is not None and not m._observers:
+        if memo is not None:
             lo, hi, latency, fn = memo
             if lo <= address and address + size <= hi:
                 fn(address - lo, size, value)
@@ -124,8 +120,6 @@ class MapPort:
 
     def _write_slow(self, address: int, size: int, value: int) -> int:
         m = self.map
-        if m._observers:
-            return m.write_timed(address, size, value)
         region = m._region_checked(address, size, "write")
         memo = _region_memo(region, "fast_write")
         self._write_memo = memo
@@ -134,15 +128,12 @@ class MapPort:
         return region.latency
 
     def fetch(self, address: int, size: int) -> Tuple[int, int]:
-        m = self.map
         memo = self._fetch_memo
-        if memo is not None and not m._observers:
+        if memo is not None:
             lo, hi, latency, fn = memo
             if lo <= address and address + size <= hi:
                 return fn(address - lo, size), latency
-        if m._observers:
-            return m.read_timed(address, size, kind="fetch")
-        region = m._region_checked(address, size, "fetch")
+        region = self.map._region_checked(address, size, "fetch")
         memo = _region_memo(region, "fast_read")
         self._fetch_memo = memo
         return memo[3](address - region.base, size), region.latency
@@ -182,7 +173,7 @@ class TlulPort:
 
     def read(self, address: int, size: int) -> Tuple[int, int]:
         memo = self._read_memo
-        if memo is not None and not self.xbar.map._observers:
+        if memo is not None:
             lo, hi, latency, fn = memo
             if not (lo <= address and address + size <= hi):
                 memo = self._read_memo2
@@ -208,10 +199,7 @@ class TlulPort:
 
     def _read_slow(self, address: int, size: int) -> Tuple[int, int]:
         xbar = self.xbar
-        m = xbar.map
-        if m._observers:
-            return xbar.read(self.master, address, size)
-        region = m._region_checked(address, size, "read")
+        region = xbar.map._region_checked(address, size, "read")
         memo = _region_memo(region, "fast_read")
         self._read_memo2 = self._read_memo
         self._read_memo = memo
@@ -222,11 +210,11 @@ class TlulPort:
 
     def write(self, address: int, size: int, value: int) -> int:
         memo = self._write_memo
-        m = self.xbar.map
-        if memo is not None and not m._observers:
+        if memo is not None:
             lo, hi, latency, fn = memo
             if lo <= address and address + size <= hi:
                 fn(address - lo, size, value)
+                m = self.xbar.map
                 pages = m._code_pages
                 if ((address >> PAGE_BITS) in pages
                         or ((address + size - 1) >> PAGE_BITS) in pages):
@@ -244,8 +232,6 @@ class TlulPort:
     def _write_slow(self, address: int, size: int, value: int) -> int:
         xbar = self.xbar
         m = xbar.map
-        if m._observers:
-            return xbar.write(self.master, address, size, value)
         region = m._region_checked(address, size, "write")
         memo = _region_memo(region, "fast_write")
         self._write_memo = memo
@@ -256,15 +242,12 @@ class TlulPort:
         return cycles
 
     def fetch(self, address: int, size: int) -> Tuple[int, int]:
-        m = self.xbar.map
         memo = self._fetch_memo
-        if memo is not None and not m._observers:
+        if memo is not None:
             lo, hi, _latency, fn = memo
             if lo <= address and address + size <= hi:
                 return fn(address - lo, size), 0
-        if m._observers:
-            return m.fetch(address, size), 0
-        region = m._region_checked(address, size, "fetch")
+        region = self.xbar.map._region_checked(address, size, "fetch")
         memo = _region_memo(region, "fast_read")
         self._fetch_memo = memo
         return memo[3](address - region.base, size), 0

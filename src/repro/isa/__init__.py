@@ -1,12 +1,10 @@
-"""RISC-V ISA substrate: decode, encode, assemble, disassemble, classify.
+"""RISC-V ISA substrate: decode, encode, assemble, classify.
 
 This package implements the subset of RV32/RV64 needed by the TitanCFI
 reproduction end to end:
 
 * base integer ISA (RV32I / RV64I),
 * the M extension (multiply/divide),
-* the C extension (compressed; expanded to their 32-bit equivalents,
-  which is exactly what the paper's CFI filter stores in the commit log),
 * Zicsr and the machine-mode system instructions (``mret``, ``wfi``)
   required by the OpenTitan firmware model.
 
@@ -26,7 +24,6 @@ from repro.isa.cflow import (
     is_indirect_jump,
 )
 from repro.isa.asm import Assembler, assemble, Program
-from repro.isa.disasm import disassemble
 
 __all__ = [
     "REG_COUNT",
@@ -48,5 +45,4 @@ __all__ = [
     "Assembler",
     "assemble",
     "Program",
-    "disassemble",
 ]

@@ -1,11 +1,10 @@
-"""A two-pass RISC-V assembler for RV32/RV64 IMC (uncompressed emission).
+"""A two-pass RISC-V assembler for RV32/RV64 IM + Zicsr.
 
 The assembler exists so that the OpenTitan CFI firmware (paper §IV-C) and
 the attack/victim programs can be written as genuine RISC-V assembly and
 executed on the instruction-set simulators.  It supports:
 
-* all instructions handled by :mod:`repro.isa.decode` (emitted in their
-  32-bit form),
+* all instructions handled by :mod:`repro.isa.decode`,
 * the usual pseudo-instructions (``li``, ``la``, ``mv``, ``ret``,
   ``call``, ``j``, ``beqz``...),
 * labels, ``%hi``/``%lo`` relocations and ``symbol+offset`` expressions,
@@ -16,9 +15,7 @@ executed on the instruction-set simulators.  It supports:
   split executed cycles into *IRQ* versus *CFI* work exactly as the
   paper does.
 
-Emission is always 4-byte encodings; compressed forms are supported on
-the decode side only (the commit log transports expanded encodings, so
-nothing in the reproduction requires emitting RVC).
+Every instruction is emitted as one 4-byte encoding.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ RISC-V ABI's link-register convention (unprivileged spec, table 2.1):
 The same classification runs again, in software, inside the OpenTitan
 firmware when it parses the commit-log encoding — both sides share this
 module so a disagreement is impossible by construction, mirroring the
-paper where both sides operate on the same uncompressed encoding.
+paper where both sides operate on the same 32-bit encoding.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def classify_word(word: int, xlen: int = 64) -> CfKind:
     """Classify a raw encoding; decode failures yield :attr:`CfKind.NONE`.
 
     This is the firmware-side entry point: the Ibex ISR receives the raw
-    uncompressed encoding from the commit log and must never trap on it.
+    32-bit encoding from the commit log and must never trap on it.
     """
     try:
         insn = decode(word, xlen=xlen)
@@ -113,7 +113,7 @@ def is_indirect_jump(insn: Instruction) -> bool:
 
 
 def expected_return_address(insn: Instruction, pc: int) -> Optional[int]:
-    """Return address a call at ``pc`` will push (``pc + length``).
+    """Return address a call at ``pc`` will push (``pc + 4``).
 
     Returns ``None`` when ``insn`` is not a call.  The shadow-stack policy
     pushes exactly this value; the commit log's *next address* field
@@ -121,7 +121,7 @@ def expected_return_address(insn: Instruction, pc: int) -> Optional[int]:
     """
     if not is_call(insn):
         return None
-    return pc + insn.length
+    return pc + 4
 
 
 # --------------------------------------------------------------------------
@@ -165,14 +165,14 @@ class CfSite:
     @property
     def fall_through(self) -> int:
         """Address of the next sequential instruction (a call's link value)."""
-        return self.pc + self.insn.length
+        return self.pc + 4
 
 
 def iter_sites(data: bytes, base: int, xlen: int = 64) -> Iterator[CfSite]:
     """Linear-sweep scan: yield every control-flow instruction in ``data``.
 
-    The sweep walks 4-byte words (the assembler emits uncompressed
-    encodings only); words that fail to decode — data constants, padding —
+    The sweep walks 4-byte words (every instruction is one 4-byte
+    encoding); words that fail to decode — data constants, padding —
     classify as :attr:`CfKind.NONE` and are skipped, mirroring how
     :func:`classify_word` shrugs at garbage.
     """

@@ -1,11 +1,8 @@
-"""RISC-V instruction decoder (RV32/RV64 I + M + C + Zicsr + machine mode).
+"""RISC-V instruction decoder (RV32/RV64 I + M + Zicsr + machine mode).
 
-Compressed instructions are decoded by *expansion*: the 16-bit form is
-first rewritten into its architecturally-equivalent 32-bit encoding and
-that word is decoded.  The expanded word is kept on the
-:class:`Instruction` — the TitanCFI commit log transports exactly this
-"uncompressed binary encoding" (paper §IV-B1), so the expansion path is
-part of the system under reproduction, not a convenience.
+Every instruction is one 32-bit word.  The decoded word is kept on the
+:class:`Instruction` as ``raw`` — the TitanCFI commit log transports
+exactly this binary encoding (paper §IV-B1).
 
 Decode cache
 ------------
@@ -14,12 +11,11 @@ Decode cache
 on ``(word, xlen)``.  The cache invariants are:
 
 * :class:`Instruction` is a frozen dataclass, so one cached instance can
-  safely be shared by every hart, the control-flow analyser and the
-  disassembler — decoding is a pure function of ``(word, xlen)``.
-* Keys are *normalised* words: the low 16 bits for compressed encodings,
-  the low 32 bits otherwise.  Two fetches that differ only in ignored
-  high bits therefore share one entry, which also keeps the cached
-  ``raw`` field exact.
+  safely be shared by every hart and the control-flow analyser —
+  decoding is a pure function of ``(word, xlen)``.
+* Keys are *normalised* words: the low 32 bits.  Two fetches that differ
+  only in ignored high bits therefore share one entry, which also keeps
+  the cached ``raw`` field exact.
 * Failed decodes are **not** cached: :class:`DecodeError` carries
   per-site context (the faulting pc is attached by the hart), so every
   illegal word takes the slow path and raises a fresh exception.
@@ -34,16 +30,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import DecodeError
 from repro.isa import opcodes as op
-from repro.isa.encode import (
-    encode_b,
-    encode_i,
-    encode_i_unsigned,
-    encode_j,
-    encode_r,
-    encode_s,
-    encode_shift,
-    encode_u,
-)
 from repro.utils.bits import bit, bits, sext
 
 
@@ -52,55 +38,23 @@ class Instruction:
     """A decoded instruction.
 
     Attributes:
-        mnemonic: canonical (expanded) mnemonic, e.g. ``"jalr"``.
-        raw: the instruction bits as fetched (16 bits if compressed).
-        expanded: the 32-bit equivalent encoding (== ``raw`` if not
-            compressed).  This is the value the CFI filter places in the
-            commit log.
-        length: 2 for compressed, 4 otherwise.
+        mnemonic: canonical mnemonic, e.g. ``"jalr"``.
+        raw: the 32-bit encoding as fetched.  This is the value the CFI
+            filter places in the commit log.
         rd/rs1/rs2: register operand indices, or ``None`` when the format
             has no such operand.
         imm: decoded immediate (sign-extended), or ``None``.
         csr: CSR address for Zicsr instructions, or ``None``.
-        compressed_mnemonic: original RVC mnemonic (e.g. ``"c.jr"``), or
-            ``None`` when the instruction was not compressed.
     """
 
     mnemonic: str
     raw: int
-    expanded: int
-    length: int
     rd: Optional[int] = None
     rs1: Optional[int] = None
     rs2: Optional[int] = None
     imm: Optional[int] = None
     csr: Optional[int] = None
-    compressed_mnemonic: Optional[str] = None
 
-    @property
-    def compressed(self) -> bool:
-        """True when the fetched encoding was 16-bit."""
-        return self.length == 2
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        from repro.isa.disasm import disassemble
-
-        return disassemble(self)
-
-
-def is_compressed_word(word: int) -> bool:
-    """True when the low 16 bits encode a compressed instruction."""
-    return (word & 0b11) != op.C_UNCOMPRESSED
-
-
-def instruction_length(word: int) -> int:
-    """Length in bytes implied by the low bits of a fetched word."""
-    return 2 if is_compressed_word(word) else 4
-
-
-# --------------------------------------------------------------------------
-# 32-bit decode.
-# --------------------------------------------------------------------------
 
 _LOAD_MNEMONICS = {
     op.F3_LB: "lb",
@@ -207,12 +161,8 @@ def _imm_j(word: int) -> int:
     return sext(value, 21)
 
 
-def _decode32(word: int, xlen: int, raw: int, length: int, cm: Optional[str]) -> Instruction:
-    """Decode a 32-bit instruction word.
-
-    ``raw``/``length``/``cm`` carry the original compressed form when the
-    word came out of the RVC expander.
-    """
+def _decode32(word: int, xlen: int) -> Instruction:
+    """Decode a 32-bit instruction word (the cache-miss handler)."""
     opcode = bits(word, 6, 0)
     rd = bits(word, 11, 7)
     funct3 = bits(word, 14, 12)
@@ -221,14 +171,7 @@ def _decode32(word: int, xlen: int, raw: int, length: int, cm: Optional[str]) ->
     funct7 = bits(word, 31, 25)
 
     def make(mnemonic: str, **fields) -> Instruction:
-        return Instruction(
-            mnemonic=mnemonic,
-            raw=raw,
-            expanded=word,
-            length=length,
-            compressed_mnemonic=cm,
-            **fields,
-        )
+        return Instruction(mnemonic=mnemonic, raw=word, **fields)
 
     if opcode == op.OP_LUI:
         return make("lui", rd=rd, imm=_imm_u(word))
@@ -335,213 +278,6 @@ def _decode32(word: int, xlen: int, raw: int, length: int, cm: Optional[str]) ->
     raise DecodeError(f"unsupported opcode {opcode:#04x}", word)
 
 
-# --------------------------------------------------------------------------
-# Compressed expansion.
-# --------------------------------------------------------------------------
-
-
-def _creg(field: int) -> int:
-    """Map a 3-bit compressed register field to x8..x15."""
-    return 8 + field
-
-
-def expand_compressed(hword: int, xlen: int) -> Tuple[int, str]:
-    """Expand a 16-bit RVC instruction into its 32-bit equivalent.
-
-    Returns:
-        ``(word32, rvc_mnemonic)``.
-
-    Raises:
-        DecodeError: for illegal or unsupported (e.g. floating-point)
-            compressed encodings.
-    """
-    hword &= 0xFFFF
-    if hword == 0:
-        raise DecodeError("illegal compressed instruction 0x0000", hword)
-    quadrant = bits(hword, 1, 0)
-    funct3 = bits(hword, 15, 13)
-
-    if quadrant == op.C_QUADRANT0:
-        return _expand_q0(hword, funct3, xlen)
-    if quadrant == op.C_QUADRANT1:
-        return _expand_q1(hword, funct3, xlen)
-    if quadrant == op.C_QUADRANT2:
-        return _expand_q2(hword, funct3, xlen)
-    raise DecodeError("not a compressed instruction", hword)
-
-
-def _expand_q0(hword: int, funct3: int, xlen: int) -> Tuple[int, str]:
-    rd_p = _creg(bits(hword, 4, 2))
-    rs1_p = _creg(bits(hword, 9, 7))
-    if funct3 == 0b000:
-        # c.addi4spn: addi rd', x2, nzuimm
-        nzuimm = (
-            (bits(hword, 10, 7) << 6)
-            | (bits(hword, 12, 11) << 4)
-            | (bit(hword, 5) << 3)
-            | (bit(hword, 6) << 2)
-        )
-        if nzuimm == 0:
-            raise DecodeError("c.addi4spn with zero immediate", hword)
-        return encode_i(op.OP_IMM, op.F3_ADD_SUB, rd_p, 2, nzuimm), "c.addi4spn"
-    if funct3 == 0b010:
-        # c.lw: lw rd', uimm(rs1')
-        uimm = (bit(hword, 5) << 6) | (bits(hword, 12, 10) << 3) | (bit(hword, 6) << 2)
-        return encode_i(op.OP_LOAD, op.F3_LW, rd_p, rs1_p, uimm), "c.lw"
-    if funct3 == 0b011 and xlen == 64:
-        # c.ld: ld rd', uimm(rs1')
-        uimm = (bits(hword, 6, 5) << 6) | (bits(hword, 12, 10) << 3)
-        return encode_i(op.OP_LOAD, op.F3_LD, rd_p, rs1_p, uimm), "c.ld"
-    if funct3 == 0b110:
-        # c.sw: sw rs2', uimm(rs1')
-        uimm = (bit(hword, 5) << 6) | (bits(hword, 12, 10) << 3) | (bit(hword, 6) << 2)
-        return encode_s(op.OP_STORE, op.F3_SW, rs1_p, rd_p, uimm), "c.sw"
-    if funct3 == 0b111 and xlen == 64:
-        # c.sd: sd rs2', uimm(rs1')
-        uimm = (bits(hword, 6, 5) << 6) | (bits(hword, 12, 10) << 3)
-        return encode_s(op.OP_STORE, op.F3_SD, rs1_p, rd_p, uimm), "c.sd"
-    raise DecodeError(f"unsupported C0 funct3={funct3}", hword)
-
-
-def _expand_q1(hword: int, funct3: int, xlen: int) -> Tuple[int, str]:
-    rd = bits(hword, 11, 7)
-    rd_p = _creg(bits(hword, 9, 7))
-    rs2_p = _creg(bits(hword, 4, 2))
-    imm6 = sext((bit(hword, 12) << 5) | bits(hword, 6, 2), 6)
-    if funct3 == 0b000:
-        # c.nop / c.addi
-        name = "c.nop" if rd == 0 else "c.addi"
-        return encode_i(op.OP_IMM, op.F3_ADD_SUB, rd, rd, imm6), name
-    if funct3 == 0b001:
-        if xlen == 32:
-            return encode_j(op.OP_JAL, 1, _cj_offset(hword)), "c.jal"
-        if rd == 0:
-            raise DecodeError("reserved c.addiw with rd=0", hword)
-        return encode_i(op.OP_IMM_32, op.F3_ADD_SUB, rd, rd, imm6), "c.addiw"
-    if funct3 == 0b010:
-        # c.li: addi rd, x0, imm
-        return encode_i(op.OP_IMM, op.F3_ADD_SUB, rd, 0, imm6), "c.li"
-    if funct3 == 0b011:
-        if rd == 2:
-            # c.addi16sp
-            nzimm = sext(
-                (bit(hword, 12) << 9)
-                | (bits(hword, 4, 3) << 7)
-                | (bit(hword, 5) << 6)
-                | (bit(hword, 2) << 5)
-                | (bit(hword, 6) << 4),
-                10,
-            )
-            if nzimm == 0:
-                raise DecodeError("c.addi16sp with zero immediate", hword)
-            return encode_i(op.OP_IMM, op.F3_ADD_SUB, 2, 2, nzimm), "c.addi16sp"
-        if imm6 == 0:
-            raise DecodeError("c.lui with zero immediate", hword)
-        return encode_u(op.OP_LUI, rd, imm6), "c.lui"
-    if funct3 == 0b100:
-        sub = bits(hword, 11, 10)
-        if sub == 0b00 or sub == 0b01:
-            shamt = (bit(hword, 12) << 5) | bits(hword, 6, 2)
-            if xlen == 32 and shamt >= 32:
-                raise DecodeError("RV32 compressed shift >= 32", hword)
-            funct7 = op.F7_BASE if sub == 0b00 else op.F7_SUB_SRA
-            name = "c.srli" if sub == 0b00 else "c.srai"
-            return (
-                encode_shift(op.OP_IMM, op.F3_SRL_SRA, funct7, rd_p, rd_p, shamt, xlen),
-                name,
-            )
-        if sub == 0b10:
-            return encode_i(op.OP_IMM, op.F3_AND, rd_p, rd_p, imm6), "c.andi"
-        # sub == 0b11: register-register group
-        group = bits(hword, 6, 5)
-        if bit(hword, 12) == 0:
-            table = {
-                0b00: (op.F7_SUB_SRA, op.F3_ADD_SUB, "c.sub"),
-                0b01: (op.F7_BASE, op.F3_XOR, "c.xor"),
-                0b10: (op.F7_BASE, op.F3_OR, "c.or"),
-                0b11: (op.F7_BASE, op.F3_AND, "c.and"),
-            }
-            funct7, f3, name = table[group]
-            return encode_r(op.OP_REG, f3, funct7, rd_p, rd_p, rs2_p), name
-        if xlen == 64 and group == 0b00:
-            return encode_r(op.OP_REG_32, op.F3_ADD_SUB, op.F7_SUB_SRA, rd_p, rd_p, rs2_p), "c.subw"
-        if xlen == 64 and group == 0b01:
-            return encode_r(op.OP_REG_32, op.F3_ADD_SUB, op.F7_BASE, rd_p, rd_p, rs2_p), "c.addw"
-        raise DecodeError("reserved C1 ALU encoding", hword)
-    if funct3 == 0b101:
-        return encode_j(op.OP_JAL, 0, _cj_offset(hword)), "c.j"
-    if funct3 == 0b110 or funct3 == 0b111:
-        offset = sext(
-            (bit(hword, 12) << 8)
-            | (bits(hword, 6, 5) << 6)
-            | (bit(hword, 2) << 5)
-            | (bits(hword, 11, 10) << 3)
-            | (bits(hword, 4, 3) << 1),
-            9,
-        )
-        f3 = op.F3_BEQ if funct3 == 0b110 else op.F3_BNE
-        name = "c.beqz" if funct3 == 0b110 else "c.bnez"
-        return encode_b(op.OP_BRANCH, f3, rd_p, 0, offset), name
-    raise DecodeError(f"unsupported C1 funct3={funct3}", hword)
-
-
-def _cj_offset(hword: int) -> int:
-    """Decode the scrambled 11-bit offset of c.j / c.jal."""
-    return sext(
-        (bit(hword, 12) << 11)
-        | (bit(hword, 8) << 10)
-        | (bits(hword, 10, 9) << 8)
-        | (bit(hword, 6) << 7)
-        | (bit(hword, 7) << 6)
-        | (bit(hword, 2) << 5)
-        | (bit(hword, 11) << 4)
-        | (bits(hword, 5, 3) << 1),
-        12,
-    )
-
-
-def _expand_q2(hword: int, funct3: int, xlen: int) -> Tuple[int, str]:
-    rd = bits(hword, 11, 7)
-    rs2 = bits(hword, 6, 2)
-    if funct3 == 0b000:
-        shamt = (bit(hword, 12) << 5) | bits(hword, 6, 2)
-        if xlen == 32 and shamt >= 32:
-            raise DecodeError("RV32 compressed shift >= 32", hword)
-        return (
-            encode_shift(op.OP_IMM, op.F3_SLL, op.F7_BASE, rd, rd, shamt, xlen),
-            "c.slli",
-        )
-    if funct3 == 0b010:
-        if rd == 0:
-            raise DecodeError("reserved c.lwsp with rd=0", hword)
-        uimm = (bits(hword, 3, 2) << 6) | (bit(hword, 12) << 5) | (bits(hword, 6, 4) << 2)
-        return encode_i(op.OP_LOAD, op.F3_LW, rd, 2, uimm), "c.lwsp"
-    if funct3 == 0b011 and xlen == 64:
-        if rd == 0:
-            raise DecodeError("reserved c.ldsp with rd=0", hword)
-        uimm = (bits(hword, 4, 2) << 6) | (bit(hword, 12) << 5) | (bits(hword, 6, 5) << 3)
-        return encode_i(op.OP_LOAD, op.F3_LD, rd, 2, uimm), "c.ldsp"
-    if funct3 == 0b100:
-        if bit(hword, 12) == 0:
-            if rs2 == 0:
-                if rd == 0:
-                    raise DecodeError("reserved c.jr with rs1=0", hword)
-                return encode_i(op.OP_JALR, 0, 0, rd, 0), "c.jr"
-            return encode_r(op.OP_REG, op.F3_ADD_SUB, op.F7_BASE, rd, 0, rs2), "c.mv"
-        if rs2 == 0:
-            if rd == 0:
-                return encode_i_unsigned(op.OP_SYSTEM, op.F3_PRIV, 0, 0, op.IMM12_EBREAK), "c.ebreak"
-            return encode_i(op.OP_JALR, 0, 1, rd, 0), "c.jalr"
-        return encode_r(op.OP_REG, op.F3_ADD_SUB, op.F7_BASE, rd, rd, rs2), "c.add"
-    if funct3 == 0b110:
-        uimm = (bits(hword, 8, 7) << 6) | (bits(hword, 12, 9) << 2)
-        return encode_s(op.OP_STORE, op.F3_SW, 2, rs2, uimm), "c.swsp"
-    if funct3 == 0b111 and xlen == 64:
-        uimm = (bits(hword, 9, 7) << 6) | (bits(hword, 12, 10) << 3)
-        return encode_s(op.OP_STORE, op.F3_SD, 2, rs2, uimm), "c.sdsp"
-    raise DecodeError(f"unsupported C2 funct3={funct3}", hword)
-
-
 #: Decode-cache size guard; cleared wholesale when exceeded (only fuzz
 #: runs ever approach this — real firmware uses a few hundred words).
 DECODE_CACHE_LIMIT = 1 << 16
@@ -559,14 +295,6 @@ def decode_cache_size() -> int:
     return len(_DECODE_CACHE)
 
 
-def _decode_slow(word: int, xlen: int) -> Instruction:
-    """The uncached decode path (cache-miss handler)."""
-    if is_compressed_word(word):
-        word32, rvc_name = expand_compressed(word, xlen)
-        return _decode32(word32, xlen, raw=word, length=2, cm=rvc_name)
-    return _decode32(word, xlen, raw=word, length=4, cm=None)
-
-
 def decode(word: int, xlen: int = 64) -> Instruction:
     """Decode a fetched instruction word.
 
@@ -574,7 +302,7 @@ def decode(word: int, xlen: int = 64) -> Instruction:
     cache invariants); the hot path is a single dict lookup.
 
     Args:
-        word: raw bits; only the low 16 are used for compressed forms.
+        word: raw bits; only the low 32 are used.
         xlen: 32 or 64 — affects RV64-only encodings and shift widths.
 
     Returns:
@@ -583,14 +311,14 @@ def decode(word: int, xlen: int = 64) -> Instruction:
     Raises:
         DecodeError: for illegal or unsupported encodings.
     """
-    word &= 0xFFFF if (word & 0b11) != op.C_UNCOMPRESSED else 0xFFFFFFFF
+    word &= 0xFFFFFFFF
     key = (word, xlen)
     cached = _DECODE_CACHE.get(key)
     if cached is not None:
         return cached
     if xlen not in (32, 64):
         raise ValueError(f"xlen must be 32 or 64, got {xlen}")
-    insn = _decode_slow(word, xlen)
+    insn = _decode32(word, xlen)
     if len(_DECODE_CACHE) >= DECODE_CACHE_LIMIT:
         _DECODE_CACHE.clear()
     _DECODE_CACHE[key] = insn

@@ -1,9 +1,8 @@
 """Encoders for the six base RISC-V instruction formats.
 
 These build 32-bit instruction words from fields, validating immediate
-ranges.  They are consumed by the assembler (:mod:`repro.isa.asm`) and by
-the compressed-instruction expander (:mod:`repro.isa.decode`), and their
-round-trip with the decoder is property-tested.
+ranges.  They are consumed by the assembler (:mod:`repro.isa.asm`), and
+their round-trip with the decoder is property-tested.
 """
 
 from __future__ import annotations

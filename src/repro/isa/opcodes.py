@@ -143,11 +143,3 @@ CAUSE_MISALIGNED_STORE = 6
 CAUSE_STORE_ACCESS = 7
 CAUSE_ECALL_M = 11
 CAUSE_MACHINE_EXTERNAL_IRQ = 11  # interrupt-space code 11
-
-# --------------------------------------------------------------------------
-# Compressed-instruction quadrants (bits [1:0]).
-# --------------------------------------------------------------------------
-C_QUADRANT0 = 0b00
-C_QUADRANT1 = 0b01
-C_QUADRANT2 = 0b10
-C_UNCOMPRESSED = 0b11

@@ -1,19 +1,13 @@
-"""Memory-system substrate: devices, maps, ECC and scrambling models."""
+"""Memory-system substrate: devices and address maps."""
 
 from repro.mem.memory import Ram, Rom, SparseMemory
-from repro.mem.map import AccessObserver, BusAccess, MappedDevice, MemoryMap, Region
-from repro.mem.ecc import SecdedCodec
-from repro.mem.scramble import ScrambledMemory
+from repro.mem.map import MappedDevice, MemoryMap, Region
 
 __all__ = [
     "Ram",
     "Rom",
     "SparseMemory",
-    "AccessObserver",
-    "BusAccess",
     "MappedDevice",
     "MemoryMap",
     "Region",
-    "SecdedCodec",
-    "ScrambledMemory",
 ]

@@ -3,11 +3,8 @@
 Every region carries an access *latency* (cycles per access) and a *tag*.
 The latency feeds the instruction-set simulators' timing models; the tag
 feeds the Table I classification, which splits firmware memory cycles
-into RoT-private versus SoC accesses exactly as the paper does.
-
-An optional :class:`AccessObserver` receives every access — the firmware
-analysis harness installs one to count accesses and cycles per region
-tag without touching the firmware itself.
+into RoT-private versus SoC accesses exactly as the paper does (its
+per-step probe asks :meth:`MemoryMap.tag` for each data access).
 """
 
 from __future__ import annotations
@@ -64,20 +61,6 @@ class Region:
         return self.base <= address < self.end
 
 
-@dataclass(frozen=True)
-class BusAccess:
-    """A record of one completed bus access, passed to observers."""
-
-    kind: str        # "read" | "write" | "fetch"
-    address: int
-    size: int
-    value: int
-    latency: int
-    tag: str
-
-
-AccessObserver = Callable[[BusAccess], None]
-
 #: Lightweight write notification ``(address, size)`` — fired on every
 #: CPU/bus write and bulk image load that touches a page some subscribed
 #: hart holds decoded code from.  Harts use this to invalidate their
@@ -99,7 +82,6 @@ class MemoryMap:
     def __init__(self, name: str = "bus"):
         self.name = name
         self._regions: List[Region] = []
-        self._observers: List[AccessObserver] = []
         self._store_hooks: List[StoreHook] = []
         # Per page, how many subscribed harts hold decoded code from it.
         # Every hook ignores a store to any other page, so a store calls
@@ -138,19 +120,10 @@ class MemoryMap:
         self._hot_region = None
         return region
 
-    def observe(self, observer: AccessObserver) -> None:
-        """Register an access observer (fired after every access)."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: AccessObserver) -> None:
-        """Unregister a previously-added observer."""
-        self._observers.remove(observer)
-
     def add_store_hook(self, hook: StoreHook) -> "MemoryMap":
         """Register a write-notification hook ``(address, size)``.
 
-        Unlike observers, store hooks see bulk loads too and carry no
-        :class:`BusAccess` allocation.  A hook fires only for writes
+        Hooks see bulk loads too.  A hook fires only for writes
         touching a page its subscriber holds through
         :meth:`hold_code_page`, so the subscriber must declare every
         page it caches code from; returns this map for that purpose.
@@ -218,51 +191,33 @@ class MemoryMap:
 
     # -- access --------------------------------------------------------------
 
-    def _notify(self, access: BusAccess) -> None:
-        for observer in self._observers:
-            observer(access)
-
-    def read(self, address: int, size: int, kind: str = "read") -> int:
+    def read(self, address: int, size: int) -> int:
         """Read ``size`` bytes; returns the little-endian value."""
-        region = self._region_checked(address, size, kind)
-        value = region.device.read(address - region.base, size)
-        if self._observers:
-            self._notify(BusAccess(kind, address, size, value, region.latency, region.tag))
-        return value
+        region = self._region_checked(address, size, "read")
+        return region.device.read(address - region.base, size)
 
-    def read_timed(self, address: int, size: int, kind: str = "read") -> Tuple[int, int]:
+    def read_timed(self, address: int, size: int) -> Tuple[int, int]:
         """:meth:`read` plus the region latency, in one region lookup.
 
         The hot path for every instruction-set simulator access: the
         separate ``read(...)`` + ``latency(...)`` sequence decodes the
         address twice; this folds the pair.
         """
-        region = self._region_checked(address, size, kind)
-        value = region.device.read(address - region.base, size)
-        if self._observers:
-            self._notify(BusAccess(kind, address, size, value, region.latency, region.tag))
-        return value, region.latency
+        region = self._region_checked(address, size, "read")
+        return region.device.read(address - region.base, size), region.latency
 
     def write(self, address: int, size: int, value: int) -> None:
         """Write ``size`` bytes of ``value``."""
         region = self._region_checked(address, size, "write")
         region.device.write(address - region.base, size, value)
         self.note_store(address, size)
-        if self._observers:
-            self._notify(BusAccess("write", address, size, value, region.latency, region.tag))
 
     def write_timed(self, address: int, size: int, value: int) -> int:
         """:meth:`write` returning the region latency (one lookup)."""
         region = self._region_checked(address, size, "write")
         region.device.write(address - region.base, size, value)
         self.note_store(address, size)
-        if self._observers:
-            self._notify(BusAccess("write", address, size, value, region.latency, region.tag))
         return region.latency
-
-    def fetch(self, address: int, size: int) -> int:
-        """Instruction fetch (reported to observers as ``fetch``)."""
-        return self.read(address, size, kind="fetch")
 
     def read_bytes(self, address: int, count: int) -> bytes:
         """Bulk read for program loading and inspection (single region)."""
@@ -276,7 +231,7 @@ class MemoryMap:
         )
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        """Bulk write for program loading (single region, no observer)."""
+        """Bulk write for program loading (single region)."""
         region = self._region_checked(address, len(data), "write")
         offset = address - region.base
         loader = getattr(region.device, "load", None)

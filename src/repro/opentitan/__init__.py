@@ -1,7 +1,7 @@
 """OpenTitan Root-of-Trust model (paper §III-B).
 
-Contains the Ibex secure microcontroller (an RV32IMC hart with Ibex
-timing), the TL-UL device fabric, the scrambled+ECC flash, the HMAC
+Contains the Ibex secure microcontroller (an RV32IM hart with Ibex
+timing), the TL-UL device fabric, the flash storage, the HMAC
 accelerator, the RoT-side PLIC, and the :class:`repro.opentitan.rot.OpenTitan`
 top level that assembles them.
 """

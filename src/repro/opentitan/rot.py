@@ -1,7 +1,7 @@
 """The OpenTitan Root-of-Trust top level (paper §III-B).
 
 Assembles the RoT: Ibex on a TL-UL crossbar with its boot ROM, 128 KiB
-private SRAM scratchpad, scrambled+ECC flash, HMAC accelerator, PLIC and
+private SRAM scratchpad, flash storage, HMAC accelerator, PLIC and
 the TL2AXI bridge into the host domain.  Two fabric profiles exist:
 
 * ``standard`` — the reference interconnect: ~5-cycle scratchpad
@@ -19,7 +19,6 @@ from repro.errors import ConfigError, check_int
 from repro.hart.core import Hart
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram, Rom
-from repro.mem.scramble import ScrambledMemory
 from repro.opentitan.crypto.accel import HmacAccelerator
 from repro.opentitan.ibex import make_ibex
 from repro.opentitan.plic_device import PlicDevice
@@ -93,7 +92,7 @@ class OpenTitan:
         self.tl_map = MemoryMap("opentitan")
         self.rom = Rom(amap.ot_rom_size, "ot-rom")
         self.sram = Ram(amap.ot_sram_size, "ot-sram")
-        self.flash = ScrambledMemory(amap.ot_flash_size, name="ot-flash")
+        self.flash = Ram(amap.ot_flash_size, "ot-flash")
         self.hmac = HmacAccelerator()
         self.plic = Plic(self.config.plic_sources, name="ot-plic")
         self.plic_device = PlicDevice(self.plic)

@@ -17,10 +17,10 @@ guard can police who may reach the CFI mailbox (paper §VI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.errors import AccessFault, ConfigError
+from repro.errors import ConfigError
 from repro.mem.map import MemoryMap
 from repro.soc.pmp import IoPmp
 
@@ -142,14 +142,13 @@ class AxiXbar:
 
     def read_int(self, master: str, address: int, nbytes: int) -> Tuple[int, int]:
         """Integer-read convenience wrapper (single-beat fast path)."""
-        m = self.map
-        if 0 < nbytes <= self.timings.bytes_per_beat and not m._observers:
+        if 0 < nbytes <= self.timings.bytes_per_beat:
             if self.pmp is not None:
                 self.pmp.check(master, address, nbytes, "read")
             region = self._read_region
             if (region is None
                     or address < region.base or address + nbytes > region.end):
-                region = m._region_checked(address, nbytes, "read")
+                region = self.map._region_checked(address, nbytes, "read")
                 self._read_region = region
             value = region.device.read(address - region.base, nbytes)
             cycles = self._txn_memo.get(nbytes)
@@ -179,17 +178,12 @@ class AxiXbar:
             nbytes = len(chunk)
             value = int.from_bytes(chunk, "little")
             region = self._write_region
-            if (region is not None and not m._observers
-                    and region.base <= beat_address
-                    and beat_address + nbytes <= region.end):
-                region.device.write(beat_address - region.base, nbytes, value)
-                m.note_store(beat_address, nbytes)
-            else:
-                if not m._observers:
-                    self._write_region = m._region_checked(
-                        beat_address, nbytes, "write"
-                    )
-                m.write(beat_address, nbytes, value)
+            if (region is None or beat_address < region.base
+                    or beat_address + nbytes > region.end):
+                region = m._region_checked(beat_address, nbytes, "write")
+                self._write_region = region
+            region.device.write(beat_address - region.base, nbytes, value)
+            m.note_store(beat_address, nbytes)
             offset += nbytes
         cycles = self._txn_cycles(len(data))
         self.stats(master).record("write", len(data), cycles)
@@ -197,8 +191,8 @@ class AxiXbar:
 
     def write_int(self, master: str, address: int, nbytes: int, value: int) -> int:
         """Integer-write convenience wrapper (single-beat fast path)."""
-        m = self.map
-        if 0 < nbytes <= self.timings.bytes_per_beat and not m._observers:
+        if 0 < nbytes <= self.timings.bytes_per_beat:
+            m = self.map
             if self.pmp is not None:
                 self.pmp.check(master, address, nbytes, "write")
             region = self._write_region

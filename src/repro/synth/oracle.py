@@ -122,9 +122,9 @@ def resolve_events(model: dict, program: Program) -> List[ResolvedEvent]:
                 f"direct call at {event.site} targets {pc + insn.imm:#x}, "
                 f"plan says {target:#x}"
             )
-        if event.kind == "call" and pc + insn.length != next_address:
+        if event.kind == "call" and pc + 4 != next_address:
             raise SynthError(
-                f"call at {event.site} pushes {pc + insn.length:#x}, "
+                f"call at {event.site} pushes {pc + 4:#x}, "
                 f"plan says {next_address:#x}"
             )
         resolved.append(ResolvedEvent(

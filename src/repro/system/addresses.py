@@ -29,7 +29,7 @@ class AddressMap:
     ot_sram_base: int = 0x1000_0000
     ot_sram_size: int = 0x2_0000          # 128 KiB private scratchpad (§III-B)
     ot_flash_base: int = 0x2000_0000
-    ot_flash_size: int = 0x8_0000         # 512 KiB scrambled+ECC flash
+    ot_flash_size: int = 0x8_0000         # 512 KiB flash storage
     ot_hmac_base: int = 0x4111_0000
     ot_plic_base: int = 0x4801_0000
     ot_bridge_base: int = 0xC000_0000     # TL window onto the host domain

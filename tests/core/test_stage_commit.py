@@ -1,14 +1,14 @@
 """CFI stage + commit-stage integration (stall protocol, skid buffer)."""
 
-import pytest
-
 from repro.core.config import TitanCfiConfig
 from repro.core.stage import CfiStage
 from repro.cva6.commit import CommitStage
+from repro.cva6.scoreboard import ScoreboardEntry
 from repro.hart.core import Hart
 from repro.hart.ports import MapPort
 from repro.hart.timing import Cva6Timing
 from repro.isa.asm import Assembler
+from repro.isa.decode import decode
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram
 from repro.soc.axi import AxiXbar
@@ -112,8 +112,31 @@ class TestBlockingMode:
         assert cycles_blocking > cycles_plain
 
 
-class TestOfferApi:
-    def test_multi_port_offer_validation(self):
+def retiring(word, pc=DRAM_BASE):
+    """A scoreboard entry for ``word`` retiring at ``pc`` (taken to pc + 0x40)."""
+    return ScoreboardEntry(pc=pc, insn=decode(word, xlen=64), fall_through=pc + 4,
+                           target=pc + 0x40, taken=True)
+
+
+class TestExaminePort:
+    """The commit stage examines each retirement once, then pushes (and
+    re-pushes while stalled) separately."""
+
+    def test_examine_does_not_queue(self):
         _, stage, _ = build()
-        with pytest.raises(ValueError):
-            stage.offer([None, None, None])  # 3 entries on a 2-port stage
+        log = stage.examine_port(0, retiring(0x040000EF))  # jal ra, +64
+        assert log is not None
+        assert stage.queue.empty
+        assert stage.try_push(log)
+        assert stage.queue.occupancy == 1
+        stats = stage.stats_summary()
+        assert (stats["examined"], stats["selected"]) == (1, 1)
+
+    def test_batch_examined_equals_unselected_examines(self):
+        _, one_by_one, _ = build()
+        _, batched, _ = build()
+        for _ in range(3):
+            assert one_by_one.examine_port(0, retiring(0x00A50533)) is None  # add
+        batched.note_batch_examined(3)
+        assert one_by_one.stats_summary() == batched.stats_summary()
+        assert batched.stats_summary()["examined"] == 3

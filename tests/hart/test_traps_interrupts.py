@@ -192,21 +192,55 @@ class TestWfi:
 
 class TestSynchronousTraps:
     def test_illegal_instruction_vectors(self):
-        hart, bus, program = build_hart(
-            """
+        # 0x0000007b: an unknown major opcode.  0x00010001: low bits
+        # 0b01, a compressed (RVC) encoding, which this ISA does not
+        # implement: every instruction is one 32-bit word.
+        for word in (0x0000007B, 0x00010001):
+            hart, bus, program = build_hart(
+                f"""
+                la t0, handler
+                csrw mtvec, t0
+                .word {word:#010x}
+                ebreak
+                handler:
+                li a0, 0xE
+                csrr a1, mcause
+                csrr a2, mtval
+                ebreak
+                """
+            )
+            hart.run()
+            assert reg(hart, "a0") == 0xE
+            assert reg(hart, "a1") == 2  # illegal instruction
+            assert reg(hart, "a2") == word  # mtval: the whole word
+
+    @pytest.mark.parametrize(
+        "hword",
+        [0x8082, 0x9082, 0xA001, 0x9002, 0x0001],
+        ids=["c.jr-ra", "c.jalr-ra", "c.j", "c.ebreak", "c.nop"],
+    )
+    def test_compressed_form_traps_where_it_sits(self, hword):
+        """An RVC form is never executed: a compressed return or call
+        cannot retire around the CFI filter, it traps at its own pc."""
+        word = (0x0001 << 16) | hword  # followed by a c.nop
+        hart, _, program = build_hart(
+            f"""
             la t0, handler
             csrw mtvec, t0
-            .word 0x0000007b   # illegal opcode
+            la ra, handler
+            bad: .word {word:#010x}
             ebreak
             handler:
-            li a0, 0xE
             csrr a1, mcause
+            csrr a2, mtval
+            csrr a3, mepc
             ebreak
             """
         )
         hart.run()
-        assert reg(hart, "a0") == 0xE
         assert reg(hart, "a1") == 2  # illegal instruction
+        assert reg(hart, "a2") == word
+        assert reg(hart, "a3") == program.symbol("bad")
 
     def test_load_fault_vectors(self):
         hart, _, _ = build_hart(

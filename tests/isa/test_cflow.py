@@ -53,13 +53,14 @@ class TestReturns:
     def test_jalr_zero_t0_is_return(self):
         assert classify(jalr(0, 5)) is CfKind.RETURN
 
-    def test_compressed_ret(self):
-        insn = decode(0x8082, xlen=32)  # c.jr ra
-        assert classify(insn) is CfKind.RETURN
-
     def test_is_return_helper(self):
         assert is_return(jalr(0, 1))
         assert not is_return(jalr(0, 10))
+
+    def test_compressed_ret_is_not_a_return(self):
+        """c.jr ra is not an instruction here; its 4-byte form is."""
+        assert classify_word(0x8082, xlen=32) is CfKind.NONE
+        assert classify_word(0x00008067, xlen=32) is CfKind.RETURN
 
 
 class TestIndirectJumps:
@@ -122,12 +123,14 @@ class TestExpectedReturnAddress:
     def test_call_pushes_pc_plus_4(self):
         assert expected_return_address(jal(1), 0x1000) == 0x1004
 
-    def test_compressed_call_pushes_pc_plus_2(self):
-        insn = decode(0x9082, xlen=32)  # c.jalr ra
-        assert expected_return_address(insn, 0x1000) == 0x1002
-
     def test_non_call_returns_none(self):
         assert expected_return_address(jalr(0, 1), 0x1000) is None
+
+    def test_compressed_call_is_not_a_call(self):
+        """c.jalr ra is not an instruction here; its 4-byte form is a
+        call whose return address is pc + 4."""
+        assert classify_word(0x9082, xlen=32) is CfKind.NONE
+        assert expected_return_address(decode(0x000080E7, xlen=32), 0x1000) == 0x1004
 
 
 # --------------------------------------------------------------------------
@@ -232,3 +235,12 @@ class TestStaticScan:
         sites = list(iter_sites(blob, 0x1000))
         assert [s.kind for s in sites] == [CfKind.RETURN]
         assert sites[0].pc == 0x100C
+
+    def test_scan_skips_compressed_halfwords(self):
+        """A word holding c.jalr ra and c.jr ra is data to the sweep,
+        as it is an illegal instruction to the hart."""
+        from repro.isa.cflow import iter_sites
+
+        blob = (0x80829082).to_bytes(4, "little") + (0x000080E7).to_bytes(4, "little")
+        sites = list(iter_sites(blob, 0x1000, xlen=32))
+        assert [(s.pc, s.kind) for s in sites] == [(0x1004, CfKind.CALL)]

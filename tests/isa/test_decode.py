@@ -7,7 +7,7 @@ encoding tables.
 import pytest
 
 from repro.errors import DecodeError
-from repro.isa.decode import decode, instruction_length, is_compressed_word
+from repro.isa.decode import decode
 
 
 class TestBaseInteger:
@@ -17,8 +17,6 @@ class TestBaseInteger:
         assert insn.rd == 1
         assert insn.rs1 == 0
         assert insn.imm == 42
-        assert insn.length == 4
-        assert not insn.compressed
 
     def test_addi_negative_imm(self):
         insn = decode(0xFFF00093)  # addi x1, x0, -1
@@ -177,8 +175,11 @@ class TestSystem:
 
 class TestErrors:
     def test_unknown_major_opcode(self):
-        with pytest.raises(DecodeError):
-            decode(0x0000007B)
+        # 0x0001 has low bits 0b01, a compressed (RVC) encoding: every
+        # instruction is one 32-bit word with low bits 0b11.
+        for word in (0x0000007B, 0x00000001):
+            with pytest.raises(DecodeError):
+                decode(word)
 
     def test_bad_xlen(self):
         with pytest.raises(ValueError):
@@ -190,12 +191,3 @@ class TestErrors:
         except DecodeError as exc:
             assert exc.word == 0x0000007B
 
-
-class TestLengthHelpers:
-    def test_compressed_detection(self):
-        assert is_compressed_word(0x0001)
-        assert not is_compressed_word(0x00000013)
-
-    def test_lengths(self):
-        assert instruction_length(0x8082) == 2
-        assert instruction_length(0x00000013) == 4

@@ -33,10 +33,11 @@ class TestDecodeCache:
         word = 0x00A50513
         assert decode(word, xlen=32) is not decode(word, xlen=64)
 
-    def test_high_bits_normalised_for_compressed(self):
-        # c.nop = 0x0001; a fetch may carry garbage in bits 16..31.
-        assert decode(0x0001, xlen=32) is decode(0xFFFF0001, xlen=32)
-        assert decode(0x0001, xlen=32).raw == 0x0001
+    def test_high_bits_normalised(self):
+        # Only the low 32 bits are an encoding; higher bits share its entry.
+        word = 0x00A50513
+        assert decode(word, xlen=32) is decode((0xFFFF << 32) | word, xlen=32)
+        assert decode(word, xlen=32).raw == word
 
     def test_errors_not_cached(self):
         with pytest.raises(DecodeError):

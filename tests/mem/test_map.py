@@ -1,9 +1,9 @@
-"""Tests for the address map: routing, latency, tags, observers."""
+"""Tests for the address map: routing, latency, tags, timed and bulk access."""
 
 import pytest
 
 from repro.errors import AccessFault, ConfigError
-from repro.mem.map import BusAccess, MemoryMap
+from repro.mem.map import PAGE_BITS, MemoryMap
 from repro.mem.memory import Ram
 
 
@@ -58,36 +58,40 @@ class TestLatencyAndTags:
         assert bus.tag(0x8050) == "soc"
 
 
-class TestObservers:
-    def test_observer_sees_accesses(self):
-        bus = make_map()
-        log = []
-        bus.observe(log.append)
-        bus.write(0x1000, 4, 42)
-        bus.read(0x8000, 4)
-        assert len(log) == 2
-        first, second = log
-        assert isinstance(first, BusAccess)
-        assert first.kind == "write"
-        assert first.tag == "rot-sram"
-        assert first.latency == 5
-        assert second.kind == "read"
-        assert second.tag == "soc"
+class TestTimedAccess:
+    """read_timed/write_timed: one region lookup yields the access and
+    the region's latency (the crossbars' per-access path)."""
 
-    def test_fetch_kind(self):
+    def test_write_timed_returns_region_latency(self):
         bus = make_map()
-        log = []
-        bus.observe(log.append)
-        bus.fetch(0x1000, 4)
-        assert log[0].kind == "fetch"
+        assert bus.write_timed(0x1000, 4, 42) == 5
+        assert bus.read(0x1000, 4) == 42
 
-    def test_remove_observer(self):
+    def test_read_timed_returns_value_and_latency(self):
         bus = make_map()
-        log = []
-        bus.observe(log.append)
-        bus.remove_observer(log.append)
-        bus.read(0x1000, 4)
-        assert not log
+        bus.write(0x8000, 4, 9)
+        assert bus.read_timed(0x8000, 4) == (9, 12)
+
+    def test_timed_accesses_fault_like_untimed(self):
+        bus = make_map()
+        with pytest.raises(AccessFault) as exc:
+            bus.read_timed(0x4000, 4)
+        assert (exc.value.address, exc.value.access) == (0x4000, "read")
+        with pytest.raises(AccessFault, match="crosses") as exc:
+            bus.write_timed(0x10FE, 4, 0)
+        assert exc.value.access == "write"
+
+    def test_write_timed_reaches_store_hooks(self):
+        """A timed store into a held code page is seen by the hooks,
+        exactly as an untimed one is; other pages stay silent."""
+        bus = make_map()
+        seen = []
+        bus.add_store_hook(lambda address, size: seen.append((address, size)))
+        bus.write_timed(0x1010, 4, 1)  # no page held yet
+        bus.hold_code_page(0x1010 >> PAGE_BITS)
+        bus.write_timed(0x1010, 4, 2)
+        bus.write_timed(0x8000, 4, 3)
+        assert seen == [(0x1010, 4)]
 
 
 class TestBulkAccess:

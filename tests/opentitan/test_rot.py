@@ -1,8 +1,12 @@
-"""OpenTitan top-level tests: fabric latencies, firmware boot, PLIC wiring."""
+"""OpenTitan top-level tests: fabric latencies, flash storage, firmware boot, PLIC wiring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import AccessFault, ConfigError
+from repro.isa.asm import assemble
+from repro.isa.registers import reg_index
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram
 from repro.opentitan.plic_device import CLAIM_OFFSET, ENABLE_OFFSET, PlicDevice
@@ -86,6 +90,78 @@ class TestBridgeView:
         rot = make_rot()
         assert rot.tl_map.tag(rot.addresses.ot_sram_base) == "rot-sram"
         assert rot.tl_map.tag(rot.addresses.ot_plic_base) == "rot-plic"
+
+
+class TestFlashRegion:
+    """The RoT flash: plain storage in the TL-UL map, 3-cycle device
+    latency, addressed like any other private region."""
+
+    def test_region_keeps_its_map_entry(self):
+        rot = make_rot()
+        amap = rot.addresses
+        region = rot.tl_map.region_for(amap.ot_flash_base)
+        assert (region.base, region.size, region.latency, region.tag, region.name) == (
+            amap.ot_flash_base, amap.ot_flash_size, 3, "rot-flash", "ot-flash")
+
+    @pytest.mark.parametrize("fabric, cycles", [("standard", 7), ("optimized", 3)])
+    def test_word_roundtrip_through_xbar(self, fabric, cycles):
+        """Fabric (2+2 standard, 0+0 optimized) plus the flash's 3."""
+        rot = make_rot(fabric)
+        base = rot.addresses.ot_flash_base
+        assert rot.xbar.write("ibex", base, 4, 0xDEADBEEF) == cycles
+        assert rot.xbar.read("ibex", base, 4) == (0xDEADBEEF, cycles)
+
+    def test_byte_roundtrip(self):
+        rot = make_rot()
+        base = rot.addresses.ot_flash_base
+        rot.xbar.write("ibex", base + 5, 1, 0xAB)
+        assert rot.xbar.read("ibex", base + 5, 1)[0] == 0xAB
+        assert rot.xbar.read("ibex", base + 4, 4)[0] == 0xAB00
+
+    def test_unwritten_reads_zero(self):
+        rot = make_rot()
+        amap = rot.addresses
+        last = amap.ot_flash_base + amap.ot_flash_size - 4
+        assert rot.tl_map.read(amap.ot_flash_base + 100, 4) == 0
+        assert rot.tl_map.read(last, 4) == 0
+
+    def test_bulk_load_reads_back(self):
+        rot = make_rot()
+        address = rot.addresses.ot_flash_base + 16
+        rot.tl_map.write_bytes(address, b"firmware")
+        assert rot.tl_map.read_bytes(address, 8) == b"firmware"
+        assert rot.tl_map.read(address, 4) == int.from_bytes(b"firm", "little")
+
+    @given(
+        offset=st.integers(min_value=0, max_value=AddressMap().ot_flash_size - 4),
+        value=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    )
+    @settings(max_examples=30)
+    def test_roundtrip_property(self, offset, value):
+        rot = make_rot()
+        address = rot.addresses.ot_flash_base + offset
+        rot.tl_map.write(address, 4, value)
+        assert rot.tl_map.read(address, 4) == value
+
+    def test_access_past_the_end_faults(self):
+        rot = make_rot()
+        amap = rot.addresses
+        with pytest.raises(AccessFault, match="crosses"):
+            rot.xbar.read("ibex", amap.ot_flash_base + amap.ot_flash_size - 2, 4)
+
+    def test_ibex_loads_from_flash(self):
+        rot = make_rot()
+        base = rot.addresses.ot_flash_base
+        rot.tl_map.write(base + 8, 4, 0x12345678)
+        program = assemble(f"""
+            lui t0, {base >> 12:#x}
+            lw a0, 8(t0)
+            ebreak
+        """, base=rot.addresses.ot_rom_base, xlen=32)
+        rot.load_firmware(program.data)
+        retired = [rot.ibex.step().insn.mnemonic for _ in range(2)]
+        assert retired == ["lui", "lw"]
+        assert rot.ibex.regs.read(reg_index("a0")) == 0x12345678
 
 
 class TestFirmwareLoading:

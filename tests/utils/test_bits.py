@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import EncodeError
 from repro.utils.bits import (
     align_down,
     align_up,
@@ -12,10 +11,8 @@ from repro.utils.bits import (
     bits,
     is_aligned,
     mask,
-    pack_fields,
     sext,
     to_unsigned,
-    unpack_fields,
     zext,
 )
 
@@ -89,32 +86,3 @@ class TestAlignment:
     def test_is_aligned(self):
         assert is_aligned(0x1000, 16)
         assert not is_aligned(0x1001, 2)
-
-
-class TestPackedFields:
-    LAYOUT = [("a", 4), ("b", 8), ("c", 4)]
-
-    def test_pack_places_first_field_at_lsb(self):
-        packed = pack_fields(self.LAYOUT, {"a": 0xF, "b": 0x00, "c": 0x0})
-        assert packed == 0xF
-
-    def test_roundtrip(self):
-        values = {"a": 0x5, "b": 0xAB, "c": 0x9}
-        assert unpack_fields(self.LAYOUT, pack_fields(self.LAYOUT, values)) == values
-
-    def test_overflow_raises(self):
-        with pytest.raises(EncodeError):
-            pack_fields(self.LAYOUT, {"a": 0x10, "b": 0, "c": 0})
-
-    def test_missing_field_raises(self):
-        with pytest.raises(EncodeError):
-            pack_fields(self.LAYOUT, {"a": 1, "b": 2})
-
-    @given(
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=15),
-    )
-    def test_roundtrip_property(self, a, b, c):
-        values = {"a": a, "b": b, "c": c}
-        assert unpack_fields(self.LAYOUT, pack_fields(self.LAYOUT, values)) == values

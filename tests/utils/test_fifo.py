@@ -34,38 +34,13 @@ class TestBasics:
         fifo.push("x")
         with pytest.raises(ProtocolError):
             fifo.push("y")
+        # The refused push changed nothing.
+        assert (fifo.occupancy, fifo.pushes, fifo.high_water) == (1, 1, 1)
+        assert fifo.pop() == "x"
 
     def test_pop_empty_raises(self):
         with pytest.raises(ProtocolError):
             BoundedFifo(1).pop()
-
-    def test_peek_does_not_remove(self):
-        fifo = BoundedFifo(2)
-        fifo.push(10)
-        assert fifo.peek() == 10
-        assert fifo.occupancy == 1
-
-    def test_try_push_pop(self):
-        fifo = BoundedFifo(1)
-        assert fifo.try_push(1)
-        assert not fifo.try_push(2)
-        assert fifo.try_pop() == 1
-        assert fifo.try_pop() is None
-
-    def test_clear_preserves_statistics(self):
-        fifo = BoundedFifo(2)
-        fifo.push(1)
-        fifo.push(2)
-        fifo.clear()
-        assert fifo.empty
-        assert fifo.pushes == 2
-        assert fifo.high_water == 2
-
-    def test_snapshot_oldest_first(self):
-        fifo = BoundedFifo(3)
-        fifo.push("a")
-        fifo.push("b")
-        assert fifo.snapshot() == ["a", "b"]
 
 
 class TestStatistics:
@@ -95,12 +70,10 @@ def test_property_order_preserved_within_capacity(items, capacity):
     pushed = []
     popped = []
     for item in items:
-        if fifo.try_push(item):
-            pushed.append(item)
-        else:
+        if fifo.full:
             popped.append(fifo.pop())
-            fifo.push(item)
-            pushed.append(item)
+        fifo.push(item)
+        pushed.append(item)
     while not fifo.empty:
         popped.append(fifo.pop())
     assert popped == pushed
@@ -112,11 +85,11 @@ def test_property_occupancy_bounds(operations):
     fifo = BoundedFifo(4)
     counter = 0
     for operation in operations:
-        if operation == "push":
-            fifo.try_push(counter)
+        if operation == "push" and not fifo.full:
+            fifo.push(counter)
             counter += 1
-        else:
-            fifo.try_pop()
+        elif operation == "pop" and not fifo.empty:
+            fifo.pop()
         assert 0 <= fifo.occupancy <= fifo.capacity
         assert fifo.full == (fifo.occupancy == fifo.capacity)
         assert fifo.empty == (fifo.occupancy == 0)
