@@ -82,36 +82,3 @@ def test_end_to_end_cosimulation(benchmark, variant, fabric):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert not report.detected
     assert report.cfi["checks_completed"] == report.cfi["selected"]
-
-
-@pytest.mark.table("ablation")
-def test_dual_commit_port_conflict_rate(benchmark):
-    """How often two CF ops would retire in the same cycle (the §IV-B2
-    'rare event' argument), measured on a synthetic dual-issue stream."""
-    import random
-
-    from repro.core.commit_log import CommitLog
-    from repro.core.queue import CfiQueue, QueueController
-    from repro.isa.encode import encode_j
-    from repro.isa import opcodes as op
-
-    def run():
-        rng = random.Random(7)
-        queue = CfiQueue(8)
-        controller = QueueController(queue)
-        log = CommitLog(pc=0x1000, encoding=encode_j(op.OP_JAL, 1, 64),
-                        next_address=0x1004, target=0x1040)
-        cycles = 20_000
-        cf_density = 0.05  # 5% of slots carry a CF op
-        for _ in range(cycles):
-            slots = [log if rng.random() < cf_density else None for _ in range(2)]
-            controller.arbitrate(slots)
-            if not queue.empty:
-                queue.pop()  # instant checker
-        return controller.stats
-
-    stats = benchmark(run)
-    conflict_rate = stats.conflict_stalls / 20_000
-    assert conflict_rate < 0.01  # indeed rare at realistic densities
-    print()
-    print(f"dual-CF conflict rate: {100 * conflict_rate:.2f}% of cycles")

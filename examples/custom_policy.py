@@ -4,7 +4,7 @@
 TitanCFI's pitch over hardware monitors (paper §II) is that the policy
 is firmware: swapping enforcement logic costs a C (here: Python model)
 rewrite, not an RTL respin.  This example takes the same commit-log
-stream the filters produce and runs TWO policies over it:
+stream the CFI filter produces and runs TWO policies over it:
 
 * the shadow stack (backward edges), and
 * a label-based forward-edge policy that only admits indirect transfers
@@ -17,36 +17,14 @@ Run:  python examples/custom_policy.py
 """
 
 from repro.attacks.programs import indirect_jump_program
-from repro.core.filter import CfiFilter
-from repro.cva6.scoreboard import ScoreboardEntry
+from repro.campaign.runner import capture_commit_logs
 from repro.firmware.policies import (
     CheckResult,
     CompositePolicy,
     ForwardEdgePolicy,
     ShadowStackPolicy,
 )
-from repro.hart.core import Hart
-from repro.hart.ports import MapPort
-from repro.hart.timing import Cva6Timing
-from repro.mem.map import MemoryMap
-from repro.mem.memory import Ram
 from repro.system.addresses import AddressMap
-
-
-def commit_logs(program, addresses):
-    """Run a program on a bare CVA6 ISS and collect its commit logs."""
-    bus = MemoryMap("host")
-    bus.add(addresses.dram_base, Ram(addresses.dram_size), name="dram")
-    bus.write_bytes(program.base, program.data)
-    hart = Hart(MapPort(bus), Cva6Timing(), xlen=64, reset_pc=program.base)
-    cfi_filter = CfiFilter()
-    logs = []
-    while not hart.halted:
-        entry = ScoreboardEntry.from_step(hart.step())
-        log = cfi_filter.examine(entry)
-        if log is not None:
-            logs.append(log)
-    return logs, hart
 
 
 def main() -> None:
@@ -54,7 +32,8 @@ def main() -> None:
 
     for corrupt in (False, True):
         program = indirect_jump_program(addresses, corrupt=corrupt)
-        logs, hart = commit_logs(program, addresses)
+        # Run on a bare CVA6 ISS and collect the filter's commit logs.
+        logs, hart = capture_commit_logs(program, addresses)
 
         shadow = ShadowStackPolicy()
         forward = ForwardEdgePolicy({program.symbols["handler"]})

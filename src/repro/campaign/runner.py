@@ -18,8 +18,8 @@ Shard-level caching: victim programs are pure functions of
 process memoises them (:class:`ShardCache`) — per-scenario setup stays
 off the hot path when a shard executes many scenarios.  The cache never
 changes results: entries are keyed on every input that feeds the build,
-and :func:`configure_shard_cache` can disable it to prove it
-(cold = warm = disabled, asserted by ``tests/campaign/test_cache.py``).
+so a cold (cleared) cache and a warm one produce identical rows
+(asserted by ``tests/campaign/test_cache.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.campaign.spec import (
 )
 from repro.core.commit_log import CommitLog
 from repro.core.filter import CfiFilter
-from repro.cva6.scoreboard import ScoreboardEntry
 from repro.errors import (
     ConfigError,
     ScenarioTimeout,
@@ -96,7 +95,6 @@ class ShardCache:
     """
 
     def __init__(self):
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self._programs: Dict[Tuple[str, int], Program] = {}
@@ -115,11 +113,9 @@ class ShardCache:
         """Generic deterministic memo (fault baselines, oracle streams).
 
         ``key`` must cover every input that feeds ``compute`` — same
-        contract as the program/firmware memos, same cold = warm = off
+        contract as the program/firmware memos, same cold = warm
         guarantee.
         """
-        if not self.enabled:
-            return compute()
         if key in self._memo:
             self.hits += 1
             return self._memo[key]
@@ -137,8 +133,6 @@ class ShardCache:
         the placement base, so differently-placed builds never alias.
         """
         amap = addresses or AddressMap()
-        if not self.enabled:
-            return VICTIMS[victim].builder(amap, random.Random(seed))
         key = (victim, seed, amap.dram_base)
         program = self._programs.get(key)
         if program is None:
@@ -151,8 +145,6 @@ class ShardCache:
 
     def firmware(self, variant: str) -> bytes:
         """The shadow-stack firmware image for ``variant`` (memoised)."""
-        if not self.enabled:
-            return _build_firmware(variant)
         image = self._firmware.get(variant)
         if image is None:
             self.misses += 1
@@ -171,12 +163,6 @@ def _build_firmware(variant: str) -> bytes:
 
 #: The process-wide shard cache (one per worker process).
 SHARD_CACHE = ShardCache()
-
-
-def configure_shard_cache(enabled: bool) -> None:
-    """Enable/disable the shard cache (clears it either way)."""
-    SHARD_CACHE.enabled = enabled
-    SHARD_CACHE.clear()
 
 
 def _resolve_symbols(program: Program, names: Sequence[str]) -> set:
@@ -297,10 +283,8 @@ def capture_commit_logs(program: Program, addresses: AddressMap,
         remaining -= retired
         if hart.halted or remaining <= 0:
             break
-        result = hart.step()
+        log = cfi_filter.examine(hart.step())
         remaining -= 1
-        entry = ScoreboardEntry.from_step(result)
-        log = cfi_filter.examine(entry)
         if log is not None:
             logs.append(log)
         if hart.halted:

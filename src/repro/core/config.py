@@ -15,8 +15,6 @@ class TitanCfiConfig:
         queue_depth: CFI queue capacity.  The paper evaluates depth 1
             (Table II, worst-case stall-per-instruction) and depth 8
             (Table III).
-        commit_ports: CVA6 commit-port count; the reference core has 2,
-            and TitanCFI instantiates one CFI filter per port (§IV-B1).
         mailbox_base: SoC address of the CFI mailbox.
         raise_on_violation: when True the log writer raises
             :class:`repro.errors.CfiViolation` on a bad verdict (the
@@ -30,7 +28,7 @@ class TitanCfiConfig:
             violating transfer can retire.
         lossy: non-blocking lossy queue mode.  A push against a full
             queue evicts the *oldest* buffered log (counted in
-            ``StallStats.dropped``) instead of inhibiting commit, so
+            ``CfiQueue.dropped``) instead of inhibiting commit, so
             saturation degrades into measurable detection-latency
             growth and drop counters rather than commit back-pressure.
             Mutually exclusive with ``blocking`` (which exists to
@@ -39,7 +37,6 @@ class TitanCfiConfig:
     """
 
     queue_depth: int = 8
-    commit_ports: int = 2
     mailbox_base: int = 0x9000_0000
     raise_on_violation: bool = True
     blocking: bool = False
@@ -47,7 +44,6 @@ class TitanCfiConfig:
 
     def __post_init__(self):
         check_int("queue_depth", self.queue_depth, 1)
-        check_int("commit_ports", self.commit_ports, 1)
         if self.lossy and self.blocking:
             raise ConfigError(
                 "lossy and blocking are mutually exclusive: blocking "

@@ -1,10 +1,13 @@
-"""The CFI filter: one per CVA6 commit port (paper §IV-B1).
+"""The CFI filter (paper §IV-B1).
 
-A filter inspects the scoreboard entry a commit port is retiring,
+A filter inspects the instruction the commit stage is retiring,
 selects the control-flow operations that need checking (indirect jumps,
 function returns, function calls) and condenses them into commit logs.
 Direct jumps and conditional branches pass through unselected — their
 targets are immediate-encoded and statically verifiable.
+
+The RTL instantiates one filter per CVA6 commit port; the modelled core
+retires one instruction per cycle, so one filter sees every retirement.
 """
 
 from __future__ import annotations
@@ -13,14 +16,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.commit_log import CommitLog
-from repro.cva6.scoreboard import ScoreboardEntry
+from repro.hart.core import StepEvent, StepResult
 from repro.isa.cflow import CfKind, classify
 from repro.utils.bits import mask
+
+#: Step events that retire their instruction through the commit stage
+#: (a trap, halt, wake or sleep step retires nothing).  A tuple, not a
+#: set: membership tests identity first, and ``RETIRED`` leads.
+_RETIRING = (StepEvent.RETIRED, StepEvent.MRET, StepEvent.WFI_SLEEP)
 
 
 @dataclass
 class FilterStats:
-    """Counters kept by one filter instance."""
+    """Counters kept by the filter."""
 
     examined: int = 0
     selected: int = 0
@@ -34,29 +42,29 @@ class FilterStats:
 
 
 class CfiFilter:
-    """Scoreboard-entry → commit-log selector for one commit port."""
+    """Retiring instruction → commit-log selector."""
 
-    def __init__(self, port_index: int = 0, name: str = ""):
-        self.port_index = port_index
-        self.name = name or f"cfi-filter{port_index}"
+    def __init__(self):
         self.stats = FilterStats()
 
-    def examine(self, entry: Optional[ScoreboardEntry]) -> Optional[CommitLog]:
-        """Return a commit log when ``entry`` is CFI-relevant, else ``None``.
+    def examine(self, step: StepResult) -> Optional[CommitLog]:
+        """Return a commit log when ``step`` retired a CFI-relevant
+        instruction, else ``None``.
 
-        Invalid (bubble) entries return ``None`` without counting.
+        A step that retires nothing returns ``None`` without counting.
         """
-        if entry is None or not entry.valid:
+        insn = step.insn
+        if insn is None or step.event not in _RETIRING:
             return None
-        kind = classify(entry.insn)
+        kind = classify(insn)
         selected = kind.cfi_relevant
         self.stats.record(kind, selected)
         if not selected:
             return None
         return CommitLog(
-            pc=entry.pc & mask(64),
+            pc=step.pc & mask(64),
             # The instruction's 32-bit encoding (§IV-B1 field ii).
-            encoding=entry.insn.raw,
-            next_address=entry.fall_through & mask(64),
-            target=entry.target & mask(64),
+            encoding=insn.raw,
+            next_address=step.fall_through & mask(64),
+            target=step.next_pc & mask(64),
         )

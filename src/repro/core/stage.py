@@ -1,21 +1,19 @@
-"""The assembled CFI stage: filters → queue controller → queue → writer.
+"""The assembled CFI stage: filter → queue → log writer.
 
 This is the block Figure 1 draws inside the CVA6 box.  The commit stage
-offers every retiring scoreboard entry; the stage filters them, pushes
-CFI-relevant commit logs into the queue (stalling the core per the
-queue-controller rules) and drains the queue through the log writer.
+hands every retiring step to the stage's filter, pushes the CFI-relevant
+commit logs into the queue (whose push rule is the queue controller's:
+a full queue stalls the core) and the log writer drains the queue.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.commit_log import CommitLog
 from repro.core.config import TitanCfiConfig
 from repro.core.filter import CfiFilter
 from repro.core.log_writer import LogWriter
-from repro.core.queue import CfiQueue, QueueController
-from repro.cva6.scoreboard import ScoreboardEntry
+from repro.core.queue import CfiQueue
 from repro.soc.axi import AxiXbar
 from repro.soc.mailbox import Mailbox
 
@@ -40,9 +38,8 @@ class CfiStage:
                  hart_id: int = 0, arbiter=None, tag_hart_id: bool = False):
         self.config = config or TitanCfiConfig()
         self.hart_id = hart_id
-        self.filters = [CfiFilter(i) for i in range(self.config.commit_ports)]
-        self.queue = CfiQueue(self.config.queue_depth)
-        self.controller = QueueController(self.queue, lossy=self.config.lossy)
+        self.filter = CfiFilter()
+        self.queue = CfiQueue(self.config.queue_depth, lossy=self.config.lossy)
         self.writer = LogWriter(
             axi,
             mailbox,
@@ -63,29 +60,6 @@ class CfiStage:
         self.skippable_cycles = self.writer.skippable_cycles
         self.skip = self.writer.skip
 
-    def examine_port(self, port: int, entry: Optional[ScoreboardEntry]) -> Optional[CommitLog]:
-        """Run one port's filter only (no queue push).
-
-        The commit stage uses this to obtain the commit log once, then
-        replays :meth:`try_push` while stalled — so filter statistics
-        count each instruction exactly once.
-        """
-        return self.filters[port].examine(entry)
-
-    def try_push(self, log: CommitLog) -> bool:
-        """Attempt a single-port push through the queue controller."""
-        return self.controller.arbitrate([log]) == 1
-
-    def note_batch_examined(self, count: int) -> None:
-        """Bulk-account ``count`` not-selected retirements (batched path).
-
-        Exactly equivalent to ``count`` calls to :meth:`examine_port`
-        with instructions the filter examines but does not select: only
-        the port-0 ``examined`` counter moves (``selected`` and the
-        per-kind counts are untouched, and nothing enters the queue).
-        """
-        self.filters[0].stats.examined += count
-
     @property
     def quiescent(self) -> bool:
         """True when no log is queued or in flight."""
@@ -99,11 +73,10 @@ class CfiStage:
     def stats_summary(self) -> dict:
         """Aggregated statistics for reports and tests."""
         return {
-            "examined": sum(f.stats.examined for f in self.filters),
-            "selected": sum(f.stats.selected for f in self.filters),
-            "full_stalls": self.controller.stats.full_stalls,
-            "conflict_stalls": self.controller.stats.conflict_stalls,
-            "dropped": self.controller.stats.dropped,
+            "examined": self.filter.stats.examined,
+            "selected": self.filter.stats.selected,
+            "full_stalls": self.queue.full_stalls,
+            "dropped": self.queue.dropped,
             "logs_sent": self.writer.stats.logs_sent,
             "checks_completed": self.writer.stats.checks_completed,
             "violations": self.writer.stats.violations,

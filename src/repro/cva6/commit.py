@@ -1,19 +1,18 @@
 """The CVA6 commit stage, extended with the TitanCFI tap (paper §IV-B).
 
 The commit stage wraps the host hart.  Each time the co-simulator lets
-it advance, it retires one instruction, runs the retiring scoreboard
-entry through the CFI stage's filter, and — when the CFI queue cannot
-accept a control-flow log — *inhibits commit*: the hart is held (a skid
-buffer keeps the filtered log) and stall cycles accumulate until the
-queue drains.  This reproduces the paper's queue-full stall behaviour
-at instruction granularity.
+it advance, it retires one instruction, runs the retiring step through
+the CFI stage's filter, and — when the CFI queue cannot accept a
+control-flow log — *inhibits commit*: the hart is held (a skid buffer
+keeps the filtered log) and stall cycles accumulate until the queue
+drains.  This reproduces the paper's queue-full stall behaviour at
+instruction granularity.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.cva6.scoreboard import ScoreboardEntry
 from repro.hart.core import Hart, StepResult
 
 if TYPE_CHECKING:  # break the core ↔ cva6 import cycle (types only)
@@ -34,7 +33,6 @@ class CommitStage:
         self.hart = hart
         self.cfi = cfi_stage
         self.stall_cycles = 0
-        self.retired = 0
         self._skid: "Optional[CommitLog]" = None
         self._blocked = False
 
@@ -58,7 +56,7 @@ class CommitStage:
         if self._skid is not None:
             # A lossy queue accepts the skidded log on the very next
             # cycle (drop-oldest), so the stall is never skippable.
-            return self.cfi.queue.full and not self.cfi.controller.lossy
+            return self.cfi.queue.full and not self.cfi.queue.lossy
         return False
 
     def note_batch_retired(self, count: int) -> None:
@@ -67,25 +65,23 @@ class CommitStage:
         The batched fast path (:meth:`repro.hart.core.Hart.run_n`) only
         executes instructions the CFI filter would *examine but never
         select* — plain ops, branches, direct jumps — so replaying the
-        per-cycle path's bookkeeping is two bulk increments: the commit
-        counter here, and the filter's ``examined`` statistic (port 0,
-        the single-issue port this model commits on).
+        per-cycle path's bookkeeping is one bulk increment of the
+        filter's ``examined`` statistic.
         """
-        self.retired += count
         if self.cfi is not None:
-            self.cfi.note_batch_examined(count)
+            self.cfi.filter.stats.examined += count
 
     def skip_stall(self, cycles: int) -> None:
         """Account ``cycles`` inhibited cycles in one jump.
 
         Exact bulk replay of that many stalled :meth:`try_advance`
         calls: stall cycles accrue, and a skidded log re-offered against
-        a full queue counts one full-stall per cycle, as the queue
-        controller would have.
+        a full queue counts one full stall per cycle, as the queue's
+        push would have.
         """
         self.stall_cycles += cycles
         if self._skid is not None:
-            self.cfi.controller.record_full_stall(cycles)
+            self.cfi.queue.full_stalls += cycles
 
     def try_advance(self) -> Optional[StepResult]:
         """Advance by one instruction if commit is not inhibited.
@@ -101,16 +97,7 @@ class CommitStage:
             self._blocked = False
 
         if self._skid is not None:
-            if self.cfi.queue.full and not self.cfi.controller.lossy:
-                # Fast replay-fail: a single-port push against a full
-                # queue is exactly what the controller would reject;
-                # account the full-stall without the arbitration walk.
-                # (A lossy controller never rejects — it sheds the
-                # oldest entry — so it must take the real push path.)
-                self.cfi.controller.record_full_stall()
-                self.stall_cycles += 1
-                return None
-            if not self.cfi.try_push(self._skid):
+            if not self.cfi.queue.push(self._skid):
                 self.stall_cycles += 1
                 return None
             # The queue accepted the held log this cycle; the stalled
@@ -123,18 +110,15 @@ class CommitStage:
             return None
 
         result = self.hart.step()
-        entry = ScoreboardEntry.from_step(result)
-        if entry is not None:
-            self.retired += 1
-            if self.cfi is not None:
-                log = self.cfi.examine_port(0, entry)
-                if log is not None:
-                    if not self.cfi.try_push(log):
-                        # Queue full: hold commit of this instruction until
-                        # a slot frees (the paper's "inhibits the CVA6
-                        # commit stage, which eventually results in
-                        # stalling the core").
-                        self._skid = log
-                    elif self.cfi.config.blocking:
-                        self._blocked = True
+        if self.cfi is not None:
+            log = self.cfi.filter.examine(result)
+            if log is not None:
+                if not self.cfi.queue.push(log):
+                    # Queue full: hold commit of this instruction until
+                    # a slot frees (the paper's "inhibits the CVA6
+                    # commit stage, which eventually results in
+                    # stalling the core").
+                    self._skid = log
+                elif self.cfi.config.blocking:
+                    self._blocked = True
         return result

@@ -77,13 +77,16 @@ class TrapError(SimulationError):
     Attributes:
         cause: RISC-V mcause code.
         pc: faulting program counter.
+        tval: the trap value the hart writes to ``mtval`` (e.g. the
+            target of a misaligned jump); 0 where the cause has none.
     """
 
-    def __init__(self, cause: int, pc: int, message: str = ""):
+    def __init__(self, cause: int, pc: int, message: str = "", tval: int = 0):
         detail = message or f"unhandled trap cause={cause} at pc={pc:#x}"
         super().__init__(detail)
         self.cause = cause
         self.pc = pc
+        self.tval = tval
 
 
 class CfiViolation(ReproError):

@@ -10,7 +10,7 @@ protocol depends on them (doorbell interrupt → ISR → mret → sleep).
 Every :meth:`Hart.step` returns a :class:`StepResult` describing the
 retired instruction — pc, encoding, fall-through and actual next pc —
 which is exactly the scoreboard information the CVA6 commit stage hands
-to the CFI filters (paper §IV-B1).
+to the CFI filter (paper §IV-B1).
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ class Hart:
                 )
             outcome = handler(self, insn, pc, fall_through)
         except TrapError as exc:
-            return self._enter_trap(exc.cause, False, tval=0)
+            return self._enter_trap(exc.cause, False, tval=exc.tval)
         except AccessFault as exc:
             cause = op.CAUSE_STORE_ACCESS if exc.access == "write" else op.CAUSE_LOAD_ACCESS
             return self._enter_trap(cause, False, tval=exc.address)
@@ -804,15 +804,24 @@ def _make_exec_table():
     table["auipc"] = auipc
 
     # -- jumps ------------------------------------------------------------------
+    # Every instruction is 4 bytes (no C extension), so a transfer to a
+    # target that is not 4-byte aligned raises instruction-address-
+    # misaligned on the jump itself (mepc = the jump, mtval = the
+    # target), before ``rd`` is written: run_n relies on a faulting
+    # handler changing nothing before step() replays it.
     def jal(h, i, pc, ft):
+        target = (pc + i.imm) & h._mask
+        if target & 3:
+            raise TrapError(op.CAUSE_MISALIGNED_FETCH, pc, tval=target)
         if i.rd:
             h.regs.raw[i.rd] = ft
-        target = (pc + i.imm) & h._mask
         return (StepEvent.RETIRED, target, True, 0, None)
 
     def jalr(h, i, pc, ft):
         # rs1 is read before rd is written (jalr ra, ra semantics).
         target = (h.regs.raw[i.rs1] + i.imm) & h._mask & ~1
+        if target & 3:
+            raise TrapError(op.CAUSE_MISALIGNED_FETCH, pc, tval=target)
         if i.rd:
             h.regs.raw[i.rd] = ft
         return (StepEvent.RETIRED, target, True, 0, None)
@@ -821,35 +830,42 @@ def _make_exec_table():
     table["jalr"] = jalr
 
     # -- branches (direct handlers — no condition-lambda call) -------------------
+    def branch_to(pc, target):
+        # A taken branch's target alignment check (an untaken branch
+        # never traps, whatever its offset).
+        if target & 3:
+            raise TrapError(op.CAUSE_MISALIGNED_FETCH, pc, tval=target)
+        return (StepEvent.RETIRED, target, True, 0, None)
+
     def beq(h, i, pc, ft):
-        taken = h.regs.raw[i.rs1] == h.regs.raw[i.rs2]
-        return (StepEvent.RETIRED, (pc + i.imm) & h._mask if taken else ft,
-                taken, 0, None)
+        if h.regs.raw[i.rs1] == h.regs.raw[i.rs2]:
+            return branch_to(pc, (pc + i.imm) & h._mask)
+        return (StepEvent.RETIRED, ft, False, 0, None)
 
     def bne(h, i, pc, ft):
-        taken = h.regs.raw[i.rs1] != h.regs.raw[i.rs2]
-        return (StepEvent.RETIRED, (pc + i.imm) & h._mask if taken else ft,
-                taken, 0, None)
+        if h.regs.raw[i.rs1] != h.regs.raw[i.rs2]:
+            return branch_to(pc, (pc + i.imm) & h._mask)
+        return (StepEvent.RETIRED, ft, False, 0, None)
 
     def blt(h, i, pc, ft):
-        taken = h._sx(h.regs.raw[i.rs1]) < h._sx(h.regs.raw[i.rs2])
-        return (StepEvent.RETIRED, (pc + i.imm) & h._mask if taken else ft,
-                taken, 0, None)
+        if h._sx(h.regs.raw[i.rs1]) < h._sx(h.regs.raw[i.rs2]):
+            return branch_to(pc, (pc + i.imm) & h._mask)
+        return (StepEvent.RETIRED, ft, False, 0, None)
 
     def bge(h, i, pc, ft):
-        taken = h._sx(h.regs.raw[i.rs1]) >= h._sx(h.regs.raw[i.rs2])
-        return (StepEvent.RETIRED, (pc + i.imm) & h._mask if taken else ft,
-                taken, 0, None)
+        if h._sx(h.regs.raw[i.rs1]) >= h._sx(h.regs.raw[i.rs2]):
+            return branch_to(pc, (pc + i.imm) & h._mask)
+        return (StepEvent.RETIRED, ft, False, 0, None)
 
     def bltu(h, i, pc, ft):
-        taken = h.regs.raw[i.rs1] < h.regs.raw[i.rs2]
-        return (StepEvent.RETIRED, (pc + i.imm) & h._mask if taken else ft,
-                taken, 0, None)
+        if h.regs.raw[i.rs1] < h.regs.raw[i.rs2]:
+            return branch_to(pc, (pc + i.imm) & h._mask)
+        return (StepEvent.RETIRED, ft, False, 0, None)
 
     def bgeu(h, i, pc, ft):
-        taken = h.regs.raw[i.rs1] >= h.regs.raw[i.rs2]
-        return (StepEvent.RETIRED, (pc + i.imm) & h._mask if taken else ft,
-                taken, 0, None)
+        if h.regs.raw[i.rs1] >= h.regs.raw[i.rs2]:
+            return branch_to(pc, (pc + i.imm) & h._mask)
+        return (StepEvent.RETIRED, ft, False, 0, None)
 
     table["beq"] = beq
     table["bne"] = bne

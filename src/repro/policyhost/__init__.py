@@ -18,7 +18,6 @@ of both co-simulation engines (busy and batched).
 from repro.policyhost.calibration import (
     ResponseModel,
     calibrate,
-    configure_chain_table,
 )
 from repro.policyhost.host import MonitorDefense, PolicyHost, mount_policy_host
 from repro.policyhost.latency import host_check_latencies
@@ -28,7 +27,6 @@ __all__ = [
     "PolicyHost",
     "ResponseModel",
     "calibrate",
-    "configure_chain_table",
     "host_check_latencies",
     "mount_policy_host",
 ]

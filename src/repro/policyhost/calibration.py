@@ -331,10 +331,6 @@ def _shipped_tables(variant: str, fabric: str,
 #: once, shared across every chain that walks the same prefix.
 _CHAIN_NODE_CAP = 65536
 
-#: Process-wide boot-chain-table switch (see :func:`configure_chain_table`).
-_CHAIN_TABLE_ENABLED = True
-
-
 class _ChainNode:
     """One step of the boot-chain trie: the firmware's completion cycle
     for the chain prefix ending here, plus the known continuations."""
@@ -378,12 +374,8 @@ class ShadowSession:
         self._last_rig_respond: Optional[int] = None
         self._chain: List[Tuple[int, bytes]] = []
         #: Trie cursor: children of the chain prefix walked so far
-        #: (``None`` once off the trie — table disabled or node cap hit).
+        #: (``None`` once off the trie — the node cap refused growth).
         self._cursor: Optional[_ChainNode] = model._chain_root
-        #: Trie generation this cursor belongs to; a reconfiguration
-        #: mid-session detaches the cursor instead of silently serving
-        #: (and growing) a replaced trie.
-        self._generation = model._chain_generation
 
     def _ensure_rig(self) -> FirmwareRig:
         """The replay rig, built on first miss and caught up through
@@ -398,8 +390,6 @@ class ShadowSession:
     def response(self, ring: int, log: CommitLog) -> int:
         rig_ring = ring - self.drift
         node: Optional[_ChainNode] = None
-        if self._generation != self._model._chain_generation:
-            self._cursor = None  # table reconfigured while in flight
         if self._cursor is not None:
             step = (rig_ring, log.pack())
             if self._rig is None:
@@ -448,16 +438,12 @@ class ResponseModel:
         self.variant = variant
         self.fabric = fabric
         self.wake_cycles = wake_cycles
-        #: Boot-chain trie root (``None`` when disabled): rig-time ring
-        #: chains → completion cycles, one node per step.  Shared by
-        #: every shadow session of this model, i.e. per firmware config
-        #: per process — exactly the scope at which campaign shards
-        #: repeat boot chains.
-        self._chain_root: Optional[_ChainNode] = (
-            _ChainNode() if _CHAIN_TABLE_ENABLED else None
-        )
+        #: Boot-chain trie root: rig-time ring chains → completion
+        #: cycles, one node per step.  Shared by every shadow session of
+        #: this model, i.e. per firmware config per process — exactly
+        #: the scope at which campaign shards repeat boot chains.
+        self._chain_root = _ChainNode()
         self._chain_nodes = 0
-        self._chain_generation = 0
         #: Replay rigs actually constructed by shadow sessions (the
         #: boot-chain table's effectiveness metric; see the tests).
         self.shadow_rig_builds = 0
@@ -548,20 +534,3 @@ def calibrate(variant: str = "irq", fabric: str = "standard",
         model = ResponseModel(variant, fabric, wake_cycles)
         _MODELS[key] = model
     return model
-
-
-def configure_chain_table(enabled: bool) -> None:
-    """Enable/disable the boot-chain table (clears it either way).
-
-    Applies to future models and to every already-memoised one; the
-    differential tests flip this to prove cached, cold and disabled
-    sessions produce identical cycle totals (the table is a memo of
-    exact rig answers, never an approximation).
-    """
-    global _CHAIN_TABLE_ENABLED
-    _CHAIN_TABLE_ENABLED = enabled
-    for model in _MODELS.values():
-        model._chain_root = _ChainNode() if enabled else None
-        model._chain_nodes = 0
-        model._chain_generation += 1  # detach in-flight session cursors
-        model.shadow_rig_builds = 0

@@ -145,7 +145,7 @@ class MonitorDefense:
             # mode — its events are shed (and counted in ``dropped``)
             # while every benign peer keeps its blocking, verdict-exact
             # queue.
-            self.stages[hart_id].controller.lossy = True
+            self.stages[hart_id].queue.lossy = True
         return True
 
     def strike(self, hart_id: int) -> bool:

@@ -88,8 +88,8 @@ class SimulationReport:
 
 
 #: CFI-stage counters a report sums over the harts.
-_SUMMED = ("examined", "selected", "full_stalls", "conflict_stalls",
-           "dropped", "logs_sent", "checks_completed", "violations")
+_SUMMED = ("examined", "selected", "full_stalls", "dropped", "logs_sent",
+           "checks_completed", "violations")
 
 
 #: Skip bound meaning "this agent cannot originate the next event"

@@ -87,7 +87,12 @@ class Topology:
                 f"DRAM stride {self.stride:#x} is not page-aligned"
             )
         if self.bases is not None:
-            bases = tuple(self.bases)
+            try:
+                bases = tuple(self.bases)
+            except TypeError:
+                raise TopologyError(
+                    f"DRAM bases must be a sequence, got {self.bases!r}"
+                ) from None
             object.__setattr__(self, "bases", bases)
             if len(bases) != self.n_harts:
                 raise TopologyError(
@@ -95,7 +100,7 @@ class Topology:
                     f"explicit DRAM bases"
                 )
             for base in bases:
-                if not isinstance(base, int) or base < 0:
+                if not isinstance(base, int) or isinstance(base, bool) or base < 0:
                     raise TopologyError(f"invalid DRAM base {base!r}")
 
     # -- placement -----------------------------------------------------------

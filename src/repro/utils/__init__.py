@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bit manipulation and bounded FIFOs."""
+"""Shared low-level utilities: bit manipulation."""
 
 from repro.utils.bits import (
     bit,
@@ -12,7 +12,6 @@ from repro.utils.bits import (
     align_up,
     is_aligned,
 )
-from repro.utils.fifo import BoundedFifo
 
 __all__ = [
     "bit",
@@ -25,5 +24,4 @@ __all__ = [
     "align_down",
     "align_up",
     "is_aligned",
-    "BoundedFifo",
 ]

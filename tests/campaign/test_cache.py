@@ -2,7 +2,7 @@
 
 The runner memoises assembled victim programs (keyed on victim × seed)
 and firmware images (keyed on variant) per worker process.  These tests
-assert the cache is purely an amortisation: cold, warm and disabled
+assert the cache is purely an amortisation: cold (cleared) and warm
 runs produce identical artifacts and per-scenario seeds, and serial vs
 sharded campaigns still agree.  They also pin the batched
 ``capture_commit_logs`` against a plain per-step reference loop.
@@ -16,13 +16,11 @@ from repro.campaign import runner as runner_mod
 from repro.campaign.runner import (
     SHARD_CACHE,
     capture_commit_logs,
-    configure_shard_cache,
     run_campaign,
     run_scenario,
 )
 from repro.campaign.spec import VICTIMS, Scenario, expand_grid
 from repro.core.filter import CfiFilter
-from repro.cva6.scoreboard import ScoreboardEntry
 from repro.errors import SimulationError
 from repro.hart.core import Hart
 from repro.hart.ports import MapPort
@@ -34,10 +32,10 @@ from repro.system.addresses import AddressMap
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Every test starts cold and leaves the cache enabled."""
-    configure_shard_cache(True)
+    """Every test starts cold and leaves the cache cleared."""
+    SHARD_CACHE.clear()
     yield
-    configure_shard_cache(True)
+    SHARD_CACHE.clear()
 
 
 MIXED = [
@@ -48,7 +46,7 @@ MIXED = [
 ]
 
 
-class TestColdWarmDisabledEquivalence:
+class TestColdWarmEquivalence:
     def test_cold_equals_warm(self):
         cold = [run_scenario(s, campaign_seed=7) for s in MIXED]
         assert SHARD_CACHE.misses > 0
@@ -56,18 +54,11 @@ class TestColdWarmDisabledEquivalence:
         assert SHARD_CACHE.hits > 0
         assert cold == warm
 
-    def test_disabled_equals_enabled(self):
-        enabled = [run_scenario(s, campaign_seed=7) for s in MIXED]
-        configure_shard_cache(False)
-        disabled = [run_scenario(s, campaign_seed=7) for s in MIXED]
-        assert SHARD_CACHE.hits == SHARD_CACHE.misses == 0
-        assert enabled == disabled
-
     def test_per_scenario_seeds_unchanged_by_cache_state(self):
-        seeds_enabled = [run_scenario(s)["seed"] for s in MIXED]
-        configure_shard_cache(False)
-        seeds_disabled = [run_scenario(s)["seed"] for s in MIXED]
-        assert seeds_enabled == seeds_disabled
+        seeds_cold = [run_scenario(s)["seed"] for s in MIXED]
+        seeds_warm = [run_scenario(s)["seed"] for s in MIXED]
+        assert SHARD_CACHE.hits > 0
+        assert seeds_cold == seeds_warm
 
 
 class TestCacheMechanics:
@@ -138,8 +129,7 @@ class TestBatchedCaptureEquivalence:
         logs = []
 
         def observe(result) -> bool:
-            entry = ScoreboardEntry.from_step(result)
-            log = cfi_filter.examine(entry)
+            log = cfi_filter.examine(result)
             if log is not None:
                 logs.append(log)
             return False

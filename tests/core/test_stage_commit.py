@@ -3,8 +3,7 @@
 from repro.core.config import TitanCfiConfig
 from repro.core.stage import CfiStage
 from repro.cva6.commit import CommitStage
-from repro.cva6.scoreboard import ScoreboardEntry
-from repro.hart.core import Hart
+from repro.hart.core import Hart, StepEvent, StepResult
 from repro.hart.ports import MapPort
 from repro.hart.timing import Cva6Timing
 from repro.isa.asm import Assembler
@@ -81,7 +80,7 @@ class TestCleanRuns:
         run_to_halt(commit, stage, mailbox)
         stats = stage.stats_summary()
         # 3 calls + 3 rets + other retired instructions, each examined once.
-        assert stats["examined"] == commit.retired
+        assert stats["examined"] == commit.hart.instret
 
     def test_queue_depth_one_causes_stalls(self):
         commit, stage, mailbox = build(queue_depth=1)
@@ -113,30 +112,30 @@ class TestBlockingMode:
 
 
 def retiring(word, pc=DRAM_BASE):
-    """A scoreboard entry for ``word`` retiring at ``pc`` (taken to pc + 0x40)."""
-    return ScoreboardEntry(pc=pc, insn=decode(word, xlen=64), fall_through=pc + 4,
-                           target=pc + 0x40, taken=True)
+    """A step retiring ``word`` at ``pc`` (taken to pc + 0x40)."""
+    return StepResult(event=StepEvent.RETIRED, pc=pc, insn=decode(word, xlen=64),
+                      fall_through=pc + 4, next_pc=pc + 0x40, taken=True, cycles=1)
 
 
 class TestExaminePort:
-    """The commit stage examines each retirement once, then pushes (and
-    re-pushes while stalled) separately."""
+    """The commit stage examines each retirement once with the filter,
+    then pushes (and re-pushes while stalled) separately."""
 
     def test_examine_does_not_queue(self):
         _, stage, _ = build()
-        log = stage.examine_port(0, retiring(0x040000EF))  # jal ra, +64
+        log = stage.filter.examine(retiring(0x040000EF))  # jal ra, +64
         assert log is not None
         assert stage.queue.empty
-        assert stage.try_push(log)
-        assert stage.queue.occupancy == 1
+        assert stage.queue.push(log)
+        assert len(stage.queue) == 1
         stats = stage.stats_summary()
         assert (stats["examined"], stats["selected"]) == (1, 1)
 
     def test_batch_examined_equals_unselected_examines(self):
         _, one_by_one, _ = build()
-        _, batched, _ = build()
+        batched_commit, batched, _ = build()
         for _ in range(3):
-            assert one_by_one.examine_port(0, retiring(0x00A50533)) is None  # add
-        batched.note_batch_examined(3)
+            assert one_by_one.filter.examine(retiring(0x00A50533)) is None  # add
+        batched_commit.note_batch_retired(3)
         assert one_by_one.stats_summary() == batched.stats_summary()
         assert batched.stats_summary()["examined"] == 3

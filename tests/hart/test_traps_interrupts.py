@@ -4,8 +4,10 @@ import pytest
 
 from repro.hart.core import StepEvent
 from repro.hart.timing import IbexTiming
+from repro.isa import opcodes as op
+from repro.isa.encode import encode_b, encode_j
 from repro.isa.registers import reg_index
-from tests.hart.conftest import build_hart
+from tests.hart.conftest import RAM_BASE, RAM_SIZE, build_hart
 
 
 def reg(hart, name):
@@ -294,3 +296,65 @@ class TestSynchronousTraps:
         result = hart.run()
         assert hart.halted
         assert reg(hart, "a0") == 1
+
+
+#: Transfers to 10 bytes past their own pc (2 mod 4: the middle of the
+#: instruction after next).  ``jal`` and the branch are hand-encoded, so
+#: the words under test do not depend on the assembler.
+MISALIGNED_JUMPS = {
+    "jalr": "jalr ra, 2(t1)",
+    "jal": f".word {encode_j(op.OP_JAL, 1, 10):#010x}",  # jal ra, +10
+    # bne t2, zero, +10
+    "branch": f".word {encode_b(op.OP_BRANCH, op.F3_BNE, 7, 0, 10):#010x}",
+}
+
+MISALIGNED_PROGRAM = """
+    la t0, handler
+    csrw mtvec, t0
+    li ra, 0x55
+    li t2, {taken}
+    la t1, landing
+    jump: {jump}
+    ebreak
+    landing:
+    nop
+    ebreak
+    handler:
+    csrr a1, mcause
+    csrr a2, mtval
+    csrr a3, mepc
+    ebreak
+"""
+
+
+class TestMisalignedTransfer:
+    """Every instruction is 4 bytes (no C extension), so a jump or taken
+    branch to a target that is not 4-byte aligned raises instruction-
+    address-misaligned on the jump itself and writes no ``rd``."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["step", "run_n"])
+    @pytest.mark.parametrize("kind", sorted(MISALIGNED_JUMPS))
+    def test_traps_on_the_jump(self, kind, batched):
+        hart, _, program = build_hart(MISALIGNED_PROGRAM.format(
+            jump=MISALIGNED_JUMPS[kind], taken=1))
+        jump = program.symbol("jump")
+        if batched:
+            # The window stops before the jump: its handler faults
+            # without side effects, and step() replays it.
+            retired, _spent, _term = hart.run_n(
+                1 << 30, RAM_BASE, RAM_BASE + RAM_SIZE)
+            assert retired > 0
+            assert hart.pc == jump
+            assert reg(hart, "ra") == 0x55
+        hart.run()
+        assert reg(hart, "a1") == op.CAUSE_MISALIGNED_FETCH
+        assert reg(hart, "a3") == jump       # mepc: the jump
+        assert reg(hart, "a2") == jump + 10  # mtval: the target
+        assert reg(hart, "ra") == 0x55       # rd not written
+
+    def test_untaken_branch_never_traps(self):
+        hart, _, program = build_hart(MISALIGNED_PROGRAM.format(
+            jump=MISALIGNED_JUMPS["branch"], taken=0))
+        (last,) = hart.run()
+        assert last.event is StepEvent.HALT
+        assert last.pc == program.symbol("jump") + 4

@@ -5,7 +5,9 @@ boot-epoch shadow session for its whole life; before the chain table,
 that meant an Ibex-speed replay rig per run.  The table memoises every
 (ring chain → completion) answer per calibrated model, so repeated
 chains are served without building a rig at all — and the differential
-tests here prove the table changes *nothing* about simulated time.
+tests here prove the table changes *nothing* about simulated time.  A
+fresh model's table is empty, so its first run is cold: every ring goes
+to the firmware rig.
 """
 
 import random
@@ -19,18 +21,17 @@ from repro.firmware.policies import (
     CryptoReturnPolicy,
     ShadowStackPolicy,
 )
-from repro.policyhost import calibrate, configure_chain_table
+from repro.policyhost import calibrate, calibration
 from repro.system.addresses import AddressMap
 
 ADDRESSES = AddressMap()
 
 
 @pytest.fixture(autouse=True)
-def chain_table_reset():
-    """Each test starts with an empty, enabled table and leaves it so."""
-    configure_chain_table(True)
-    yield
-    configure_chain_table(True)
+def fresh_models(monkeypatch):
+    """Each test starts from an empty model memo, so every model it
+    calibrates starts with an empty chain table."""
+    monkeypatch.setattr(calibration, "_MODELS", {})
 
 
 def _run(victim, policy_factory, seed=1, sim_mode=None, variant="irq"):
@@ -50,37 +51,34 @@ def _run(victim, policy_factory, seed=1, sim_mode=None, variant="irq"):
 
 
 class TestCycleExactness:
-    """cold == warm == disabled, for every simulated number."""
+    """cold == warm, for every simulated number."""
 
     @pytest.mark.parametrize("victim,policy", [
         ("deep-recursion", ShadowStackPolicy),   # back-to-back doorbells
         ("rop", ShadowStackPolicy),
         ("benign", CryptoReturnPolicy),          # surcharge → drift path
     ])
-    def test_differential_cold_warm_disabled(self, victim, policy):
+    def test_differential_cold_warm(self, victim, policy):
         cold = _run(victim, policy)
         warm = _run(victim, policy)
-        configure_chain_table(False)
-        disabled = _run(victim, policy)
-        assert cold == warm == disabled
+        assert cold == warm
 
-    def test_differential_across_engines(self):
-        """The table must be invisible to both engines alike."""
+    def test_differential_across_engines(self, monkeypatch):
+        """The table must be invisible to both engines alike: a busy
+        cold run, a batched warm run and a batched cold run agree."""
         runs = {
             mode: _run("deep-recursion", ShadowStackPolicy, sim_mode=mode)
             for mode in ("busy", "batched")
         }
         assert runs["busy"] == runs["batched"]
-        configure_chain_table(False)
+        monkeypatch.setattr(calibration, "_MODELS", {})
         assert _run("deep-recursion", ShadowStackPolicy,
-                    sim_mode="busy") == runs["busy"]
+                    sim_mode="batched") == runs["busy"]
 
     def test_differential_polling_variant(self):
         cold = _run("benign", ShadowStackPolicy, variant="polling")
         warm = _run("benign", ShadowStackPolicy, variant="polling")
-        configure_chain_table(False)
-        assert cold == warm == _run("benign", ShadowStackPolicy,
-                                    variant="polling")
+        assert cold == warm
 
 
 class TestRigRetirement:
@@ -94,14 +92,6 @@ class TestRigRetirement:
         assert model.shadow_rig_builds == before + 1  # cold: one rig
         _run("deep-recursion", ShadowStackPolicy)
         assert model.shadow_rig_builds == before + 1  # warm: none
-
-    def test_disabled_table_always_builds_the_rig(self):
-        configure_chain_table(False)
-        model = calibrate()
-        before = model.shadow_rig_builds
-        _run("deep-recursion", ShadowStackPolicy)
-        _run("deep-recursion", ShadowStackPolicy)
-        assert model.shadow_rig_builds == before + 2
 
     def test_prefix_sharing_across_policies(self):
         """Two policies whose early rings coincide share the chain

@@ -60,9 +60,12 @@ class TestStrideAndBases:
         with pytest.raises(TopologyError):
             Topology(n_harts=2, bases=(0x8000_0000,))
 
-    def test_bad_base_rejected(self):
+    @pytest.mark.parametrize("n_harts,bases", [
+        (1, (-1,)), (2, [0x8000_0000, True]), (1, 5),
+    ], ids=["negative", "bool", "not-a-sequence"])
+    def test_bad_base_rejected(self, n_harts, bases):
         with pytest.raises(TopologyError):
-            Topology(n_harts=1, bases=(-1,))
+            Topology(n_harts=n_harts, bases=bases)
 
 
 class TestPlacements:
