@@ -12,8 +12,8 @@ The constants are calibrated once, globally — not per block — so the
 *structure* (which block dominates, how cost scales with queue depth)
 is a genuine model output.  With the paper's parameters (224-bit log,
 depth-8 queue, 2 filters, 4×64-bit mailbox) the model lands within a
-few percent of the published Table IV deltas, and the ablation bench
-sweeps queue depth to show the dominant term moving.
+few percent of the published Table IV deltas, and the register bill
+grows with every doubling of the queue depth (``tests/eval/test_tables.py``).
 """
 
 from __future__ import annotations

@@ -48,6 +48,11 @@ from repro.errors import AxisConflict, ConfigError, UnknownHartError, check_int
 from repro.faults.plan import FAULT_PLANS
 from repro.isa.asm import Program
 from repro.system.addresses import AddressMap
+from repro.system.sim import (
+    POLICY_BACKEND_FIRMWARE,
+    POLICY_BACKEND_HOST,
+    POLICY_BACKENDS,
+)
 from repro.system.topology import Topology
 
 # --------------------------------------------------------------------------
@@ -328,15 +333,13 @@ def expected_detection(victim: str, policy: str) -> bool:
 BACKEND_REFERENCE = "reference"
 BACKEND_COSIM = "cosim"
 
-#: Mailbox-agent axis of a cosim scenario (mirrors
-#: :data:`repro.system.sim.POLICY_BACKENDS`; ``auto`` resolves to the
-#: firmware for its own policy and to the policy host for every other).
+#: Mailbox-agent axis of a cosim scenario:
+#: :data:`repro.system.sim.POLICY_BACKENDS` plus ``auto``, which
+#: resolves to the firmware for its own policy and to the policy host
+#: for every other.
 POLICY_BACKEND_AUTO = "auto"
-POLICY_BACKEND_FIRMWARE = "firmware"
-POLICY_BACKEND_HOST = "host"
 
-_POLICY_BACKENDS = (POLICY_BACKEND_AUTO, POLICY_BACKEND_FIRMWARE,
-                    POLICY_BACKEND_HOST)
+_POLICY_BACKENDS = (POLICY_BACKEND_AUTO,) + POLICY_BACKENDS
 
 
 @dataclass(frozen=True)
@@ -699,7 +702,8 @@ def spec_key(scenario: Scenario, campaign_seed: int = 0) -> str:
     never perturb it) and the **derived** per-scenario seed — the three
     inputs that determine a result.  The simulator engine is *not* part
     of the key: both engines are cycle-exact by contract (asserted
-    by the equivalence suites and ``bench_speed --smoke``), so a result
+    by the equivalence suites and by the committed row digests, which
+    every ``*-smoke`` row must match under both engines), so a result
     computed under any engine is valid for every other.
 
     This is the scenario half of the content-addressed result store's

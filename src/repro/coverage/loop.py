@@ -501,8 +501,9 @@ def uniform_baseline(iterations: int, seed: int = 0,
     hashed per-candidate seeds — exactly the guided loop's seeding
     phase continued forever), simulates every one under every policy
     (what a seed-sweep campaign pays today), and accumulates the same
-    coverage map.  The committed comparison test and the benchmark's
-    ``coverage`` section measure the guided loop against this.
+    coverage map.  The committed comparison test
+    (``tests/coverage/test_fuzz.py``) measures the guided loop against
+    this.
     """
     from repro.campaign.runner import reference_outcomes
     from repro.synth.verify import assemble_model

@@ -205,17 +205,10 @@ class Hart:
         # without the precomputed table.
         self._fixed_cycles: Dict[str, int] = getattr(timing, "_fixed", None) or {}
         self._code_pages: set = set()
-        # Prefer a fabric-wide store hook (sees every master's writes to
-        # the pages this hart declares in the returned memory map's
-        # code-page count); without one, fall back to watching this
-        # hart's own stores.
-        subscribe = getattr(bus, "on_store", None)
-        if subscribe is not None:
-            self._store_map = subscribe(self._note_store)
-            self._self_watch_stores = False
-        else:
-            self._store_map = None
-            self._self_watch_stores = True
+        # The fabric-wide store hook sees every master's writes to the
+        # pages this hart declares in the returned memory map's
+        # code-page count, its own stores included.
+        self._store_map = bus.on_store(self._note_store)
         # Stable hot-loop context, hoisted once: run_n unpacks this
         # single tuple instead of chasing ~10 attribute chains per
         # window (windows can be a handful of instructions long, so
@@ -228,8 +221,6 @@ class Hart:
             self._pc_cache,
             self.bus.read,
             self.bus.write,
-            self._self_watch_stores,
-            self._note_store,
             self.timing.cycles_for,
             getattr(self.timing, "_mem_extra", None),
             self._mask,
@@ -274,14 +265,12 @@ class Hart:
         """Drop every cached (pc → decoded instruction) entry, and this
         hart's hold on their pages in the fabric's code-page count."""
         self._pc_cache.clear()
-        if self._store_map is not None:
-            self._store_map.drop_code_pages(self._code_pages)
+        self._store_map.drop_code_pages(self._code_pages)
         self._code_pages.clear()
 
     def _hold_code_page(self, page: int) -> None:
         self._code_pages.add(page)
-        if self._store_map is not None:
-            self._store_map.hold_code_page(page)
+        self._store_map.hold_code_page(page)
 
     def _fetch_decode(self, pc: int) -> Tuple:
         """Fetch+decode miss handler; populates the pc cache."""
@@ -534,8 +523,8 @@ class Hart:
             raise SimulationError(f"{self.name}: run_n() after halt")
         if self.sleeping:
             return 0, 0, 0
-        (raw_regs, csrs, cache, bus_read, bus_write, self_watch,
-         note_store, cycles_for, mem_extra, mask_) = self._batch_ctx
+        (raw_regs, csrs, cache, bus_read, bus_write, cycles_for,
+         mem_extra, mask_) = self._batch_ctx
         irq_wired = self._irq_wired
         need_irq_check = irq_wired
         pc = self.pc
@@ -585,8 +574,6 @@ class Hart:
                             if not terminate_on_store:
                                 break
                             terminating = True
-                        if self_watch:
-                            note_store(address, size)
                         try:
                             mem_cycles = bus_write(
                                 address, size,
@@ -907,8 +894,6 @@ def _make_exec_table():
 
         def run(h, i, pc, ft):
             address = (h.regs.raw[i.rs1] + i.imm) & h._mask
-            if h._self_watch_stores:
-                h._note_store(address, size)
             cycles = h.bus.write(address, size, h.regs.raw[i.rs2] & value_mask)
             return (StepEvent.RETIRED, ft, False, cycles, address)
 

@@ -39,9 +39,8 @@ class BusPort(Protocol):
         declared through the returned map's
         :meth:`~repro.mem.map.MemoryMap.hold_code_page`, which is what
         lets a hart keep a per-pc decoded-instruction cache coherent
-        with self-modifying code and with foreign writers.  Optional —
-        harts probe for it with ``getattr`` and fall back to
-        invalidating on their own stores only.
+        with self-modifying code and with foreign writers.  Every hart
+        subscribes at construction.
         """
         ...
 

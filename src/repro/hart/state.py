@@ -103,6 +103,10 @@ class CsrFile:
             return
         if csr not in self._values:
             raise TrapError(op.CAUSE_ILLEGAL_INSTRUCTION, 0, f"write to unknown CSR {csr:#x}")
+        if csr == op.CSR_MEPC:
+            # IALIGN = 32 (no C extension): mepc[1:0] are WARL zero, so
+            # mret always resumes at a word-aligned pc.
+            value &= ~0b11
         self._values[csr] = value & self._mask
 
     # -- mstatus convenience ---------------------------------------------------

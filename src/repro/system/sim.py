@@ -119,7 +119,7 @@ MODES = (MODE_BUSY, MODE_BATCHED)
 #:   (the RoT core is left frozen).
 #:
 #: The simulator derives the axis from the SoC: a mounted policy host
-#: selects ``"host"``; see :attr:`SystemSimulator.policy_backend`.
+#: serves the mailbox, else the firmware does.
 POLICY_BACKEND_FIRMWARE = "firmware"
 POLICY_BACKEND_HOST = "host"
 
@@ -344,14 +344,6 @@ class SystemSimulator:
         self._pass_ctx = (self._due, self._settled, self._ticks,
                           self._bounds, self._skips, wakes,
                           soc.doorbell_arbiter, self._host, len(agents))
-
-    @property
-    def policy_backend(self) -> str:
-        """Which agent serves the CFI mailbox (the policy-backend axis):
-        ``"host"`` when a policy host is mounted, else ``"firmware"``."""
-        if self._phost is not None:
-            return POLICY_BACKEND_HOST
-        return POLICY_BACKEND_FIRMWARE
 
     def probe(self, hart: Hart,
               observe: Optional[Callable[[StepResult], None]]) -> None:

@@ -5,9 +5,9 @@ batched, serial ≡ sharded, resume ≡ uninterrupted), so a change that
 alters every row the same way passes them all.  This suite compares
 each row of the six ``*-smoke`` matrices against a digest committed in
 ``row_digests.json``: ``sha256(json.dumps(row))`` of
-``run_scenario(cell, 0)`` under the default engine.  ``json.dumps``
-without ``sort_keys`` pins key order too, the way ``campaign.json``
-writes it.
+``run_scenario(cell, 0)``, under each engine, so the busy engine must
+give the batched engine's rows as well.  ``json.dumps`` without
+``sort_keys`` pins key order too, the way ``campaign.json`` writes it.
 
 ``cell_digests.json`` pins the cells of every registered matrix, in
 order, without running them: ``sha256`` of the ``[name, canonical()]``
@@ -22,12 +22,13 @@ and says so in CHANGES.md::
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 import pytest
 
 from repro.campaign.runner import run_scenario
 from repro.campaign.spec import MATRICES, resolve_matrix
+from repro.system.sim import MODES
 
 DIGESTS = Path(__file__).with_name("row_digests.json")
 CELL_DIGESTS = Path(__file__).with_name("cell_digests.json")
@@ -36,11 +37,11 @@ SMOKE_MATRICES = ("smoke", "synth-smoke", "coverage-smoke", "faults-smoke",
                   "multihart-smoke", "xhart-smoke")
 
 
-def row_digests(matrix: str) -> Dict[str, str]:
+def row_digests(matrix: str, sim_mode: Optional[str] = None) -> Dict[str, str]:
     """``{cell name: sha256 of its row}`` for one registered matrix."""
     return {
         cell.name: hashlib.sha256(
-            json.dumps(run_scenario(cell, 0)).encode()
+            json.dumps(run_scenario(cell, 0, sim_mode=sim_mode)).encode()
         ).hexdigest()
         for cell in resolve_matrix(matrix)
     }
@@ -57,10 +58,11 @@ def test_cells_match_committed_digests(matrix):
     assert cell_digest(matrix) == json.loads(CELL_DIGESTS.read_text())[matrix]
 
 
+@pytest.mark.parametrize("sim_mode", MODES)
 @pytest.mark.parametrize("matrix", SMOKE_MATRICES)
-def test_rows_match_committed_digests(matrix):
+def test_rows_match_committed_digests(matrix, sim_mode):
     committed = json.loads(DIGESTS.read_text())[matrix]
-    actual = row_digests(matrix)
+    actual = row_digests(matrix, sim_mode)
     assert list(actual) == list(committed), "cell list changed"
     for name, digest in actual.items():
         assert digest == committed[name], f"row differs: {name}"

@@ -110,3 +110,16 @@ class TestAcceptance:
         ]
         assert results[0] == results[1]
         assert results[0]["expectation_met"]
+
+    def test_full_matrix_engine_independent_and_oracle_true(self):
+        """Every cell of the full ``synth`` matrix: the simulated verdict
+        is the oracle's, and the busy engine gives the batched engine's
+        rows."""
+        matrix = resolve_matrix("synth")
+        rows = {mode: run_campaign(matrix, jobs=1, sim_mode=mode)["scenarios"]
+                for mode in ("busy", "batched")}
+        assert len(rows["batched"]) == len(matrix)
+        missed = [r["name"] for r in rows["batched"]
+                  if not r["expectation_met"]]
+        assert missed == []
+        assert rows["busy"] == rows["batched"]

@@ -125,6 +125,13 @@ class TestTable2:
     def test_default_matches_explicit_measured(self):
         assert table2.compute() == table2.compute(latencies="measured")
 
+    def test_measured_latencies_keep_ud_near_paper(self):
+        """At the latencies measured on this repository's Ibex model,
+        ud's depth-1 IRQ slowdown stays near the paper's 43%."""
+        rows = {row["benchmark"]: row
+                for row in table2.compute(latencies="measured")}
+        assert rows["ud"]["model"]["irq"] == pytest.approx(43, abs=6)
+
 
 class TestTable3:
     @pytest.fixture(scope="class")
@@ -165,6 +172,12 @@ class TestTable3:
         assert worst[0] == "mm"
         assert worst[1] == "dhrystone"
 
+    def test_worst_cases_within_5_percent(self, rows):
+        """The two worst cases, tighter than the calibration tolerance:
+        mm 4311% and dhrystone 1215% in the paper."""
+        assert rows["mm"]["model"]["irq"] == pytest.approx(4311, rel=0.05)
+        assert rows["dhrystone"]["model"]["irq"] == pytest.approx(1215, rel=0.05)
+
 
 class TestTable4:
     @pytest.fixture(scope="class")
@@ -198,9 +211,9 @@ class TestTable4:
         assert data["host"]["delta"].luts < dexie_lut_delta
 
     def test_queue_depth_scales_registers(self):
-        shallow = table4.compute(queue_depth=1)
-        deep = table4.compute(queue_depth=16)
-        assert deep["host"]["delta"].registers > shallow["host"]["delta"].registers
+        registers = [table4.compute(queue_depth=depth)["host"]["delta"].registers
+                     for depth in (1, 2, 4, 8, 16, 32)]
+        assert registers == sorted(set(registers))  # strictly increasing
 
 
 class TestFigure1:
@@ -209,6 +222,7 @@ class TestFigure1:
 
     def test_dot_export_contains_domains(self):
         dot = figure1.compute()["dot"]
+        assert dot.startswith("digraph titancfi")
         for cluster in ("cluster_cva6", "cluster_cfi-stage", "cluster_host", "cluster_rot"):
             assert cluster in dot
 

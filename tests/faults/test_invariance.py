@@ -62,8 +62,13 @@ class TestFaultFreeIdentity:
     """An attached-but-empty fault layer is cycle-invisible."""
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("victim", ["benign", "rop"])
-    def test_empty_plan_changes_nothing(self, victim, mode):
+    @pytest.mark.parametrize("victim,variant", [
+        ("benign", "irq"),
+        ("rop", "irq"),
+        ("deep-recursion", "irq"),
+        ("benign", "polling"),
+    ])
+    def test_empty_plan_changes_nothing(self, victim, variant, mode):
         from repro.campaign.spec import VICTIMS
         import random
 
@@ -71,7 +76,7 @@ class TestFaultFreeIdentity:
         for plan in (None, FaultPlan()):
             soc = build_soc()
             firmware = shadow_stack_firmware(
-                "irq", FirmwareLayout(soc.addresses)
+                variant, FirmwareLayout(soc.addresses)
             )
             soc.load_firmware(firmware.data)
             soc.load_host_program(

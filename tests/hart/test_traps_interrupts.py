@@ -297,6 +297,34 @@ class TestSynchronousTraps:
         assert hart.halted
         assert reg(hart, "a0") == 1
 
+    def test_mepc_low_bits_are_zero(self):
+        """With IALIGN = 32, ``mepc[1:0]`` read as zero: software that
+        writes ``landing + 2`` reads back ``landing``, and ``mret``
+        resumes there instead of fetching a word that straddles two
+        instructions."""
+        hart, _, program = build_hart(
+            """
+            la t0, handler
+            csrw mtvec, t0
+            la t1, landing
+            addi t1, t1, 2
+            csrw mepc, t1
+            csrr a4, mepc
+            mret
+            ebreak
+            landing:
+            li a0, 0x600d
+            ebreak
+            handler:
+            csrr a1, mcause
+            ebreak
+            """
+        )
+        hart.run()
+        assert reg(hart, "a4") == program.symbol("landing")
+        assert reg(hart, "a0") == 0x600D
+        assert reg(hart, "a1") == 0  # the handler never ran
+
 
 #: Transfers to 10 bytes past their own pc (2 mod 4: the middle of the
 #: instruction after next).  ``jal`` and the branch are hand-encoded, so

@@ -52,12 +52,14 @@ class TestCleanRuns:
         assert report.cfi["checks_completed"] == report.cfi["selected"]
         assert report.cfi["checks_completed"] > 10
 
-    def test_benign_program_passes_polling_firmware(self, addresses):
-        soc = build_protected("polling")
+    @pytest.mark.parametrize("fabric", ["standard", "optimized"])
+    def test_benign_program_passes_polling_firmware(self, addresses, fabric):
+        soc = build_protected("polling", fabric=fabric)
         soc.load_host_program(benign_program(soc.addresses))
         report = SystemSimulator(soc).run()
         assert not report.detected
         assert soc.cva6.regs.read(10) == CLEAN_MARKER
+        assert report.cfi["checks_completed"] == report.cfi["selected"]
 
     def test_polling_faster_than_irq(self, addresses):
         """The paper's headline optimisation: polling cuts check latency."""

@@ -47,12 +47,13 @@ def _report_key(report):
 
 
 def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234,
-                     firmware=None):
+                     firmware=None, lossy=False):
     """N harts sharing one monitor: the policy host, or the RV32
     ``firmware`` variant on Ibex when one is named."""
     topo = Topology(n_harts=len(victims))
     soc = build_soc(
-        cfi_config=TitanCfiConfig(raise_on_violation=False), topology=topo
+        cfi_config=TitanCfiConfig(raise_on_violation=False, lossy=lossy),
+        topology=topo,
     )
     for hart_id, victim in enumerate(victims):
         amap = topo.address_map(hart_id, soc.addresses)
@@ -67,8 +68,9 @@ def _build_multihart(victims, policy_factory=ShadowStackPolicy, seed=1234,
 
 
 def _run_multihart(victims, mode, policy_factory=ShadowStackPolicy,
-                   seed=1234, start_delays=None):
-    soc = _build_multihart(victims, policy_factory=policy_factory, seed=seed)
+                   seed=1234, start_delays=None, lossy=False):
+    soc = _build_multihart(victims, policy_factory=policy_factory, seed=seed,
+                           lossy=lossy)
     report = SystemSimulator(soc, mode=mode, start_delays=start_delays).run()
     return report, soc
 
@@ -197,14 +199,61 @@ class TestMultiHartEngineEquivalence:
         assert keys[0] == keys[1]
         assert any(hart is soc.rot.ibex for hart in confined)
 
-    def test_staggered_start_identical_across_modes(self):
+    @pytest.mark.parametrize("victims", [
+        ("rop", "deep-recursion", "benign", "deep-recursion"),
+        ("rop", "deep-recursion", "deep-recursion", "deep-recursion"),
+    ])
+    def test_staggered_start_identical_across_modes(self, victims):
         keys = [
             _report_key(_run_multihart(
-                ("rop", "deep-recursion", "benign", "deep-recursion"), mode,
-                start_delays=[0, 700, 1400, 2100])[0])
+                victims, mode, start_delays=[0, 700, 1400, 2100])[0])
             for mode in MODES
         ]
         assert keys[0] == keys[1]
+
+
+#: Seeds of the saturation runs below.
+SATURATION_SEEDS = (1234, 2345, 3456, 4567, 5678)
+
+
+def _saturate(n, seed=1234, mode=MODE_BATCHED, lossy=False):
+    """One saturation run: the rop attack on hart 0 races N - 1
+    deep-recursion peers for the one shared monitor.  Returns the report
+    and its comparison key, which adds every stage's check latencies."""
+    report, soc = _run_multihart(("rop",) + ("deep-recursion",) * (n - 1),
+                                 mode, seed=seed, lossy=lossy)
+    latencies = [stage.writer.stats.check_latencies
+                 for stage in soc.cfi_stages]
+    return report, _report_key(report) + (latencies,)
+
+
+class TestSaturation:
+    """One monitor absorbing the event streams of N harts."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_stalling_queues_detect_and_never_drop(self, n):
+        for seed in SATURATION_SEEDS:
+            report, _ = _saturate(n, seed)
+            assert report.detection_latency is not None, seed
+            assert report.cfi["dropped"] == 0, seed
+
+    def test_lossy_queue_that_never_fills_is_the_stalling_queue(self):
+        """Drop-oldest acts only at the full-queue edge.  At N = 1 the
+        queue never fills, so the lossy run is the stalling run, cycle
+        for cycle, and drops nothing."""
+        _, stalling = _saturate(1)
+        report, lossy = _saturate(1, lossy=True)
+        assert lossy == stalling
+        assert report.cfi["dropped"] == 0
+
+    def test_saturated_lossy_queue_sheds_instead_of_stalling(self):
+        """At N = 2 the lossy queue trades every full-queue stall for a
+        drop, identically in both engines."""
+        (_, busy), (report, batched) = (
+            _saturate(2, mode=mode, lossy=True) for mode in MODES)
+        assert busy == batched
+        assert report.cfi["full_stalls"] == 0
+        assert report.cfi["dropped"] > 0
 
 
 class TestPerHartReport:

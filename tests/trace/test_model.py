@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench_catalog.catalog import benchmark
 from repro.errors import ConfigError
 from repro.trace.analytic import (
     blocking_slowdown_percent,
@@ -70,17 +71,37 @@ class TestDiscreteEventModel:
         expected = saturation_slowdown_percent(cycles, count, latency)
         assert result.slowdown_percent == pytest.approx(expected, rel=0.02)
 
-    def test_deeper_queue_never_slower(self):
-        arrivals = burst_trace(100_000, 2_000, 0.8, 16)
-        shallow = simulate_trace(arrivals, 100_000, 267, queue_depth=1)
-        deep = simulate_trace(arrivals, 100_000, 267, queue_depth=16)
-        assert deep.protected_cycles <= shallow.protected_cycles
+    @pytest.mark.parametrize("trace", ["burst", "dhrystone"])
+    def test_deeper_queue_never_slower(self, trace):
+        if trace == "burst":
+            cycles = 100_000
+            arrivals = burst_trace(cycles, 2_000, 0.8, 16)
+        else:
+            entry = benchmark("dhrystone")
+            cycles = entry.cycles
+            arrivals = uniform_trace(cycles, entry.cf_count)
+        protected = [simulate_trace(arrivals, cycles, 267, queue_depth=depth)
+                     .protected_cycles for depth in (1, 2, 4, 8, 16, 32, 64)]
+        assert protected == sorted(protected, reverse=True)
 
     def test_lower_latency_never_slower(self):
         arrivals = burst_trace(100_000, 2_000, 0.8, 16)
         slow = simulate_trace(arrivals, 100_000, 267, queue_depth=8)
         fast = simulate_trace(arrivals, 100_000, 73, queue_depth=8)
         assert fast.protected_cycles <= slow.protected_cycles
+
+    def test_picojpeg_latency_knee(self):
+        """picojpeg's mean CF gap is ~232 cycles: a checker well under
+        it costs next to nothing, one over it costs real time."""
+        entry = benchmark("picojpeg")
+        arrivals = uniform_trace(entry.cycles, entry.cf_count)
+        slowdown = {
+            latency: simulate_trace(arrivals, entry.cycles, latency,
+                                    queue_depth=8).slowdown_percent
+            for latency in (128, 320)
+        }
+        assert slowdown[128] < 1
+        assert slowdown[320] > 5
 
     def test_outstanding_bounded_by_depth(self):
         arrivals = burst_trace(50_000, 3_000, 1.0, 4)
