@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Coverage-guided scenario synthesis: generate → measure → steer.
 
-Walks the ``repro.coverage`` loop in a temporary directory:
+Walks the ``repro.coverage`` loop in a temporary directory, removed
+when the demo ends:
 
 1. run a bounded guided fuzz loop — uniform seeds first, then mutants
    of frontier (rare-point) corpus entries, every candidate simulated
@@ -35,12 +36,12 @@ def artifact_bytes(root: Path) -> dict:
     }
 
 
-def main() -> None:
+def demo(root: Path) -> None:
     config = FuzzConfig(iterations=ITERS, seed=SEED)
 
     # 1. The guided loop: seed phase, then frontier-steered mutation.
     print(f"guided fuzz loop ({ITERS} candidates, seed {SEED}):")
-    root_a = Path(tempfile.mkdtemp(prefix="titancfi-coverage-a-"))
+    root_a = root / "a"
     summary = fuzz(root_a, config)
     print(f"  statuses: {summary['statuses']}")
     print(f"  distinct coverage points: {summary['distinct_points']} "
@@ -57,7 +58,7 @@ def main() -> None:
           f"(content-addressed under {CORPUS_DIR}/objects/)")
 
     # 3. Determinism: same config, fresh directory, identical bytes.
-    root_b = Path(tempfile.mkdtemp(prefix="titancfi-coverage-b-"))
+    root_b = root / "b"
     fuzz(root_b, config)
     assert artifact_bytes(root_a) == artifact_bytes(root_b)
     print("re-run: every artifact byte-identical (journal, coverage map, "
@@ -71,6 +72,11 @@ def main() -> None:
     print(f"guided loop wins: {summary['distinct_points']} > "
           f"{baseline['distinct_points']} distinct points at half the "
           "iteration budget")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="titancfi-coverage-") as root:
+        demo(Path(root))
 
 
 if __name__ == "__main__":

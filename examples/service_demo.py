@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Campaign as a service: submit → serve → re-submit → dashboard.
 
-Walks the full sweep-service loop in a temporary directory:
+Walks the full sweep-service loop in a temporary directory, removed
+when the demo ends:
 
 1. submit the ``smoke`` matrix as a durable job and drain it — every
    cell executes and lands in the content-addressed result store;
@@ -30,9 +31,7 @@ def serve(service: SweepService, matrix: str = "smoke") -> dict:
     return sweep
 
 
-def main() -> None:
-    root = Path(tempfile.mkdtemp(prefix="titancfi-service-"))
-
+def demo(root: Path) -> None:
     # 1. Cold sweep: nothing cached, everything executes.
     print("cold sweep (empty store):")
     service = SweepService(root, code_version="v-demo-1")
@@ -58,10 +57,15 @@ def main() -> None:
 
     # 4. Dashboard: jobs, hit accounting, per-matrix detection tables
     #    and per-policy trends across the two code versions.
-    path = write_dashboard(changed)
-    print(f"dashboard: {path}")
+    size = write_dashboard(changed).stat().st_size
+    print(f"dashboard: {size} bytes of HTML")
     print(f"store: {changed.store.count('v-demo-1')} cells under v-demo-1, "
           f"{changed.store.count()} under v-demo-2")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="titancfi-service-") as root:
+        demo(Path(root))
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ from repro.errors import (
     ScenarioTimeout,
     SimulationError,
     WorkerCrash,
+    check_int,
 )
 from repro.firmware.policies import (
     COMPOSITE_MEMBERS,
@@ -942,8 +943,7 @@ def run_campaign(
         scenarios are recorded with a non-``"ok"`` ``status`` and the
         rest of the matrix completes.
     """
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+    check_int("jobs", jobs, 1)
     if retries < 0:
         raise ConfigError("retries must be >= 0")
     if backoff < 0:

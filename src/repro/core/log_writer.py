@@ -22,11 +22,11 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from repro.core.commit_log import COMMIT_LOG_BYTES, CommitLog
+from repro.core.commit_log import CommitLog
 from repro.core.queue import CfiQueue
 from repro.errors import CfiViolation
 from repro.soc.axi import AxiXbar
-from repro.soc.mailbox import Mailbox, VERDICT_OK
+from repro.soc.mailbox import DoorbellArbiter, Mailbox, VERDICT_OK
 
 
 class WriterState(enum.Enum):
@@ -70,19 +70,16 @@ class LogWriter:
             ready signal, which are direct wires, not bus reads).
         mailbox_base: AXI address of the mailbox data file.
         queue: the CFI queue to drain.
+        arbiter: the :class:`~repro.soc.mailbox.DoorbellArbiter` gating
+            the one CFI mailbox between the SoC's writers (a one-hart
+            SoC's has one port, whose idle grant is combinational).
         master: AXI master identity of the CFI stage.
         raise_on_violation: raise :class:`CfiViolation` from
             :meth:`tick` on a bad verdict (else latch :attr:`fault`).
-        hart_id: source hart of this writer's commit stream (multi-hart
-            SoCs instantiate one writer per application hart).
-        arbiter: shared :class:`~repro.soc.mailbox.DoorbellArbiter`
-            gating the one CFI mailbox between writers; ``None`` in the
-            single-hart SoC keeps every code path byte-identical to the
-            historic FSM.
-        tag_hart_id: stamp the source hart id into the spare payload
-            byte (offset 28) of every transmission so the monitor can
-            demultiplex per-hart shadow contexts.  Off in single-hart
-            SoCs — the wire format stays exactly the 224-bit packet.
+        hart_id: source hart of this writer's commit stream (an N-hart
+            SoC instantiates one writer per application hart).  Every
+            transmission carries it in the spare payload byte (offset
+            28), so the monitor can demultiplex per-hart contexts.
     """
 
     def __init__(
@@ -91,11 +88,10 @@ class LogWriter:
         mailbox: Mailbox,
         mailbox_base: int,
         queue: CfiQueue,
+        arbiter: DoorbellArbiter,
         master: str = "cfi-stage",
         raise_on_violation: bool = True,
         hart_id: int = 0,
-        arbiter=None,
-        tag_hart_id: bool = False,
     ):
         self.axi = axi
         self.mailbox = mailbox
@@ -105,7 +101,6 @@ class LogWriter:
         self.raise_on_violation = raise_on_violation
         self.hart_id = hart_id
         self.arbiter = arbiter
-        self.tag_hart_id = tag_hart_id
         self.state = WriterState.IDLE
         self.stats = WriterStats()
         self.fault: Optional[CfiViolation] = None
@@ -130,38 +125,25 @@ class LogWriter:
 
     # -- helpers -------------------------------------------------------------
 
-    def _acquire(self) -> bool:
-        if self.arbiter is None:
-            return True
-        return self.arbiter.acquire(self.hart_id)
-
-    def _release(self) -> None:
-        if self.arbiter is not None:
-            self.arbiter.release(self.hart_id)
-
     def _gated(self) -> bool:
         """True when the monitor quarantined this writer off the shared
         channel (its acquires are refused for good — the FSM freezes)."""
         return (
-            self.arbiter is not None
-            and self.arbiter.quarantine_active
+            self.arbiter.quarantine_active
             and self.arbiter.quarantined(self.hart_id)
         )
 
     def _start_transmission(self, log: CommitLog) -> None:
         self.current_log = log
         self._check_started = self.now
-        # The payload moves as ceil(28/8) = 4 beats; the doorbell write is
-        # a separate single-beat transaction (the paper's "final AXI
+        # The 28-byte commit log and its source hart id, in the first
+        # spare byte of the 32-byte data file (a hart-spoof fault forges
+        # it for one transmission), move as 4 beats; the doorbell write
+        # is a separate single-beat transaction (the paper's "final AXI
         # transaction sets the doorbell interrupt register").
-        payload = log.pack()
-        if self.tag_hart_id:
-            # Multi-hart wire format: the source hart id rides in the
-            # first spare byte of the 32-byte data file (same 4 beats).
-            # A hart-spoof fault forges this byte for one transmission.
-            tag = self.hart_id if self._tx_tag is None else self._tx_tag
-            self._tx_tag = None
-            payload += bytes((tag, 0, 0, 0))
+        tag = self.hart_id if self._tx_tag is None else self._tx_tag
+        self._tx_tag = None
+        payload = log.pack() + bytes((tag, 0, 0, 0))
         payload_cycles = self.axi.write(self.master, self.mailbox_base, payload)
         doorbell_cycles = self.axi.timings.transaction_cycles(8)
         self._countdown = payload_cycles + doorbell_cycles
@@ -178,7 +160,7 @@ class LogWriter:
                 # cycle, the FSM stays IDLE, nothing reaches the mailbox
                 # — and the channel grant goes straight back so peer
                 # writers cannot be starved by a lossy link.
-                self._release()
+                self.arbiter.release(self.hart_id)
                 return
             if mask:
                 log = replace(log, target=(log.target ^ mask) & ((1 << 64) - 1))
@@ -229,7 +211,7 @@ class LogWriter:
             self._hold_pending = False
             self._held = True
         else:
-            self._release()
+            self.arbiter.release(self.hart_id)
         if self._dup_pending:
             self._redeliver = log
             self._dup_pending = False
@@ -276,10 +258,10 @@ class LogWriter:
                 # writer within a run.
                 return
             if self._redeliver is not None:
-                if self._acquire() and self.mailbox.ready:
+                if self.arbiter.acquire(self.hart_id) and self.mailbox.ready:
                     self._begin_redeliver()
             elif not self.queue.empty:
-                if self._acquire() and self.mailbox.ready:
+                if self.arbiter.acquire(self.hart_id) and self.mailbox.ready:
                     self._begin_write()
             return
         if self.state is WriterState.WRITE:
@@ -346,7 +328,7 @@ class LogWriter:
                 return self.UNBOUNDED
             if self._redeliver is None and self.queue.empty:
                 return self.UNBOUNDED
-            owner = self.arbiter.owner if self.arbiter is not None else None
+            owner = self.arbiter.owner
             if owner is not None and owner != self.hart_id:
                 # Contended channel: once our request is registered,
                 # only the owner's release (their FSM activity) can

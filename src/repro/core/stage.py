@@ -15,7 +15,7 @@ from repro.core.filter import CfiFilter
 from repro.core.log_writer import LogWriter
 from repro.core.queue import CfiQueue
 from repro.soc.axi import AxiXbar
-from repro.soc.mailbox import Mailbox
+from repro.soc.mailbox import DoorbellArbiter, Mailbox
 
 
 class CfiStage:
@@ -24,18 +24,15 @@ class CfiStage:
     Args:
         axi: host-domain crossbar (mailbox path).
         mailbox: the CFI mailbox device.
+        arbiter: the doorbell arbiter gating the mailbox between the
+            SoC's stages (one port per application hart).
         config: stage parameters.
-        hart_id: the application hart this stage instruments (multi-hart
-            SoCs stamp out one stage per hart).
-        arbiter: shared doorbell arbiter gating the mailbox between
-            stages; ``None`` (single-hart) preserves the historic FSM
-            byte-for-byte.
-        tag_hart_id: stamp ``hart_id`` into the spare payload byte of
-            every transmitted log (multi-hart wire format).
+        hart_id: the application hart this stage instruments (an
+            N-hart SoC stamps out one stage per hart).
     """
 
-    def __init__(self, axi: AxiXbar, mailbox: Mailbox, config: Optional[TitanCfiConfig] = None,
-                 hart_id: int = 0, arbiter=None, tag_hart_id: bool = False):
+    def __init__(self, axi: AxiXbar, mailbox: Mailbox, arbiter: DoorbellArbiter,
+                 config: Optional[TitanCfiConfig] = None, hart_id: int = 0):
         self.config = config or TitanCfiConfig()
         self.hart_id = hart_id
         self.filter = CfiFilter()
@@ -45,10 +42,9 @@ class CfiStage:
             mailbox,
             self.config.mailbox_base,
             self.queue,
+            arbiter,
             raise_on_violation=self.config.raise_on_violation,
             hart_id=hart_id,
-            arbiter=arbiter,
-            tag_hart_id=tag_hart_id,
         )
         # The writer's clock methods, bound directly: the co-simulator
         # calls them every scheduler iteration, and a delegating frame

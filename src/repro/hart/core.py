@@ -19,7 +19,9 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import AccessFault, DecodeError, SimulationError, TrapError
+from repro.errors import (
+    AccessFault, ConfigError, DecodeError, SimulationError, TrapError,
+)
 from repro.hart.ports import BusPort
 from repro.hart.state import CsrFile, RegisterFile
 from repro.hart.timing import TimingModel
@@ -31,8 +33,8 @@ from repro.utils.bits import mask, sext
 
 #: Mnemonics :meth:`Hart.run_n` always stops *before*: they halt or
 #: trap, so the per-cycle scheduler must observe them.  (``wfi`` gets
-#: its own action: in a solo window it can retire in-batch — going to
-#: sleep has no cross-component effect — ending the window after it.)
+#: its own action: in a window it can retire in-batch — going to sleep
+#: has no cross-component effect — ending the window after it.)
 _BATCH_STOP = frozenset({"ecall", "ebreak"})
 
 #: Store/load mnemonic → access size, for the batch loop's memory-window
@@ -171,8 +173,8 @@ class Hart:
         name: str = "hart",
         hartid: int = 0,
     ):
-        if xlen not in (32, 64):
-            raise ValueError(f"xlen must be 32 or 64, got {xlen}")
+        if type(xlen) is not int or xlen not in (32, 64):
+            raise ConfigError(f"xlen must be 32 or 64, got {xlen!r}")
         self.bus = bus
         self.timing = timing
         self.xlen = xlen
@@ -201,9 +203,8 @@ class Hart:
         # (see _note_store) or on fence.i.
         self._pc_cache: Dict[int, Tuple] = {}
         # Mnemonic -> cycle cost for costs with no runtime dependence
-        # (absent for branches and memory ops); {} for timing models
-        # without the precomputed table.
-        self._fixed_cycles: Dict[str, int] = getattr(timing, "_fixed", None) or {}
+        # (absent for branches and memory ops).
+        self._fixed_cycles: Dict[str, int] = timing._fixed
         self._code_pages: set = set()
         # The fabric-wide store hook sees every master's writes to the
         # pages this hart declares in the returned memory map's
@@ -221,8 +222,7 @@ class Hart:
             self._pc_cache,
             self.bus.read,
             self.bus.write,
-            self.timing.cycles_for,
-            getattr(self.timing, "_mem_extra", None),
+            timing._mem_extra,
             self._mask,
         )
 
@@ -282,7 +282,7 @@ class Hart:
             # Branches store the (untaken, taken) pair; the batch loop
             # indexes it with the taken flag instead of calling the
             # timing model.
-            cost = getattr(self.timing, "_branch", None)
+            cost = self.timing._branch
         entry = (
             insn,
             handler,
@@ -445,7 +445,6 @@ class Hart:
         window_hi: int,
         stop_before_cfi: bool = False,
         max_insns: int = 0,
-        confined: bool = False,
         terminate_on_store: bool = False,
     ) -> Tuple[int, int, int]:
         """Retire whole instructions in a tight loop (the batched fast path).
@@ -464,11 +463,11 @@ class Hart:
           :func:`repro.isa.cflow.classify`) plus ``mret``, so the CFI
           commit path stays on the cycle-exact scheduler;
         * stores outside ``[window_lo, window_hi)`` — MMIO writes are
-          cross-component events (doorbells, verdicts).  Loads are only
-          confined in ``confined`` mode: when the rest of the platform
-          is provably frozen for the window, a batched MMIO read
-          returns exactly the busy-loop value at the same cycle because
-          every modelled device read is side-effect free;
+          cross-component events (doorbells, verdicts).  Loads are not
+          confined: the rest of the platform is provably frozen for the
+          window, so a batched MMIO read returns exactly the busy-loop
+          value at the same cycle because every modelled device read is
+          side-effect free;
         * a pending (enabled) external interrupt — re-evaluated exactly
           where :meth:`step` could first observe a change (window entry
           and after ``mret``/store instructions and writes to
@@ -489,26 +488,19 @@ class Hart:
             budget: issue instructions only while the cycles spent so
                 far stay below this bound.  The *last* instruction may
                 overshoot; the caller absorbs the excess as cycle debt.
-            window_lo: first address stores (and, in ``confined`` mode,
-                loads) may target without ending the window.
+            window_lo: first address stores may target without ending
+                the window.
             window_hi: one past the last window-safe address.
             stop_before_cfi: also stop before CFI-relevant instructions
                 (host commit-stage mode).
             max_insns: optional retire-count bound (0 = unbounded).
-            confined: full-isolation mode for dual-hart windows, where
-                this hart may run *ahead* of the globally-accounted
-                clock: out-of-window loads, ``mret`` and
-                ``mstatus``/``mie`` writes all become boundaries, so
-                the whole window provably touches nothing outside the
-                window and can never become interrupt-sensitive.
             terminate_on_store: instead of stopping *before* an
                 out-of-window store, execute it as the window's final
                 instruction and report its cost, letting the caller
                 replay the rest of that cycle (the log writer's
                 same-cycle reaction) in order.  Only sound when every
                 other component is provably inactive through the
-                store's retire cycle — the solo-window case, never the
-                dual (run-ahead) case.
+                store's retire cycle.
 
         Returns:
             ``(retired, cycles_spent, terminator_cost)``;
@@ -523,8 +515,8 @@ class Hart:
             raise SimulationError(f"{self.name}: run_n() after halt")
         if self.sleeping:
             return 0, 0, 0
-        (raw_regs, csrs, cache, bus_read, bus_write, cycles_for,
-         mem_extra, mask_) = self._batch_ctx
+        (raw_regs, csrs, cache, bus_read, bus_write, mem_extra,
+         mask_) = self._batch_ctx
         irq_wired = self._irq_wired
         need_irq_check = irq_wired
         pc = self.pc
@@ -553,9 +545,6 @@ class Hart:
                     address = (raw_regs[insn.rs1] + insn.imm) & mask_
                     size = action & 15
                     if action >= _ACT_LOAD:
-                        if confined and (address < window_lo
-                                         or address + size > window_hi):
-                            break
                         try:
                             value, mem_cycles = bus_read(address, size)
                         except (TrapError, AccessFault):
@@ -582,12 +571,9 @@ class Hart:
                         except (TrapError, AccessFault):
                             break
                         is_load = False
-                    if mem_extra is not None:
-                        cost = mem_extra[is_load] + mem_cycles
-                        if cost < 1 and mem_extra[2]:
-                            cost = 1
-                    else:
-                        cost = cycles_for(insn, False, mem_cycles)
+                    cost = mem_extra[is_load] + mem_cycles
+                    if cost < 1 and mem_extra[2]:
+                        cost = 1
                     pc = (pc + 4) & mask_
                     self.cycle += cost
                     self.instret += 1
@@ -602,14 +588,12 @@ class Hart:
                 if action == _ACT_STOP:
                     break
                 if action == _ACT_WFI:
-                    if stop_before_cfi or confined:
+                    if stop_before_cfi:
                         break
                     # Retire the wfi in-window (same accounting as
                     # step(): one fixed-cost retire, then sleep) and
                     # end the window — the hart cannot fetch further.
                     pc = (pc + 4) & mask_
-                    if cost is None:
-                        cost = cycles_for(insn, False, 0)
                     self.cycle += cost
                     self.instret += 1
                     spent += cost
@@ -620,12 +604,10 @@ class Hart:
                     if stop_before_cfi:
                         break
                 elif action == _ACT_MRET:
-                    if stop_before_cfi or confined:
+                    if stop_before_cfi:
                         break
                     need_irq_check = irq_wired
                 else:  # _ACT_CSR_IRQ
-                    if confined:
-                        break
                     need_irq_check = irq_wired
             fall_through = (pc + 4) & mask_
             try:
@@ -633,9 +615,7 @@ class Hart:
             except (TrapError, AccessFault):
                 break
             _event, next_pc, taken, _mem_cycles, _mem_address = outcome
-            if cost is None:
-                cost = cycles_for(insn, taken, 0)
-            elif type(cost) is tuple:
+            if type(cost) is tuple:
                 cost = cost[taken]
             pc = next_pc
             self.cycle += cost

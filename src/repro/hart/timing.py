@@ -21,22 +21,17 @@ cycle counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.isa.decode import Instruction
 
 _LOADS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"})
-_STORES = frozenset({"sb", "sh", "sw", "sd"})
 _BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
-_JUMPS = frozenset({"jal", "jalr"})
 _MUL = frozenset({"mul", "mulh", "mulhsu", "mulhu", "mulw"})
 _DIV = frozenset({"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"})
 _CSR = frozenset({"csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"})
 
 #: Single-cycle-class ops with no taken/latency dependence, enumerated so
-#: the per-instruction cost collapses to one dict probe (the chain of
-#: frozenset membership tests below it runs once per *unknown* mnemonic,
-#: not once per retired instruction).
+#: their cost is one probe of the fixed-cost table.
 _ALU = frozenset({
     "lui", "auipc",
     "addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai",
@@ -60,8 +55,20 @@ def _fixed_cost_table(*, jal: int, jalr: int, mul: int, div: int, csr: int,
     return table
 
 
-class TimingModel(Protocol):
-    """Cycle cost of one retired instruction."""
+class TimingModel:
+    """Cycle cost of one retired instruction, read from three tables a
+    model builds in ``__post_init__``:
+
+    * ``_fixed`` — mnemonic → cycles for every cost with no runtime
+      input (:func:`_fixed_cost_table`);
+    * ``_branch`` — ``(untaken, taken)``, indexable by the taken flag;
+    * ``_mem_extra`` — ``(store extra, load extra, clamp to 1)``, added
+      to the cycles the bus port reports for a store or a load.
+
+    Every mnemonic the hart executes has one of the three; the batched
+    retire loop (:meth:`repro.hart.core.Hart.run_n`) reads the tables
+    directly.
+    """
 
     #: Cycles from a pending wake event to the first fetched instruction.
     wake_cycles: int
@@ -76,11 +83,19 @@ class TimingModel(Protocol):
             taken: for branches, whether the branch was taken.
             mem_cycles: bus-reported cycles for loads/stores (0 otherwise).
         """
-        ...
+        m = insn.mnemonic
+        cost = self._fixed.get(m)
+        if cost is not None:
+            return cost
+        if m in _BRANCHES:
+            return self._branch[taken]
+        store, load, clamp = self._mem_extra
+        cost = (load if m in _LOADS else store) + mem_cycles
+        return max(1, cost) if clamp else cost
 
 
 @dataclass
-class IbexTiming:
+class IbexTiming(TimingModel):
     """Ibex (RV32IMC, 3-stage, low gate count) static timing.
 
     ``wake_cycles`` reproduces the paper's measured 45 cycles from the
@@ -104,27 +119,13 @@ class IbexTiming:
             mul=self.mul_cycles, div=self.div_cycles,
             csr=self.csr_cycles, mret=self.mret_cycles, alu=self.alu_cycles,
         )
-        #: (untaken, taken) — indexable by the branch's taken flag.
         self._branch = (self.untaken_branch_cycles, self.taken_branch_cycles)
-        #: (store extra, load extra, clamp-to-1) — the memory case of
-        #: cycles_for in precomputed form, for the batched retire loop.
+        #: The TL-UL port reports the full round trip; charge it as-is.
         self._mem_extra = (0, 0, True)
-
-    def cycles_for(self, insn: Instruction, taken: bool, mem_cycles: int) -> int:
-        m = insn.mnemonic
-        cost = self._fixed.get(m)
-        if cost is not None:
-            return cost
-        if m in _BRANCHES:
-            return self.taken_branch_cycles if taken else self.untaken_branch_cycles
-        if m in _LOADS or m in _STORES:
-            # The TL-UL port reports the full round trip; charge it as-is.
-            return max(1, mem_cycles)
-        return self.alu_cycles
 
 
 @dataclass
-class Cva6Timing:
+class Cva6Timing(TimingModel):
     """CVA6 (RV64GC, 6-stage, single-issue) static timing."""
 
     alu_cycles: int = 1
@@ -147,21 +148,5 @@ class Cva6Timing:
             mul=self.mul_cycles, div=self.div_cycles,
             csr=self.csr_cycles, mret=self.mret_cycles, alu=self.alu_cycles,
         )
-        #: (untaken, taken) — indexable by the branch's taken flag.
         self._branch = (self.untaken_branch_cycles, self.taken_branch_cycles)
-        #: (store extra, load extra, clamp-to-1) — the memory case of
-        #: cycles_for in precomputed form, for the batched retire loop.
         self._mem_extra = (self.store_base_cycles, self.load_base_cycles, False)
-
-    def cycles_for(self, insn: Instruction, taken: bool, mem_cycles: int) -> int:
-        m = insn.mnemonic
-        cost = self._fixed.get(m)
-        if cost is not None:
-            return cost
-        if m in _LOADS:
-            return self.load_base_cycles + mem_cycles
-        if m in _STORES:
-            return self.store_base_cycles + mem_cycles
-        if m in _BRANCHES:
-            return self.taken_branch_cycles if taken else self.untaken_branch_cycles
-        return self.alu_cycles

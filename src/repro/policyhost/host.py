@@ -183,7 +183,7 @@ class MonitorDefense:
 
 @dataclass
 class PolicyHostStats:
-    """Lifetime statistics of one policy host."""
+    """Lifetime statistics of one policy host's checks for one hart."""
 
     checks: int = 0
     violations: int = 0
@@ -215,13 +215,12 @@ class PolicyHost:
         model: calibrated response model (see
             :func:`repro.policyhost.calibration.calibrate`).
         name: diagnostic name.
-        n_harts: application harts served.  With more than one, every
-            transmission carries the source hart id in payload byte 28
-            (the multi-hart wire format) and the host demultiplexes the
-            check into the policy's per-hart context
-            (:meth:`repro.firmware.policies.PerHartContextMixin.context`);
-            verdicts, service latencies and check counts are additionally
-            recorded per hart.
+        n_harts: application harts served.  Every transmission carries
+            its source hart id in payload byte 28: the host checks hart
+            0 against the policy itself and hart ``h`` against the
+            policy's context for it
+            (:meth:`repro.firmware.policies.PerHartContextMixin.context`),
+            and keeps its statistics per hart (:attr:`hart_stats`).
     """
 
     def __init__(self, policy: Policy, mailbox: Mailbox,
@@ -248,12 +247,8 @@ class PolicyHost:
         self.name = name
         self.n_harts = n_harts
         self.now = 0
-        self.stats = PolicyHostStats()
-        #: Per-hart statistics (multi-hart hosts only; ``None`` keeps
-        #: the single-hart summary shape unchanged).
-        self.hart_stats: Optional[List[PolicyHostStats]] = (
-            [PolicyHostStats() for _ in range(n_harts)] if n_harts > 1 else None
-        )
+        #: Per-hart statistics, the only record (:attr:`stats` sums them).
+        self.hart_stats = [PolicyHostStats() for _ in range(n_harts)]
         self._inflight_hart = 0
         self._respond_at: Optional[int] = None
         self._verdict = VERDICT_OK
@@ -283,42 +278,33 @@ class PolicyHost:
         if self._respond_at is not None:
             raise ProtocolError(f"{self.name}: doorbell while check in flight")
         data = self.mailbox.collect()
-        if self.n_harts > 1:
-            # Multi-hart wire format: the source hart id rides in the
-            # first spare payload byte; the check runs against that
-            # hart's shadow context.
-            hart_id = data[28]
-            if hart_id >= self.n_harts:
-                raise ProtocolError(
-                    f"{self.name}: payload tagged with unknown hart "
-                    f"{hart_id} (serving {self.n_harts})"
-                )
-            if self.defense is not None:
-                owner = self.defense.arbiter.owner
-                if owner is not None and owner != hart_id:
-                    # The payload's source tag disagrees with the hart
-                    # actually holding the doorbell grant: a spoofed
-                    # id.  Fail safe — quarantine the true sender and
-                    # answer VIOLATION without letting the forged event
-                    # anywhere near a policy context (the impersonated
-                    # hart's shadow state must stay untouched).
-                    self._fail_safe(owner)
-                    return
-            context = self.policy.context(hart_id)
-        else:
-            hart_id = 0
-            context = self.policy
+        # The source hart id rides in the first spare payload byte; the
+        # check runs against that hart's context.
+        hart_id = data[28]
+        if hart_id >= self.n_harts:
+            raise ProtocolError(
+                f"{self.name}: payload tagged with unknown hart "
+                f"{hart_id} (serving {self.n_harts})"
+            )
+        if self.defense is not None:
+            owner = self.defense.arbiter.owner
+            if owner is not None and owner != hart_id:
+                # The payload's source tag disagrees with the hart
+                # actually holding the doorbell grant: a spoofed id.
+                # Fail safe — quarantine the true sender and answer
+                # VIOLATION without letting the forged event anywhere
+                # near a policy context (the impersonated hart's shadow
+                # state must stay untouched).
+                self._fail_safe(owner)
+                return
+        context = self.policy.context(hart_id) if hart_id else self.policy
         # Monitor faults are scoped per hart: the fault controller and
         # the delivered-check index both follow the tagged source hart
         # (the single-hart controller resolves to itself at index 0).
         ctrl = (
             self.faults.controller(hart_id) if self.faults is not None else None
         )
-        check_index = (
-            self.hart_stats[hart_id].checks
-            if self.hart_stats is not None
-            else self.stats.checks
-        )
+        check_index = self.hart_stats[hart_id].checks
         if ctrl is not None and ctrl.reset_before(check_index):
             reset = getattr(self.policy, "reset", None)
             if reset is None:
@@ -355,16 +341,7 @@ class PolicyHost:
         self._ring_at = ring
         self._inflight_hart = hart_id
         self._prev_outcome = "bad" if violation else "ok"
-        self.stats.checks += 1
-        if violation:
-            self.stats.violations += 1
-        self.stats.by_path[path_key] = self.stats.by_path.get(path_key, 0) + 1
-        if self.hart_stats is not None:
-            hstats = self.hart_stats[hart_id]
-            hstats.checks += 1
-            if violation:
-                hstats.violations += 1
-            hstats.by_path[path_key] = hstats.by_path.get(path_key, 0) + 1
+        self._count(hart_id, path_key, violation)
         if self.defense is not None and violation:
             # Repeated violation verdicts from one hart (a doorbell
             # flood's fabricated events, or any persistently compromised
@@ -387,14 +364,33 @@ class PolicyHost:
         self._ring_at = ring
         self._inflight_hart = hart_id
         self._prev_outcome = "bad"
-        self.stats.checks += 1
-        self.stats.violations += 1
-        self.stats.by_path[path_key] = self.stats.by_path.get(path_key, 0) + 1
-        if self.hart_stats is not None:
-            hstats = self.hart_stats[hart_id]
-            hstats.checks += 1
+        self._count(hart_id, path_key, True)
+
+    def _count(self, hart_id: int, path_key: Tuple[str, str],
+               violation: bool) -> None:
+        """Count one accepted check on ``hart_id``'s record (a shadow
+        check when an open boot-epoch session answered it)."""
+        hstats = self.hart_stats[hart_id]
+        hstats.checks += 1
+        if violation:
             hstats.violations += 1
-            hstats.by_path[path_key] = hstats.by_path.get(path_key, 0) + 1
+        hstats.by_path[path_key] = hstats.by_path.get(path_key, 0) + 1
+        if self._shadow is not None:
+            hstats.shadow_checks += 1
+
+    @property
+    def stats(self) -> PolicyHostStats:
+        """Lifetime totals: the per-hart records summed (latencies in
+        hart order, each hart's in ring order)."""
+        total = PolicyHostStats()
+        for hstats in self.hart_stats:
+            total.checks += hstats.checks
+            total.violations += hstats.violations
+            total.service_latencies += hstats.service_latencies
+            total.shadow_checks += hstats.shadow_checks
+            for key, count in hstats.by_path.items():
+                total.by_path[key] = total.by_path.get(key, 0) + count
+        return total
 
     def _schedule(self, ring: int, log: CommitLog,
                   path_key: Tuple[str, str]) -> int:
@@ -421,7 +417,6 @@ class PolicyHost:
             # cyclic idle regime — hand over to the calibrated curves.
             self._shadow = None
         if self._shadow is not None:
-            self.stats.shadow_checks += 1
             return self._shadow.response(ring, log)
         return model.steady_response(
             ring, self._prev_respond, self._prev_outcome, path_key
@@ -429,11 +424,9 @@ class PolicyHost:
 
     def _respond(self) -> None:
         self.mailbox.respond(self._verdict)
-        self.stats.service_latencies.append(self.now - self._ring_at)
-        if self.hart_stats is not None:
-            self.hart_stats[self._inflight_hart].service_latencies.append(
-                self.now - self._ring_at
-            )
+        self.hart_stats[self._inflight_hart].service_latencies.append(
+            self.now - self._ring_at
+        )
         self._prev_respond = self.now
         self._respond_at = None
         if self.defense is not None:
@@ -505,15 +498,14 @@ class PolicyHost:
 
     def stats_summary(self) -> dict:
         """Aggregated statistics for reports and tests."""
+        total = self.stats
         summary = {
-            "checks": self.stats.checks,
-            "violations": self.stats.violations,
-            "mean_service_latency": self.stats.mean_service_latency,
-            "shadow_checks": self.stats.shadow_checks,
-            "by_path": dict(self.stats.by_path),
-        }
-        if self.hart_stats is not None:
-            summary["per_hart"] = [
+            "checks": total.checks,
+            "violations": total.violations,
+            "mean_service_latency": total.mean_service_latency,
+            "shadow_checks": total.shadow_checks,
+            "by_path": total.by_path,
+            "per_hart": [
                 {
                     "hart": i,
                     "checks": hstats.checks,
@@ -522,7 +514,8 @@ class PolicyHost:
                     "by_path": dict(hstats.by_path),
                 }
                 for i, hstats in enumerate(self.hart_stats)
-            ]
+            ],
+        }
         if self.defense is not None:
             summary["defense"] = self.defense.summary()
         return summary
@@ -553,16 +546,14 @@ def mount_policy_host(soc, policy: Policy, variant: str = "irq",
     Returns:
         the mounted :class:`PolicyHost` (also at ``soc.policy_host``).
     """
-    if getattr(soc, "policy_host", None) is not None:
+    if soc.policy_host is not None:
         raise ConfigError("SoC already has a policy host mounted")
     if model is None:
         config = soc.rot.config
         model = calibrate(variant=variant, fabric=config.fabric,
                           wake_cycles=config.wake_cycles)
-    host = PolicyHost(policy, soc.cfi_mailbox, model,
-                      n_harts=getattr(soc, "n_harts", 1),
-                      arbiter=getattr(soc, "doorbell_arbiter", None),
-                      defense=defense,
-                      stages=getattr(soc, "cfi_stages", None))
+    host = PolicyHost(policy, soc.cfi_mailbox, model, n_harts=soc.n_harts,
+                      arbiter=soc.doorbell_arbiter, defense=defense,
+                      stages=soc.cfi_stages)
     soc.policy_host = host
     return host

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.campaign.aggregate import finalize, write_artifacts
 from repro.campaign.runner import RESULT_SCHEMA, run_campaign
 from repro.campaign.spec import MATRICES, Scenario, resolve_matrix
-from repro.errors import ConfigError, JobStateError
+from repro.errors import ConfigError, JobStateError, check_int
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -59,6 +59,7 @@ from repro.service.jobs import (
     JobJournal,
 )
 from repro.service.store import ResultStore
+from repro.system.sim import check_mode
 
 #: Per-job artifact describing what the sweep reused vs executed.
 SWEEP_NAME = "sweep.json"
@@ -103,8 +104,8 @@ class SweepService:
                 f"unknown matrix {matrix!r} (choose from "
                 f"{sorted(MATRICES)})"
             )
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
+        check_int("workers", workers, 1)
+        check_mode(sim_mode)
         job = Job(
             job_id=f"job-{self.journal.submit_count() + 1:04d}",
             matrix=matrix,

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.errors import AccessFault, ConfigError, ProtocolError
+from repro.errors import AccessFault, ConfigError, ProtocolError, check_int
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,7 @@ class DoorbellArbiter:
     """
 
     def __init__(self, n_ports: int):
-        if not isinstance(n_ports, int) or n_ports < 1:
-            raise ConfigError(f"doorbell arbiter needs >= 1 port, got {n_ports!r}")
+        check_int("doorbell arbiter ports", n_ports, 1)
         self.n_ports = n_ports
         #: Port currently holding the grant, or ``None``.
         self.owner: Optional[int] = None

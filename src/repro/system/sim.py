@@ -110,6 +110,13 @@ MODE_BATCHED = "batched"
 MODES = (MODE_BUSY, MODE_BATCHED)
 
 
+def check_mode(mode: Optional[str]) -> None:
+    """An engine from :data:`MODES`, or ``None`` for the default
+    (``batched``); anything else raises :class:`ConfigError`."""
+    if mode is not None and mode not in MODES:
+        raise ConfigError(f"unknown execution mode {mode!r} (have: {MODES})")
+
+
 #: Who serves the CFI mailbox — the policy-backend axis of a cosim run.
 #:
 #: * ``"firmware"`` — the RV32 firmware executing on the Ibex ISS (the
@@ -137,26 +144,21 @@ class HartSlot:
     Args:
         hart: the instruction-set simulator.
         commit: the CVA6 commit stage wrapping an application hart.
-        window: ``(lo, hi)`` range a solo window may store to freely:
-            all of DRAM for an application hart (mailboxes are
+        window: ``(lo, hi)`` range a window may store to freely: all
+            of DRAM for an application hart (mailboxes are
             cross-component), the RoT's private TL-UL fabric below the
             TL2AXI bridge for Ibex (mailbox writes through the bridge
             are the firmware's handshake).
-        segment: ``(lo, hi)`` range a confined window may load from and
-            store to: an application hart's own disjoint DRAM segment,
-            the same private fabric for Ibex.
         debt: initial cycle debt (a staggered start).
     """
 
-    __slots__ = ("hart", "commit", "window", "segment", "debt", "observe")
+    __slots__ = ("hart", "commit", "window", "debt", "observe")
 
     def __init__(self, hart: Hart, commit: Optional[CommitStage],
-                 window: Tuple[int, int], segment: Tuple[int, int],
-                 debt: int = 0):
+                 window: Tuple[int, int], debt: int = 0):
         self.hart = hart
         self.commit = commit
         self.window = window
-        self.segment = segment
         self.debt = debt
         #: Per-step probe (:meth:`SystemSimulator.probe`), else ``None``.
         self.observe: Optional[Callable[[StepResult], None]] = None
@@ -225,17 +227,18 @@ class SystemSimulator:
     """Drives a :class:`TitanCfiSoc` cycle by cycle.
 
     Args:
-        soc: the platform under simulation.
-        run_rot: step the Ibex RoT core (False freezes the firmware).
+        soc: the platform under simulation.  A mounted policy host
+            serves the CFI mailbox in place of the RoT core, which then
+            stays frozen.
         mode: execution engine (``None`` selects ``"batched"``):
 
             * ``"busy"`` — the reference: one :meth:`tick` per cycle;
             * ``"batched"`` — jump the clock to the next cycle on which
               some agent is due and tick only the agents due then
-              (:meth:`_pass`), and run harts through whole instruction
-              *windows* in a tight in-hart loop
-              (:meth:`repro.hart.core.Hart.run_n`) whenever only active
-              harts are due (:meth:`_run_window`).
+              (:meth:`_pass`), and run a hart through a whole
+              instruction *window* in a tight in-hart loop
+              (:meth:`repro.hart.core.Hart.run_n`) whenever one active
+              hart is the only agent due (:meth:`_run_window`).
 
             The observable timeline is cycle-exact in both engines: all
             ``SimulationReport`` fields and every per-cycle statistic
@@ -249,22 +252,15 @@ class SystemSimulator:
         ConfigError: for an unknown ``mode`` or invalid start delays.
     """
 
-    def __init__(self, soc: TitanCfiSoc, run_rot: bool = True,
-                 mode: Optional[str] = None,
+    def __init__(self, soc: TitanCfiSoc, mode: Optional[str] = None,
                  start_delays: Optional[Sequence[int]] = None):
-        if mode is None:
-            mode = MODE_BATCHED
-        if mode not in MODES:
-            raise ConfigError(f"unknown execution mode {mode!r} (have: {MODES})")
+        check_mode(mode)
         self.soc = soc
         # A mounted policy host replaces the firmware as the mailbox
         # agent: the RoT core stays frozen and the host is scheduled as
         # a clocked agent in its place.
-        self._phost = getattr(soc, "policy_host", None)
-        if self._phost is not None:
-            run_rot = False
-        self.run_rot = run_rot
-        self.mode = mode
+        self._phost = soc.policy_host
+        self.mode = mode or MODE_BATCHED
         self.now = 0
         self.violation: Optional[CfiViolation] = None
         # Application side, plural; index = topology hart id.
@@ -274,6 +270,9 @@ class SystemSimulator:
         n = len(self._apps)
         delays = [0] * n
         if start_delays is not None:
+            if not isinstance(start_delays, (list, tuple)):
+                raise ConfigError("start delays must be a list or tuple, "
+                                  f"got {start_delays!r}")
             delays = list(start_delays)
             if len(delays) != n:
                 raise ConfigError(f"{len(delays)} start delays for {n} harts")
@@ -281,30 +280,23 @@ class SystemSimulator:
                 check_int("start delay", delay, 0)
         addresses = soc.addresses
         dram = (addresses.dram_base, addresses.dram_base + soc.dram.size)
-        harts = [
-            HartSlot(hart, commit, dram,
-                     (p.dram_base, p.dram_base + p.dram_size), delay)
-            for hart, commit, p, delay in zip(
-                self._apps, self._commits,
-                soc.topology.placements(addresses), delays)
-        ]
-        rot_fabric = (0, addresses.ot_bridge_base)
-        ibex = HartSlot(soc.rot.ibex, None, rot_fabric, rot_fabric)
+        # The harts in hart-id order, then the RoT core unless a policy
+        # host serves the mailbox.
+        self._slots = [HartSlot(hart, commit, dram, delay)
+                       for hart, commit, delay in zip(
+                           self._apps, self._commits, delays)]
+        if self._phost is None:
+            self._slots.append(HartSlot(soc.rot.ibex, None,
+                                        (0, addresses.ot_bridge_base)))
         # Agents that never run a window: they only bound and replay.
         self._passive = [self._phost] if self._phost is not None else []
         self._passive += [s for s in self._stages if s is not None]
-        rot = [ibex] if run_rot else []
         # Tick order (see the module docstring).  The protocol's methods
         # are bound once: the scheduler loop calls them every iteration.
-        agents = harts + rot + self._passive
+        agents = self._slots + self._passive
         self._ticks = [agent.tick for agent in agents]
         self._bounds = [agent.skippable_cycles for agent in agents]
         self._skips = [agent.skip for agent in agents]
-        # Window order: Ibex first, so its run-ahead is accounted before
-        # any application hart's.
-        self._slots = rot + harts
-        self._window_slots = [(slot, agents.index(slot))
-                              for slot in self._slots]
         # Lazy settlement (batched engine): per agent, the cycle its
         # state reflects and the first cycle its tick can change state.
         # ``_due`` ends in a sentinel, set to the cycle a pass ticks so
@@ -313,27 +305,25 @@ class SystemSimulator:
         self._due = [0] * len(agents) + [_NEVER]
         self._n_slots = len(self._slots)
         # Wake fan-out (see the module docstring), in agent indices: the
-        # harts, then the monitor (Ibex or the policy host) at index n
-        # when one is scheduled, then the stages in hart-id order.
+        # harts, then the monitor (Ibex or the policy host) at index n,
+        # then the stages in hart-id order.
         phost = self._phost
-        monitor = (n,) if rot or phost is not None else ()
-        index = iter(range(n + len(monitor), len(agents)))
+        index = iter(range(n + 1, len(agents)))
         self._stage_of = [None if stage is None else next(index)
                           for stage in self._stages]
         stages = self._all_stages = tuple(
             k for k in self._stage_of if k is not None)
         wakes: List[Optional[Tuple[int, ...]]] = [
             () if k is None else (k,) for k in self._stage_of]
-        if rot:
+        if phost is None:
             wakes.append(stages)
-        elif phost is not None:
+        else:
             # ``None``: the stage holding the doorbell grant, resolved
             # per tick.  The defense or a fault plan also lets the host
             # move the grant, seal a hart or flip its queue lossy.
             guarded = phost.defense is not None or phost.faults is not None
             wakes.append(tuple(range(n)) + stages if guarded else None)
-        wakes += [(i,) + monitor
-                  for i, k in enumerate(self._stage_of) if k is not None]
+        wakes += [(i, n) for i, k in enumerate(self._stage_of) if k is not None]
         self._wakes = wakes
         # The policy host, which must be settled to the cycle before any
         # stage ticks: its doorbell service stamps the ring with its own
@@ -419,7 +409,7 @@ class SystemSimulator:
                 s = settled[k]
                 if s < last:
                     skips[k](last - s)
-                owner = arbiter.owner if arbiter is not None else None
+                owner = arbiter.owner
                 ticks[k]()
                 settled[k] = cycle
                 due[k] = cycle + 1 + bounds[k]()
@@ -427,7 +417,7 @@ class SystemSimulator:
                 if targets is None:
                     targets = (self._all_stages if owner is None
                                else (self._stage_of[owner],))
-                if arbiter is not None and arbiter.owner != owner:
+                if arbiter.owner != owner:
                     moved = arbiter.owner
                     targets += (self._all_stages
                                 if owner is None or moved is None
@@ -450,12 +440,12 @@ class SystemSimulator:
             raise
         due[n] = _NEVER
 
-    def _step(self, until: int) -> Optional[List[Tuple[HartSlot, int]]]:
+    def _step(self, until: int) -> Optional[HartSlot]:
         """One step of the batched engine: jump the clock to the next
-        due cycle (at most ``until``), then run a window there when
-        every agent due is an active hart, else tick the agents due.
-        Returns the window's participants as ``(slot, agent index)``
-        pairs, or None when it ticked or only jumped."""
+        due cycle (at most ``until``), then run a window there when one
+        active hart is the only agent due, else tick the agents due.
+        Returns the slot whose hart ran the window, or None when the
+        step ticked or only jumped."""
         due = self._due
         cycle = min(due)
         if cycle > until:
@@ -463,116 +453,74 @@ class SystemSimulator:
             return None
         first = due.index(cycle)
         if first < self._n_slots:
-            participants = []
-            settled, skips = self._settled, self._skips
+            settled, skips, bounds = self._settled, self._skips, self._bounds
             last = cycle - 1
-            for slot, k in self._window_slots:
+            active = None
+            for k in range(first, self._n_slots):
                 if due[k] != cycle:
                     continue
                 s = settled[k]
                 if s < last:
                     skips[k](last - s)
                     settled[k] = last
-                if slot.active:
-                    participants.append((slot, k))
+                if self._slots[k].active:
+                    active = k
                     continue
                 # Due as its cycle debt ran out: the hart may now wait
                 # on a stall or a sleep, which its bound then covers.
-                due[k] = cycle + self._bounds[k]()
-                if due[k] == cycle:
-                    break
-            else:
-                if (participants and len(participants) == due.count(cycle)
-                        and self._run_window(cycle, until, participants)):
-                    return participants
+                due[k] = cycle + bounds[k]()
+            if (active is not None and due.count(cycle) == 1
+                    and self._run_window(cycle, until, active)):
+                return self._slots[active]
         self._pass(cycle, first)
         return None
 
-    def _run_window(self, cycle: int, until: int,
-                    participants: List[Tuple[HartSlot, int]]) -> bool:
-        """Run ``participants`` — the active harts, and the only agents
-        due at ``cycle`` — through one interaction-free window from
-        ``cycle`` on, ending at ``until`` at the latest.
+    def _run_window(self, cycle: int, until: int, k: int) -> bool:
+        """Run the active hart of slot ``k`` — the only agent due at
+        ``cycle`` — through one interaction-free window from ``cycle``
+        on, ending at ``until`` at the latest.
 
         1. The budget is the span before any other agent is due.  A
            window pushes no commit logs, so a parked log writer or
            policy host provably stays parked and an in-flight countdown
            just melts.
-        2. The participants run.
-        3. The clock advances by the window's accounted span; a
-           participant's overshoot past it becomes its cycle debt.
-           Every other agent stays where it is, to be settled lazily.
+        2. The hart runs: an application hart over all of DRAM,
+           stopping before any CFI-relevant instruction; Ibex below the
+           bridge, *executing* its first store above it (mailbox
+           verdict, doorbell clear) as the window's last instruction.
+        3. The clock advances by the window's span, and the hart keeps
+           its last instruction's remaining cost as cycle debt, exactly
+           as that span of ticks leaves it.  Every other agent stays
+           where it is, to be settled lazily.
 
-        A single participant runs *unconfined*: an application hart
-        over all of DRAM, stopping before any CFI-relevant instruction;
-        Ibex below the bridge, *executing* its first store above it
-        (mailbox verdict, doorbell clear) as the window's last
-        instruction.  That store retires on the window's final cycle T,
-        so Ibex's fan-out is woken there and the agents ticking after
-        Ibex (the CFI stages) tick for real at T, observing the store
-        exactly as the busy loop's same-cycle ticks would (and possibly
-        raising the resulting :class:`CfiViolation`, caught by
-        :meth:`run`).
-
-        Several participants run *confined*: loads and stores only
-        inside each one's own range (an application hart's DRAM
-        segment, Ibex's private fabric), so the instruction streams
-        cannot observe each other.  Each must be interrupt-insensitive
-        (no wired line, or interrupts disabled; confined windows stop
-        at ``mret`` and ``mstatus``/``mie`` writes, so that holds for
-        the whole window).  Ibex goes first, then the harts in id
-        order; each later participant is clipped to the span accounted
-        so far, so the platform visible to an application hart never
-        lags it.
+        Ibex's store retires on the window's final cycle T, so its
+        fan-out is woken there and the agents ticking after Ibex (the
+        CFI stages) tick for real at T, observing the store exactly as
+        the busy loop's same-cycle ticks would (and possibly raising the
+        resulting :class:`CfiViolation`, caught by :meth:`run`).
 
         Returns False when no window ran (the caller ticks instead).
         """
         due, settled, bounds = self._due, self._settled, self._bounds
-        for _slot, k in participants:
-            due[k] = _NEVER
+        due[k] = _NEVER
         budget = min(until - cycle + 1, min(due) - cycle)
-        for _slot, k in participants:
-            due[k] = cycle
-
-        term = 0
-        if len(participants) == 1:
-            slot, k = participants[0]
-            app = slot.commit is not None
-            retired, spent, term = slot.hart.run_n(
-                budget, *slot.window,
-                stop_before_cfi=app, terminate_on_store=not app,
-            )
-            if not retired:
-                return False
-            span = spent - term + 1 if term else min(spent, budget)
-            runs = [(slot, retired, spent)]
-        else:
-            for slot, _k in participants:
-                if slot.hart._irq_wired and slot.hart.csrs.mie_enabled:
-                    return False
-            span = budget
-            runs = []
-            for slot, _k in participants:
-                if span <= 0:
-                    break
-                retired, spent, _term = slot.hart.run_n(
-                    span, *slot.segment,
-                    stop_before_cfi=slot.commit is not None, confined=True,
-                )
-                runs.append((slot, retired, spent))
-                if spent < span:
-                    span = spent
-            if not any(retired for _slot, retired, _spent in runs):
-                return False
-
+        due[k] = cycle
+        slot = self._slots[k]
+        commit = slot.commit
+        retired, spent, term = slot.hart.run_n(
+            budget, *slot.window,
+            stop_before_cfi=commit is not None,
+            terminate_on_store=commit is None,
+        )
+        if not retired:
+            return False
+        span = spent - term + 1 if term else min(spent, budget)
         now = self.now = cycle - 1 + span
-        for slot, retired, spent in runs:
-            slot.debt = spent - span
-            if retired and slot.commit is not None:
-                slot.commit.note_batch_retired(retired)
-        for _slot, k in participants:
-            settled[k] = now
-            due[k] = now + 1 + bounds[k]()
+        slot.debt = spent - span
+        if commit is not None:
+            commit.note_batch_retired(retired)
+        settled[k] = now
+        due[k] = now + 1 + bounds[k]()
         if term:
             # Ibex's mailbox store retired at ``now``: the stages see it
             # on their own ticks of that cycle.
@@ -594,7 +542,7 @@ class SystemSimulator:
         ``busy`` ticks every agent every cycle.  ``batched`` re-polls
         every agent's due cycle on entry (:meth:`_poll`) and then steps
         from due cycle to due cycle (:meth:`_step`): each step is a
-        window of the active harts or a pass over the agents due.  Its
+        window of one active hart or a pass over the agents due.  Its
         first step is always the pass at ``now + 1``, as ``busy``'s
         first tick.  Agents that are not due are settled when the
         advance returns (also when a :class:`CfiViolation` unwinds it).
@@ -692,9 +640,7 @@ class SystemSimulator:
                     hart_violation.kind if hart_violation is not None else None
                 ),
                 "detection_latency": latency,
-                "quarantined": bool(
-                    arbiter is not None and arbiter.quarantined(i)
-                ),
+                "quarantined": arbiter.quarantined(i),
                 "cfi": stats,
             })
             if hart_violation is not None and first_violation is None:

@@ -9,9 +9,9 @@ A :class:`~repro.system.topology.Topology` scales the application side:
 N CVA6-class harts, each with a private DRAM segment and its own commit
 pipeline + CFI stage, all sharing the single CFI mailbox through a
 round-robin :class:`~repro.soc.mailbox.DoorbellArbiter` in front of the
-one Ibex monitor.  The default single-hart topology reproduces the
-historic fixed two-hart SoC byte- and cycle-exactly (no arbiter object,
-no hart-id tagging — identical wire traffic).
+one Ibex monitor.  Every SoC has the arbiter, a one-hart SoC a one-port
+one: its idle grant is combinational, so a lone writer sees the plain
+mailbox timing.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TitanCfiSoc:
         harts: List[Hart],
         cfi_stages: List[Optional[CfiStage]],
         commits: List[CommitStage],
-        doorbell_arbiter: Optional[DoorbellArbiter] = None,
+        doorbell_arbiter: DoorbellArbiter,
     ):
         self.addresses = addresses
         self.topology = topology
@@ -131,7 +131,6 @@ def build_soc(
     topo = topology or Topology()
     config = cfi_config or TitanCfiConfig(mailbox_base=amap.cfi_mailbox_base)
     placements = topo.placements(amap)
-    multihart = topo.n_harts > 1
 
     host_map = MemoryMap("host")
     dram_base, dram_end = topo.dram_extent(amap)
@@ -165,15 +164,13 @@ def build_soc(
         lambda level: rot.plic.set_level(SCMI_IRQ_SOURCE, level)
     )
 
-    # The arbiter only exists when there is something to arbitrate: the
-    # single-hart SoC keeps the writer's historic ungated fast path.
-    arbiter = DoorbellArbiter(topo.n_harts) if (multihart and with_cfi) else None
+    arbiter = DoorbellArbiter(topo.n_harts)
 
     harts: List[Hart] = []
     cfi_stages: List[Optional[CfiStage]] = []
     commits: List[CommitStage] = []
     for placement in placements:
-        name = "cva6" if not multihart else f"cva6.{placement.hart_id}"
+        name = f"cva6.{placement.hart_id}" if topo.n_harts > 1 else "cva6"
         hart = Hart(
             MapPort(host_map),
             Cva6Timing(),
@@ -182,14 +179,8 @@ def build_soc(
             name=name,
         )
         stage = (
-            CfiStage(
-                axi,
-                cfi_mailbox,
-                config,
-                hart_id=placement.hart_id,
-                arbiter=arbiter,
-                tag_hart_id=multihart,
-            )
+            CfiStage(axi, cfi_mailbox, arbiter, config,
+                     hart_id=placement.hart_id)
             if with_cfi
             else None
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def simulate_trace(
     Returns:
         a :class:`TraceModelResult`.
     """
-    if queue_depth < 1:
-        raise ConfigError("queue_depth must be >= 1")
+    check_int("queue_depth", queue_depth, 1)
     if latency < 0:
         raise ConfigError("latency must be non-negative")
 

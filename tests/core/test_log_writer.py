@@ -26,7 +26,7 @@ def make_writer(raise_on_violation=True, queue_depth=4):
     bus.add(MAILBOX_BASE, mailbox, name="cfi-mailbox")
     axi = AxiXbar(bus)
     queue = CfiQueue(queue_depth)
-    writer = LogWriter(axi, mailbox, MAILBOX_BASE, queue,
+    writer = LogWriter(axi, mailbox, MAILBOX_BASE, queue, DoorbellArbiter(1),
                        raise_on_violation=raise_on_violation)
     return writer, queue, mailbox
 
@@ -237,6 +237,8 @@ class TestAxiTraffic:
         assert writer.axi.stats("cfi-stage").writes >= 2  # payload + doorbell
 
     def test_payload_beats(self):
-        """A 28-byte log must cost 4 data beats on the 64-bit bus."""
+        """A 28-byte log, padded to the 32-byte data file by its hart-id
+        byte, must cost 4 data beats on the 64-bit bus."""
         writer, _, _ = make_writer()
         assert writer.axi.timings.beats_for(28) == 4
+        assert writer.axi.timings.beats_for(32) == 4

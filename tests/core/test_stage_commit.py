@@ -11,7 +11,7 @@ from repro.isa.decode import decode
 from repro.mem.map import MemoryMap
 from repro.mem.memory import Ram
 from repro.soc.axi import AxiXbar
-from repro.soc.mailbox import VERDICT_OK, CfiMailbox
+from repro.soc.mailbox import VERDICT_OK, CfiMailbox, DoorbellArbiter
 
 MAILBOX_BASE = 0x9000_0000
 DRAM_BASE = 0x8000_0000
@@ -25,7 +25,7 @@ def build(queue_depth=2, blocking=False, program_source=None):
     axi = AxiXbar(bus)
     config = TitanCfiConfig(queue_depth=queue_depth, blocking=blocking,
                             mailbox_base=MAILBOX_BASE)
-    stage = CfiStage(axi, mailbox, config)
+    stage = CfiStage(axi, mailbox, DoorbellArbiter(1), config)
     source = program_source or """
         main:
             call f

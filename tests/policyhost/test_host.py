@@ -15,8 +15,9 @@ import pytest
 
 from repro.attacks.rop import run_attack_scenario
 from repro.campaign.spec import VICTIMS
+from repro.core.commit_log import CommitLog
 from repro.core.config import TitanCfiConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.firmware.policies import (
     CheckResult,
     CryptoReturnPolicy,
@@ -124,6 +125,17 @@ class TestHostAgentProperties:
         assert stats["violations"] == 0
         assert stats["mean_service_latency"] > 0
         assert all(count > 0 for count in stats["by_path"].values())
+
+    def test_one_hart_host_rejects_a_payload_tagged_with_hart_1(self):
+        """Every transmission carries its source hart id in payload byte
+        28, and a one-hart host checks it like any other."""
+        soc = build_soc()
+        mount_policy_host(soc, ShadowStackPolicy())
+        log = CommitLog(pc=0x8000_0000, encoding=0x0000_8067,
+                        next_address=0x8000_0004, target=0x8000_0100)
+        with pytest.raises(ProtocolError, match="unknown hart 1"):
+            soc.cfi_mailbox.deposit(log.pack() + bytes((1, 0, 0, 0)))
+        assert soc.policy_host.stats.checks == 0
 
     def test_double_mount_rejected(self):
         soc = build_soc()

@@ -66,7 +66,8 @@ class TestSubmitServe:
         code = main(["--root", _root(tmp_path), "submit",
                      "--matrix", tiny_matrix, "--workers", "0"])
         assert code == 2
-        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert capsys.readouterr().err == (
+            "error: workers must be an int >= 1, got 0\n")
 
 
 class TestStatus:

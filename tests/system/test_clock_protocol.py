@@ -9,8 +9,7 @@ Every clocked agent answers ``tick()``, ``skippable_cycles()`` and
   clock goes to the next due cycle and only the agents due there tick,
   while every other agent lags until it is settled by one ``skip`` —
   which holds only if each real tick re-polls every agent it can wake;
-* a window is the ticks it accounts for, once any run-ahead it left as
-  cycle debt has melted;
+* a window is the ticks it accounts for;
 * ``advance(until, stop)`` lands both engines on the same cycle in the
   same state, whether the clock or ``stop`` ends it.
 
@@ -119,8 +118,8 @@ def first_difference(left, right, path="sim"):
 #: Platforms covering every agent state the protocol distinguishes:
 #: cycle debt, an inhibited commit (blocking and depth-1 queues,
 #: skippable; lossy, never skippable), a halted hart beside live ones,
-#: the policy host, Ibex joining confined windows beside application
-#: harts, and staggered starts — under the irq firmware the only way
+#: the policy host, Ibex running windows beside application harts,
+#: and staggered starts — under the irq firmware the only way
 #: Ibex reaches its WFI sleep mid-run, since back-to-back doorbells
 #: keep it in the ISR.  Two platforms take the wake fan-out's widest
 #: paths: eight harts whose writers mostly wait parked on the doorbell
@@ -248,7 +247,7 @@ class TestHartSlot:
             soc.addresses, random.Random(1))
         soc.load_host_program(program)
         hart, commit = soc.harts[0], soc.commits[0]
-        return HartSlot(hart, commit, (0, 0), (0, 0), debt), hart
+        return HartSlot(hart, commit, (0, 0), debt), hart
 
     def test_debt_bounds_the_slot_and_melts(self):
         slot, hart = self.slot(debt=5)
@@ -359,64 +358,44 @@ def test_advance_is_platform_ticks(name):
     assert jumps >= 16, jumps
 
 
-def window_kind(participants):
-    """A window's kind, by its ``(slot, agent index)`` participants."""
-    if len(participants) > 1:
-        return "confined"
-    if participants[0][0].commit is None:
-        return "ibex-solo"
-    return "hart-solo"
-
-
 #: Window kinds each platform must take (the planner's rules): an
-#: application hart alone, Ibex alone up to its mailbox store, and the
-#: confined window of several active harts.
+#: application hart alone, and Ibex alone up to its mailbox store.
 EXPECTED_WINDOWS = {
-    "n1-irq": {"hart-solo", "ibex-solo", "confined"},
-    "n1-polling": {"hart-solo", "ibex-solo"},
-    "n1-host": {"hart-solo"},
-    "n1-blocking": {"hart-solo", "ibex-solo"},
-    "n1-lossy": {"hart-solo"},
-    "n2-host": {"hart-solo", "confined"},
-    "n3-irq": {"hart-solo", "ibex-solo", "confined"},
-    "n3-irq-stagger": {"hart-solo", "ibex-solo", "confined"},
-    "n4-stagger": {"hart-solo", "confined"},
-    "n8-host": {"hart-solo", "confined"},
-    "n4-guard": {"hart-solo", "confined"},
+    "n1-irq": {"hart", "ibex"},
+    "n1-polling": {"hart", "ibex"},
+    "n1-host": {"hart"},
+    "n1-blocking": {"hart", "ibex"},
+    "n1-lossy": {"hart"},
+    "n2-host": {"hart"},
+    "n3-irq": {"hart", "ibex"},
+    "n3-irq-stagger": {"hart", "ibex"},
+    "n4-stagger": {"hart"},
+    "n8-host": {"hart"},
+    "n4-guard": {"hart"},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_window_is_its_ticks(name):
     """The batched engine's steps on one twin, plain ticks on the other.
-    A solo window leaves the platform exactly where its span of ticks
-    does.  A confined window may leave an earlier participant run
-    ahead of the span as cycle debt; both twins then tick through the
-    longest such debt (the batched twin settled first and re-polled
-    after), and at sampled windows the two platforms must be equal."""
+    Every window leaves the platform exactly where its span of ticks
+    does: at sampled windows the batched twin is settled and the two
+    platforms must be equal."""
     fast, slow = twins(name)
     fast._poll()
     windows = collections.Counter()
     samples = collections.defaultdict(Sample)
     while slow.now < MAX_CYCLES:
-        participants = fast._step(MAX_CYCLES)
-        if participants is None:
-            ticks(slow, fast.now - slow.now)
+        slot = fast._step(MAX_CYCLES)
+        ticks(slow, fast.now - slow.now)
+        if slot is None:
             if done(slow):
                 break
             continue
-        kind = window_kind(participants)
+        kind = "hart" if slot.commit is not None else "ibex"
         windows[kind] += 1
-        melt = 0
-        if kind == "confined":
-            melt = max(slot.debt for slot, _index in participants)
-        sampled = samples[kind].due(windows[kind])
-        if melt or sampled:
+        if samples[kind].due(windows[kind]):
             fast._settle()
-            ticks(fast, melt)
-            fast._poll()
-        ticks(slow, fast.now - slow.now)
-        if sampled:
             assert_same(fast, slow, (name, kind, slow.now))
     fast._settle()
     assert done(fast)
@@ -434,14 +413,6 @@ def advance_busy(sim, until, stop=None):
         sim.mode = MODE_BATCHED
 
 
-def melt(fast, slow):
-    """Tick both twins through the longest cycle debt the batched one
-    holds, so any confined-window run-ahead is accounted on both."""
-    cycles = max(slot.debt for slot in fast._slots)
-    ticks(fast, cycles)
-    ticks(slow, cycles)
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_advance_to_a_cycle_is_engine_invariant(name):
     """Both engines ``advance`` to the same sampled cycles and must agree
@@ -456,7 +427,6 @@ def test_advance_to_a_cycle_is_engine_invariant(name):
         assert not fast.advance(until)
         assert not advance_busy(slow, until)
         assert fast.now == slow.now == until
-        melt(fast, slow)
         assert_same(fast, slow, (name, until))
         samples += 1
         if samples % 8 == 0:
@@ -486,7 +456,6 @@ def test_advance_stops_on_the_same_cycle(name):
         assert advance_busy(slow, MAX_CYCLES, rung(slow, k))
         assert fast.now == slow.now, (name, k)
         rung_stops += slow.soc.cfi_mailbox.doorbell_count >= k
-        melt(fast, slow)
         assert_same(fast, slow, (name, k, slow.now))
         k += max(1, k // 4)
     assert done(fast)

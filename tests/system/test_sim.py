@@ -4,7 +4,9 @@ import pytest
 
 from repro.attacks.programs import CLEAN_MARKER, benign_program
 from repro.errors import ConfigError, SimulationError
+from repro.firmware.policies import ShadowStackPolicy
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
+from repro.policyhost import mount_policy_host
 from repro.system.sim import SystemSimulator
 from repro.system.soc import build_soc
 
@@ -54,14 +56,17 @@ class TestRunSemantics:
                 break
         assert saw_both_active
 
-    def test_run_rot_disabled_hangs_checks(self):
-        """Without the RoT running, checks never complete (sanity that the
-        verdicts really come from Ibex, not from a model shortcut)."""
-        soc = protected_soc()
+    def test_rot_without_firmware_hangs_checks(self):
+        """Without firmware, Ibex halts on its first fetch and checks
+        never complete (sanity that the verdicts really come from Ibex,
+        not from a model shortcut)."""
+        soc = build_soc()
         soc.load_host_program(benign_program(soc.addresses))
-        simulator = SystemSimulator(soc, run_rot=False)
+        simulator = SystemSimulator(soc)
         with pytest.raises(SimulationError):
             simulator.run(max_cycles=100_000)
+        assert soc.rot.ibex.halted and soc.rot.ibex.instret == 0
+        assert soc.cfi_stage.writer.stats.checks_completed == 0
 
 
 class TestBaselineComparison:
@@ -93,9 +98,11 @@ class TestProbe:
         assert len(retired) == reports[1].ibex_instructions
 
     def test_probe_needs_a_scheduled_hart(self):
-        soc = protected_soc()
+        """A mounted policy host freezes Ibex, so it cannot be probed."""
+        soc = build_soc()
+        mount_policy_host(soc, ShadowStackPolicy())
         with pytest.raises(ConfigError, match="not scheduled"):
-            SystemSimulator(soc, run_rot=False).probe(soc.rot.ibex, print)
+            SystemSimulator(soc).probe(soc.rot.ibex, print)
 
 
 class TestCycleArguments:

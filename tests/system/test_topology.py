@@ -154,9 +154,10 @@ class TestSocIntegration:
         assert soc.doorbell_arbiter is not None
         assert soc.doorbell_arbiter.n_ports == 4
 
-    def test_single_hart_soc_has_no_arbiter(self):
-        assert build_soc().doorbell_arbiter is None
-        assert build_soc(topology=Topology()).doorbell_arbiter is None
+    def test_single_hart_soc_has_a_one_port_arbiter(self):
+        for soc in (build_soc(), build_soc(topology=Topology()),
+                    build_soc(with_cfi=False)):
+            assert soc.doorbell_arbiter.n_ports == 1
 
     def test_harts_boot_at_their_segment(self):
         topo = Topology(n_harts=2)
