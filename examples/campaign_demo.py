@@ -10,7 +10,9 @@ the aggregated detection matrix.
 Run:  python examples/campaign_demo.py
 """
 
-from repro.campaign import expand_grid, finalize, render_report, run_campaign
+from repro.campaign.aggregate import finalize, render_report
+from repro.campaign.pool import run_campaign
+from repro.campaign.spec import expand_grid
 
 
 def main() -> None:

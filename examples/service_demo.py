@@ -19,7 +19,8 @@ Run:  python examples/service_demo.py
 import tempfile
 from pathlib import Path
 
-from repro.service import SweepService, write_dashboard
+from repro.service.dashboard import write_dashboard
+from repro.service.queue import SweepService
 
 
 def serve(service: SweepService, matrix: str = "smoke") -> dict:

@@ -25,7 +25,8 @@ import random
 
 from repro.campaign.spec import VICTIMS
 from repro.core.config import TitanCfiConfig
-from repro.faults import attach_faults, build_plan
+from repro.faults.inject import attach_faults
+from repro.faults.plan import build_plan
 from repro.firmware.policies import ShadowStackPolicy
 from repro.policyhost import mount_policy_host
 from repro.system import SystemSimulator, Topology, build_soc

@@ -1,24 +1,6 @@
-"""Attack scenarios: the code-reuse attacks TitanCFI exists to stop (§I, §VI)."""
+"""Attack scenarios: the code-reuse attacks TitanCFI exists to stop (§I, §VI).
 
-from repro.attacks.programs import (
-    benign_program,
-    call_hijack_program,
-    deep_recursion_program,
-    indirect_jump_program,
-    jop_program,
-    return_to_callsite_program,
-    rop_program,
-)
-from repro.attacks.rop import AttackOutcome, run_attack_scenario
-
-__all__ = [
-    "benign_program",
-    "call_hijack_program",
-    "deep_recursion_program",
-    "indirect_jump_program",
-    "jop_program",
-    "return_to_callsite_program",
-    "rop_program",
-    "AttackOutcome",
-    "run_attack_scenario",
-]
+:mod:`repro.attacks.programs` holds the victim programs;
+:mod:`repro.attacks.rop` builds the protected platform and runs one
+attack on it (:func:`~repro.attacks.rop.run_attack_scenario`).
+"""

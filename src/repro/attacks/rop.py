@@ -25,13 +25,12 @@ from repro.errors import CfiViolation, ConfigError
 from repro.firmware.policies import Policy
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.isa.asm import Program
-from repro.system.sim import (
+from repro.system.modes import (
     POLICY_BACKEND_FIRMWARE,
     POLICY_BACKEND_HOST,
     POLICY_BACKENDS,
-    SimulationReport,
-    SystemSimulator,
 )
+from repro.system.sim import SimulationReport, SystemSimulator
 from repro.system.soc import TitanCfiSoc, build_soc
 from repro.system.topology import Topology
 
@@ -89,7 +88,7 @@ def build_platform(
             firmware.  On several harts, install its per-hart contexts
             first.
         defense: mount the policy host's cross-hart defense layer.
-        fault_plan: a :class:`repro.faults.FaultPlan` to attach
+        fault_plan: a :class:`repro.faults.plan.FaultPlan` to attach
             (``None`` leaves every fault hook detached — the fault-free
             path is cycle-identical with the layer present).
     """

@@ -38,7 +38,7 @@ from repro.campaign.aggregate import (
     render_report,
     write_artifacts,
 )
-from repro.campaign.runner import run_campaign
+from repro.campaign.pool import run_campaign
 from repro.campaign.spec import (
     VICTIMS,
     derive_seed,
@@ -47,7 +47,7 @@ from repro.campaign.spec import (
 )
 from repro.durable import AppendLog, check_manifest, read_log, write_manifest
 from repro.errors import ConfigError, ServiceError
-from repro.system.sim import MODES
+from repro.system.modes import MODES
 
 DEFAULT_OUT = Path("artifacts/campaign")
 

@@ -48,7 +48,7 @@ from repro.errors import AxisConflict, ConfigError, UnknownHartError, check_int
 from repro.faults.plan import FAULT_PLANS
 from repro.isa.asm import Program
 from repro.system.addresses import AddressMap
-from repro.system.sim import (
+from repro.system.modes import (
     POLICY_BACKEND_FIRMWARE,
     POLICY_BACKEND_HOST,
     POLICY_BACKENDS,
@@ -334,7 +334,7 @@ BACKEND_REFERENCE = "reference"
 BACKEND_COSIM = "cosim"
 
 #: Mailbox-agent axis of a cosim scenario:
-#: :data:`repro.system.sim.POLICY_BACKENDS` plus ``auto``, which
+#: :data:`repro.system.modes.POLICY_BACKENDS` plus ``auto``, which
 #: resolves to the firmware for its own policy and to the policy host
 #: for every other.
 POLICY_BACKEND_AUTO = "auto"

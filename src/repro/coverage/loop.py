@@ -52,7 +52,7 @@ from repro.durable import (
     read_log,
     write_manifest,
 )
-from repro.errors import ConfigError, SynthError, WorkerCrash
+from repro.errors import ConfigError, SynthError, WorkerCrash, check_int
 from repro.synth.generator import FAMILIES, generate
 from repro.synth.ir import label_sets
 from repro.synth.oracle import ORACLE_POLICIES, expected_verdicts
@@ -138,10 +138,11 @@ def _result_rows(index: int, digest: str, family: str, model: dict,
 
     Returns ``(rows, oracle_agreed)``; the identity columns (those of
     the ``cov-<family>`` reference cell) and the verdict columns both
-    come from the campaign runner, so :mod:`repro.campaign.aggregate`
+    come from the campaign engine, so :mod:`repro.campaign.aggregate`
     folds them untouched.
     """
-    from repro.campaign.runner import _identity_columns, reference_outcomes
+    from repro.campaign.pool import _identity_columns
+    from repro.campaign.runner import reference_outcomes
     from repro.campaign.spec import Scenario
 
     # SynthError here if the image and the model's plan disagree.
@@ -334,7 +335,7 @@ def _draw_parent(rng_seed: int, coverage: CoverageMap,
 def _campaign_payload(records: List[dict], config: FuzzConfig) -> dict:
     """Fold journal verdict rows into a campaign artifact payload."""
     from repro.campaign.aggregate import finalize
-    from repro.campaign.runner import RESULT_SCHEMA
+    from repro.campaign.pool import RESULT_SCHEMA
 
     rows: List[dict] = []
     for record in records:
@@ -388,10 +389,8 @@ def fuzz(out, config: FuzzConfig, resume: bool = False) -> dict:
     coverage map, the content-addressed corpus and the folded
     ``campaign.json``/``campaign.csv`` artifacts.
     """
-    if config.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if config.seeds_per_family < 0:
-        raise ConfigError("seeds_per_family must be >= 0")
+    check_int("jobs", config.jobs, 1)
+    check_int("seeds_per_family", config.seeds_per_family, 0)
     if config.iterations < config.seed_count:
         raise ConfigError(
             f"iteration budget {config.iterations} cannot cover the "

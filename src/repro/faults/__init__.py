@@ -19,68 +19,7 @@ quarantine defense; :func:`~repro.faults.contract.evaluate_hart_contract`
 checks the resulting per-hart degradation contract (attacker
 fail-safe-quarantined, benign peers bit-identical to the adversary-free
 baseline).
+
+The package re-exports nothing, so a scenario spec that needs only
+:mod:`repro.faults.plan` does not load the injector or the oracle.
 """
-
-from repro.faults.contract import (
-    DEGRADATION_DETECT,
-    DEGRADATION_DETECT_LATE,
-    DEGRADATION_FAIL_SAFE,
-    DEGRADATION_MISS,
-    DEGRADATION_QUARANTINE,
-    DEGRADATION_TRANSPARENT,
-    allowed_degradations,
-    evaluate_contract,
-    evaluate_hart_contract,
-)
-from repro.faults.inject import FaultController, FaultDirectory, attach_faults
-from repro.faults.oracle import (
-    FaultPrediction,
-    predict_adversarial,
-    predict_verdict,
-)
-from repro.faults.plan import (
-    ADVERSARIAL_FAULTS,
-    FAULT_ARBITER_HOLD,
-    FAULT_DOORBELL_DROP,
-    FAULT_DOORBELL_DUP,
-    FAULT_DOORBELL_FLOOD,
-    FAULT_EVENT_CORRUPT,
-    FAULT_HART_SPOOF,
-    FAULT_MONITOR_RESET,
-    FAULT_MONITOR_STALL,
-    FAULT_PLANS,
-    FaultEvent,
-    FaultPlan,
-    build_plan,
-)
-
-__all__ = [
-    "ADVERSARIAL_FAULTS",
-    "DEGRADATION_DETECT",
-    "DEGRADATION_DETECT_LATE",
-    "DEGRADATION_FAIL_SAFE",
-    "DEGRADATION_MISS",
-    "DEGRADATION_QUARANTINE",
-    "DEGRADATION_TRANSPARENT",
-    "FAULT_ARBITER_HOLD",
-    "FAULT_DOORBELL_DROP",
-    "FAULT_DOORBELL_DUP",
-    "FAULT_DOORBELL_FLOOD",
-    "FAULT_EVENT_CORRUPT",
-    "FAULT_HART_SPOOF",
-    "FAULT_MONITOR_RESET",
-    "FAULT_MONITOR_STALL",
-    "FAULT_PLANS",
-    "FaultController",
-    "FaultDirectory",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultPrediction",
-    "allowed_degradations",
-    "attach_faults",
-    "build_plan",
-    "evaluate_contract",
-    "evaluate_hart_contract",
-    "predict_adversarial",
-    "predict_verdict",
-]

@@ -9,39 +9,7 @@ static HTML dashboard renders detection/latency trajectories across
 code versions (:mod:`repro.service.dashboard`).
 
 CLI: ``python -m repro.service {submit,serve,status,cancel,gc,dashboard}``.
+
+The package re-exports nothing: names are imported from their
+submodules, so a command loads only what it runs.
 """
-
-from repro.service.dashboard import render_dashboard, write_dashboard
-from repro.service.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    STATES,
-    Job,
-    JobJournal,
-)
-from repro.service.queue import SweepService
-from repro.service.store import (
-    STORE_SCHEMA_VERSION,
-    ResultStore,
-    code_fingerprint,
-)
-
-__all__ = [
-    "CANCELLED",
-    "DONE",
-    "FAILED",
-    "Job",
-    "JobJournal",
-    "QUEUED",
-    "RUNNING",
-    "ResultStore",
-    "STATES",
-    "STORE_SCHEMA_VERSION",
-    "SweepService",
-    "code_fingerprint",
-    "render_dashboard",
-    "write_dashboard",
-]

@@ -27,9 +27,8 @@ from typing import List, Optional
 
 from repro.campaign.spec import MATRICES
 from repro.errors import ConfigError, ServiceError
-from repro.service.dashboard import write_dashboard
 from repro.service.queue import SweepService
-from repro.system.sim import MODES
+from repro.system.modes import MODES
 
 DEFAULT_ROOT = Path("artifacts/service")
 
@@ -145,6 +144,8 @@ def _cmd_gc(service: SweepService, args: argparse.Namespace) -> int:
 
 
 def _cmd_dashboard(service: SweepService, args: argparse.Namespace) -> int:
+    from repro.service.dashboard import write_dashboard
+
     path = write_dashboard(service, args.out)
     print(f"dashboard: {path}")
     return 0

@@ -7,7 +7,7 @@ records, and a foreground drain loop (:meth:`serve_once` /
 resolves its matrix against the content-addressed
 :class:`~repro.service.store.ResultStore` and only executes the
 missing or invalidated cells, through one call of the existing
-hardened :func:`~repro.campaign.runner.run_campaign` worker pool
+hardened :func:`~repro.campaign.pool.run_campaign` worker pool
 (crash quarantine, timeouts, retries all apply).
 
 A job uses one pool: its ``workers`` processes live for the whole job,
@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.aggregate import finalize, write_artifacts
-from repro.campaign.runner import RESULT_SCHEMA, run_campaign
+from repro.campaign.pool import RESULT_SCHEMA, run_campaign
 from repro.campaign.spec import MATRICES, Scenario, resolve_matrix
 from repro.errors import ConfigError, JobStateError, check_int
 from repro.service.jobs import (
@@ -59,7 +59,7 @@ from repro.service.jobs import (
     JobJournal,
 )
 from repro.service.store import ResultStore
-from repro.system.sim import check_mode
+from repro.system.modes import check_mode
 
 #: Per-job artifact describing what the sweep reused vs executed.
 SWEEP_NAME = "sweep.json"
@@ -176,8 +176,8 @@ class SweepService:
             self.journal.transition(job.job_id, RUNNING)
 
         by_name = {scenario.name: scenario for scenario in scenarios}
-        _hits, missing, stats = self.store.resolve(scenarios,
-                                                   job.campaign_seed)
+        hits, missing, stats = self.store.resolve(scenarios,
+                                                  job.campaign_seed)
         failures: Dict[str, Dict[str, object]] = {}
         executed = 0
         finished = 0
@@ -211,7 +211,7 @@ class SweepService:
             return self._sweep_stats(job, stats, executed, len(failures),
                                      state=CANCELLED)
 
-        payload = self._assemble(job, scenarios, failures)
+        payload = self._assemble(job, scenarios, hits, failures)
         out_dir = self.job_dir(job.job_id)
         write_artifacts(payload, out_dir)
         state = FAILED if failures else DONE
@@ -244,25 +244,30 @@ class SweepService:
         }
 
     def _assemble(self, job: Job, scenarios: Sequence[Scenario],
+                  hits: Dict[str, Dict[str, object]],
                   failures: Dict[str, Dict[str, object]],
                   ) -> Dict[str, object]:
-        """The job's campaign payload, re-read entirely from the store.
+        """The job's campaign payload, every ``ok`` row as the store holds it.
 
+        ``hits`` are the rows :meth:`ResultStore.resolve` already read;
+        only the cells this job executed are read back from the store.
         Cold and warm runs, interrupted and uninterrupted runs, all
-        funnel through this one path: every ``ok`` row comes back out
-        of the store (canonical bytes), rows are sorted by name, and
+        funnel through this one path: rows are sorted by name, and
         nothing run-specific — wall-clock timing, worker count, hit
         counts — enters the payload.  That is what makes re-submitting
         an unchanged matrix produce a byte-identical ``campaign.json``.
         """
         rows: List[Dict[str, object]] = []
         for scenario in scenarios:
-            record = self.store.get(self.store.key(scenario,
-                                                   job.campaign_seed))
-            if record is not None:
-                rows.append(dict(record["result"]))
+            if scenario.name in hits:
+                rows.append(hits[scenario.name])
             elif scenario.name in failures:
                 rows.append(failures[scenario.name])
+            else:
+                record = self.store.get(self.store.key(scenario,
+                                                       job.campaign_seed))
+                if record is not None:
+                    rows.append(record["result"])
         rows.sort(key=lambda row: str(row["name"]))
         payload: Dict[str, object] = {
             "schema": RESULT_SCHEMA,

@@ -40,6 +40,7 @@ from repro.core.log_writer import LogWriter
 from repro.cva6.commit import CommitStage
 from repro.errors import CfiViolation, ConfigError, SimulationError, check_int
 from repro.hart.core import Hart, StepResult
+from repro.system.modes import MODE_BATCHED, MODE_BUSY, check_mode
 from repro.system.soc import TitanCfiSoc
 
 
@@ -100,37 +101,6 @@ _UNBOUNDED = LogWriter.UNBOUNDED
 #: A due cycle later than any real one (an unbounded agent's due cycle
 #: is ``now + 1 + _UNBOUNDED``).
 _NEVER = 1 << 64
-
-
-#: Execution engines.  Both are cycle-exact; ``batched`` only changes
-#: *how* the timeline is traversed.
-MODE_BUSY = "busy"
-MODE_BATCHED = "batched"
-
-MODES = (MODE_BUSY, MODE_BATCHED)
-
-
-def check_mode(mode: Optional[str]) -> None:
-    """An engine from :data:`MODES`, or ``None`` for the default
-    (``batched``); anything else raises :class:`ConfigError`."""
-    if mode is not None and mode not in MODES:
-        raise ConfigError(f"unknown execution mode {mode!r} (have: {MODES})")
-
-
-#: Who serves the CFI mailbox — the policy-backend axis of a cosim run.
-#:
-#: * ``"firmware"`` — the RV32 firmware executing on the Ibex ISS (the
-#:   shadow-stack policy, the paper's reference configuration);
-#: * ``"host"`` — a mounted :class:`repro.policyhost.PolicyHost`
-#:   running any Python policy on the firmware-calibrated cycle model
-#:   (the RoT core is left frozen).
-#:
-#: The simulator derives the axis from the SoC: a mounted policy host
-#: serves the mailbox, else the firmware does.
-POLICY_BACKEND_FIRMWARE = "firmware"
-POLICY_BACKEND_HOST = "host"
-
-POLICY_BACKENDS = (POLICY_BACKEND_FIRMWARE, POLICY_BACKEND_HOST)
 
 
 class HartSlot:

@@ -13,12 +13,8 @@ import random
 import pytest
 
 from repro.campaign import runner as runner_mod
-from repro.campaign.runner import (
-    SHARD_CACHE,
-    capture_commit_logs,
-    run_campaign,
-    run_scenario,
-)
+from repro.campaign.pool import run_campaign
+from repro.campaign.runner import SHARD_CACHE, capture_commit_logs, run_scenario
 from repro.campaign.spec import VICTIMS, Scenario, expand_grid
 from repro.core.filter import CfiFilter
 from repro.errors import SimulationError

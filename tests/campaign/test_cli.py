@@ -7,7 +7,7 @@ import pytest
 
 from repro.campaign.aggregate import CSV_FIELDS, render_report, to_csv, write_artifacts
 from repro.campaign.cli import main
-from repro.campaign.runner import RESULT_SCHEMA, run_campaign
+from repro.campaign.pool import RESULT_SCHEMA, run_campaign
 from repro.campaign.spec import expand_grid
 
 

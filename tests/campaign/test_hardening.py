@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.campaign.cli import main
-from repro.campaign.runner import run_campaign
+from repro.campaign.pool import run_campaign
 from repro.campaign.spec import MATRICES, expand_grid
 from repro.durable import read_log
 from repro.errors import ConfigError, ScenarioTimeout, WorkerCrash

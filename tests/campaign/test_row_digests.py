@@ -28,7 +28,7 @@ import pytest
 
 from repro.campaign.runner import run_scenario
 from repro.campaign.spec import MATRICES, resolve_matrix
-from repro.system.sim import MODES
+from repro.system.modes import MODES
 
 DIGESTS = Path(__file__).with_name("row_digests.json")
 CELL_DIGESTS = Path(__file__).with_name("cell_digests.json")

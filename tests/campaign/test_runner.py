@@ -13,7 +13,8 @@ import pytest
 
 from repro.attacks.programs import CLEAN_MARKER, GADGET_MARKER
 from repro.campaign.aggregate import finalize, summarize
-from repro.campaign.runner import capture_commit_logs, run_campaign, run_scenario
+from repro.campaign.pool import run_campaign
+from repro.campaign.runner import capture_commit_logs, run_scenario
 from repro.campaign.spec import (
     REFERENCE_POLICIES,
     VICTIMS,

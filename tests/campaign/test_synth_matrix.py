@@ -4,7 +4,8 @@ the ISSUE's acceptance criteria, as tests."""
 
 import pytest
 
-from repro.campaign.runner import run_campaign, run_scenario
+from repro.campaign.pool import run_campaign
+from repro.campaign.runner import run_scenario
 from repro.campaign.spec import (
     SYNTH_SEEDS,
     SYNTH_VICTIMS,

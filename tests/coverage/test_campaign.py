@@ -6,7 +6,7 @@ import pytest
 
 from repro.campaign.aggregate import CSV_FIELDS, finalize, render_report
 from repro.campaign.cli import main as campaign_main
-from repro.campaign.runner import run_campaign
+from repro.campaign.pool import run_campaign
 from repro.campaign.spec import (
     COVERAGE_FEATURES,
     COVERAGE_VICTIMS,

@@ -40,9 +40,9 @@ def test_cli_reports_a_typed_error_in_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--jobs", "0", "jobs must be >= 1"),
-    ("--jobs", "-2", "jobs must be >= 1"),
-    ("--seeds-per-family", "-1", "seeds_per_family must be >= 0"),
+    ("--jobs", "0", "jobs must be an int >= 1, got 0"),
+    ("--jobs", "-2", "jobs must be an int >= 1, got -2"),
+    ("--seeds-per-family", "-1", "seeds_per_family must be an int >= 0, got -1"),
 ])
 def test_cli_rejects_bad_worker_and_seed_counts(tmp_path, capsys, flag,
                                                 value, message):

@@ -13,7 +13,8 @@ import pytest
 
 from repro.campaign.runner import run_scenario
 from repro.campaign.spec import Scenario
-from repro.faults import FaultPlan, attach_faults
+from repro.faults.inject import attach_faults
+from repro.faults.plan import FaultPlan
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.system.addresses import AddressMap
 from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator

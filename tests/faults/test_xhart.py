@@ -16,14 +16,6 @@ import pytest
 from repro.campaign.spec import VICTIMS
 from repro.core.config import TitanCfiConfig
 from repro.errors import ConfigError, FaultPlanError, UnknownHartError
-from repro.faults import (
-    FAULT_DOORBELL_DROP,
-    FaultEvent,
-    FaultPlan,
-    attach_faults,
-    build_plan,
-    predict_adversarial,
-)
 from repro.faults.contract import (
     DEGRADATION_MISS,
     DEGRADATION_QUARANTINE,
@@ -32,6 +24,9 @@ from repro.faults.contract import (
     ROLE_BENIGN,
     evaluate_hart_contract,
 )
+from repro.faults.inject import attach_faults
+from repro.faults.oracle import predict_adversarial
+from repro.faults.plan import FAULT_DOORBELL_DROP, FaultEvent, FaultPlan, build_plan
 from repro.firmware.policies import ShadowStackPolicy
 from repro.policyhost import MonitorDefense, mount_policy_host
 from repro.soc.mailbox import DoorbellArbiter

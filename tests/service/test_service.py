@@ -58,6 +58,25 @@ def _service(tmp_path, version="v-test"):
     return SweepService(tmp_path / "svc", code_version=version)
 
 
+@pytest.fixture(scope="module")
+def smoke_round_trip(tmp_path_factory):
+    """A cold then a warm job of the real ``smoke`` matrix: ``(service,
+    cold sweep, warm sweep, store keys the warm serve read)``."""
+    service = _service(tmp_path_factory.mktemp("smoke"))
+    service.submit("smoke", workers=2)
+    (cold,) = service.serve_once()
+    service.submit("smoke", workers=2)
+    get, reads = service.store.get, []
+
+    def counted(key):
+        reads.append(key)
+        return get(key)
+
+    service.store.get = counted
+    (warm,) = service.serve_once()
+    return service, cold, warm, reads
+
+
 class TestSubmit:
     def test_unknown_matrix_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -195,16 +214,21 @@ class TestArtifacts:
         assert sweep["cells"] == 2
         assert sweep["executed"] == 2
 
-    def test_smoke_matrix_round_trip(self, tmp_path):
+    def test_smoke_matrix_round_trip(self, smoke_round_trip):
         """Acceptance criterion, on the real registered smoke matrix."""
-        service = _service(tmp_path)
-        service.submit("smoke", workers=2)
-        (cold,) = service.serve_once()
-        service.submit("smoke", workers=2)
-        (warm,) = service.serve_once()
+        service, cold, warm, _reads = smoke_round_trip
         assert cold["executed"] == cold["cells"]
         assert warm["executed"] == 0
         assert warm["hits"] == warm["cells"]
+        a = (service.job_dir("job-0001") / "campaign.json").read_bytes()
+        b = (service.job_dir("job-0002") / "campaign.json").read_bytes()
+        assert a == b
+
+    def test_warm_serve_reads_each_stored_cell_once(self, smoke_round_trip):
+        """The warm job assembles its payload from the rows its store
+        resolution already read: one ``get`` per cell, not two."""
+        service, cold, warm, reads = smoke_round_trip
+        assert len(reads) == len(set(reads)) == warm["cells"] == 21
         a = (service.job_dir("job-0001") / "campaign.json").read_bytes()
         b = (service.job_dir("job-0002") / "campaign.json").read_bytes()
         assert a == b

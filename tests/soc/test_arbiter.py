@@ -15,12 +15,12 @@ import pytest
 from repro.campaign.spec import VICTIMS
 from repro.core.config import TitanCfiConfig
 from repro.errors import ConfigError, ProtocolError
-from repro.faults import (
+from repro.faults.inject import attach_faults
+from repro.faults.plan import (
     FAULT_DOORBELL_DROP,
     FAULT_DOORBELL_DUP,
     FaultEvent,
     FaultPlan,
-    attach_faults,
 )
 from repro.firmware.policies import ShadowStackPolicy
 from repro.policyhost import mount_policy_host
@@ -221,7 +221,7 @@ class TestArbiterFairness:
         assert served[:4] == [0, 1, 2, 3]
 
     def test_held_grant_is_watchdog_released_across_engines(self):
-        from repro.faults import build_plan
+        from repro.faults.plan import build_plan
 
         plan = build_plan("xhart-hold", 99).scoped(1)
         victims = ("rop", "deep-recursion")

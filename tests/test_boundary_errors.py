@@ -8,7 +8,8 @@ service cannot run is refused before it is journaled.
 
 import pytest
 
-from repro.campaign.runner import run_campaign
+from repro.campaign.pool import run_campaign
+from repro.coverage.loop import FuzzConfig, fuzz
 from repro.errors import ConfigError
 from repro.hart.core import Hart
 from repro.hart.ports import MapPort
@@ -36,6 +37,10 @@ CASES = {
     "hart-xlen-16": lambda root: Hart(MapPort(MemoryMap("bus")), IbexTiming(),
                                       xlen=16),
     "arbiter-ports-bool": lambda root: DoorbellArbiter(True),
+    "fuzz-jobs-str": lambda root: fuzz(root, FuzzConfig(10, jobs="2")),
+    "fuzz-jobs-bool": lambda root: fuzz(root, FuzzConfig(10, jobs=True)),
+    "fuzz-seeds-per-family-str": lambda root: fuzz(
+        root, FuzzConfig(10, seeds_per_family="1")),
 }
 
 
