@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.core.commit_log import CommitLog
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 from repro.isa.cflow import CfKind
 from repro.opentitan.crypto.accel import HmacAccelerator
 
@@ -156,11 +156,11 @@ class ShadowStackPolicy(PerHartContextMixin):
         accel: Optional[HmacAccelerator] = None,
         key: bytes = b"titancfi-device-key",
     ):
-        if capacity < 2:
-            raise ConfigError("shadow stack capacity must be >= 2")
+        check_int("capacity", capacity, 2)
         self.capacity = capacity
         self.spill_entries = spill_entries or capacity // 2
-        if not 0 < self.spill_entries <= capacity:
+        check_int("spill_entries", self.spill_entries, 1)
+        if self.spill_entries > capacity:
             raise ConfigError("spill_entries must be in (0, capacity]")
         self.accel = accel or HmacAccelerator()
         self.key = key

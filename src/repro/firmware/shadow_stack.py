@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 from repro.isa.asm import Assembler, Program
 from repro.system.addresses import AddressMap
 
@@ -45,9 +45,10 @@ class FirmwareLayout:
     spill_slots: int = 8
 
     def __post_init__(self):
-        if self.ss_capacity < 4:
-            raise ConfigError("shadow stack needs at least 4 entries")
-        if not 0 < self.spill_entries < self.ss_capacity:
+        check_int("ss_capacity", self.ss_capacity, 4)
+        check_int("spill_entries", self.spill_entries, 1)
+        check_int("spill_slots", self.spill_slots, 1)
+        if self.spill_entries >= self.ss_capacity:
             raise ConfigError("spill_entries must be in (0, ss_capacity)")
 
     # ---- scratchpad cells ----

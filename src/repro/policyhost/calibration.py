@@ -8,14 +8,23 @@ latency constants, this module **measures** the real firmware on
 (:mod:`repro.eval.firmware_analysis`) classifies its steps on — and
 condenses the results into a :class:`ResponseModel`:
 
-* **busy curve** — ring→completion latency as a function of the
-  doorbell's offset ``d`` from the previous completion, measured by
-  sweeping ``d`` over a steady back-to-back chain.  The curve captures
-  every service regime in one function: doorbell during the ISR
-  epilogue (serviced at ``mret``), during the idle window, and after
-  WFI sleep (wake latency included).  Its tail is periodic — constant
-  for the IRQ firmware (asleep), poll-loop-periodic for the polling
-  firmware — so one finite sweep extrapolates exactly to any offset.
+* **busy curves** — ring→completion latency as a function of the
+  doorbell's offset ``d`` from the previous completion, one per
+  firmware *state* that completion left.  A curve covers every service
+  regime (doorbell during the ISR epilogue, serviced at ``mret``; in
+  the idle window; after WFI sleep, wake included), and its tail is
+  periodic (constant for the IRQ firmware, asleep; poll-loop-periodic
+  for the polling firmware), so one finite sweep extrapolates exactly
+  to any offset.
+* **firmware states** — the IRQ ISR returns to where it was entered:
+  to the idle loop's jump after a check it woke for (:data:`STEADY`),
+  and straight to the ``wfi`` after one entered there before it slept
+  (:data:`HEAD`: the boot head, or a doorbell that catches the loop
+  between its jump and its ``wfi``), so it sleeps one jump sooner.  The
+  tables list, per state, the offsets whose ring leaves :data:`HEAD` (a
+  doorbell during the ISR keeps the state); every other ring leaves
+  :data:`STEADY`.  Neither the verdict nor the check path is part of
+  the state, and the polling firmware's two curves are one.
 * **boot tail curve** — the same function for a *first* doorbell,
   anchored at reset instead of a previous completion, measured from
   the cycle the firmware reaches its steady idle point.
@@ -25,12 +34,19 @@ condenses the results into a :class:`ResponseModel`:
   pop-and-match, mismatch, underflow).  Each path is probed from the
   identical arrival phase; the model stores its latency delta against
   the reference path (a ``jal ra`` call).
-* **shadow sessions** — a first doorbell that lands *before* the
-  firmware's steady idle point (the host program's first control-flow
-  event often beats the RoT boot sequence) is answered by a private
-  firmware rig replaying the exact ring sequence, until the run's first
-  steady-length gap hands over to the curves.  This keeps the boot
-  epoch exact by construction instead of modelling every boot phase.
+* **boot head** — the completion cycle of a first doorbell that lands
+  *before* the firmware's steady idle point (the host program's first
+  control-flow event often beats the RoT boot sequence).  The
+  firmware's interrupt or poll observation is then already pending when
+  it reaches its idle point, so every such ring completes on one
+  measured cycle, plus its path's service delta, and leaves
+  :data:`HEAD`.
+* **boot-epoch mirror** — until the run's first steady-length gap, the
+  firmware's own shadow stack, not the host policy, picks the check
+  paths of a boot epoch's doorbells: the host checks every log of the
+  epoch on a :class:`~repro.firmware.policies.ShadowStackPolicy` sized
+  like :class:`~repro.firmware.shadow_stack.FirmwareLayout`, whose path
+  key selects the delta (see :class:`repro.policyhost.host.PolicyHost`).
 
 The tables are committed data.  ``calibration_tables.json`` beside this
 module holds them for both firmware variants on both fabrics at the
@@ -75,6 +91,10 @@ TABLES = Path(__file__).with_name("calibration_tables.json")
 
 #: Reference path every service delta is measured against.
 P0_KEY = ("call-jal-ra", "ok")
+
+#: The firmware states a completion can leave (see the module docstring).
+STEADY = "steady"
+HEAD = "head"
 
 #: Longest tail period the calibration will look for (the polling
 #: firmware's poll loop is ~15 cycles; IRQ tails are constant).
@@ -184,63 +204,111 @@ class ResponseCurve:
 
 # -- measurements ------------------------------------------------------------
 
-def _measure_busy_curve(new_rig: Callable[[], FirmwareRig], outcome: str,
-                        label: str) -> ResponseCurve:
-    """Sweep ring offsets over a steady back-to-back chain.
-
-    For the ``ok`` curve each probe's completion anchors the next
-    probe; for the ``bad`` curve every offset is anchored at a
-    fresh return-mismatch completion (the post-violation epilogue
-    could, in principle, differ from the benign one).
-    """
+def _completions(new_rig: Callable[[], FirmwareRig], first: int,
+                 offsets: Tuple[int, ...] = ()) -> List[int]:
+    """Completion cycles of reference rings on a fresh rig: the first at
+    cycle ``first``, each later one ``offset`` cycles after the previous
+    completion."""
     rig = new_rig()
-    settle = rig.settle()
-    probe = call_log(1)
-    if outcome == "ok":
-        anchor = rig.response(settle + 8, probe)
-
-        def sample(offset: int) -> int:
-            nonlocal anchor
-            ring = anchor + offset
-            respond = rig.response(ring, probe)
-            anchor = respond
-            return respond - ring
-
-    else:
-        state = {"anchor": rig.response(settle + 8, probe)}
-
-        def sample(offset: int) -> int:
-            prev = rig.response(state["anchor"] + 64, call_log(1))
-            bad = rig.response(prev + 64, ret_log(1, target=PROBE_TARGET))
-            ring = bad + offset
-            respond = rig.response(ring, probe)
-            state["anchor"] = respond
-            return respond - ring
-
-    values, period = _collect_periodic(sample, f"busy/{outcome} of {label}")
-    return ResponseCurve(start=0, values=tuple(values), period=period)
+    done = [rig.response(first, call_log(1))]
+    for offset in offsets:
+        done.append(rig.response(done[-1] + offset, call_log(1)))
+    return done
 
 
-def _measure_boot_tail(new_rig: Callable[[], FirmwareRig], busy_period: int,
-                       label: str) -> ResponseCurve:
-    """First-doorbell latency from the steady idle point onward.
+def _measure_states(new_rig: Callable[[], FirmwareRig], start: int,
+                    label: str):
+    """The busy curve of each state, the offsets whose ring leaves
+    :data:`HEAD` from it, and a reader of the state rings leave.
+
+    The boot head (a first ring at cycle 0) leaves :data:`HEAD`, a first
+    ring at the idle point ``start`` leaves :data:`STEADY`.  Every offset
+    is swept on a fresh rig: a chained sweep would anchor some offsets
+    at a completion that left the other state.  The reader rings once
+    more at the first offset where the two curves differ and matches the
+    latency; it returns ``None`` when they agree everywhere (the states
+    are one).  A ring in a curve's periodic tail, and so any ring beyond
+    its measured range, must leave :data:`STEADY`.
+    """
+    anchors = {STEADY: start, HEAD: 0}
+    busy = {}
+    for state, first in anchors.items():
+        def sample(offset: int, first: int = first) -> int:
+            done = _completions(new_rig, first, (offset,))
+            return done[1] - done[0] - offset
+
+        values, period = _collect_periodic(sample, f"busy/{state} of {label}")
+        busy[state] = ResponseCurve(start=0, values=tuple(values),
+                                    period=period)
+    span = max(len(curve.values) + curve.period for curve in busy.values())
+    split = next((d for d in range(span)
+                  if busy[STEADY].latency(d) != busy[HEAD].latency(d)), None)
+
+    def state_after(first: int, offsets: Tuple[int, ...] = ()) -> Optional[str]:
+        if split is None:
+            return None
+        done = _completions(new_rig, first, offsets + (split,))
+        latency = done[-1] - done[-2] - split
+        for state, curve in busy.items():
+            if curve.latency(split) == latency:
+                return state
+        raise SimulationError(
+            f"calibration self-check failed: rings at {first} + {offsets} "
+            f"leave the firmware in neither state ({label})"
+        )
+
+    heads = {}
+    for state, curve in busy.items():
+        tail = len(curve.values) - _CONFIRM - curve.period
+        heads[state] = tuple(d for d in range(len(curve.values))
+                             if state_after(anchors[state], (d,)) == HEAD)
+        if heads[state] and heads[state][-1] >= tail:
+            raise SimulationError(
+                f"calibration self-check failed: a ring in the periodic "
+                f"tail after {state!r} leaves {HEAD!r} ({label})"
+            )
+    return busy, heads, state_after
+
+
+def _measure_boot_tail(new_rig: Callable[[], FirmwareRig], start: int,
+                       busy_period: int, state_after, label: str) -> ResponseCurve:
+    """First-doorbell latency from the steady idle point ``start`` on.
 
     One fresh rig per sample (boot happens once per rig); the tail
     period is confirmed independently, but with the busy curve's
-    period already known the sweep converges quickly.
+    period already known the sweep converges quickly.  Every sample
+    must leave :data:`STEADY`.
     """
-    probe = call_log(1)
-    start = new_rig().settle()
-
     def sample(offset: int) -> int:
-        rig = new_rig()
         ring = start + offset
-        return rig.response(ring, probe) - ring
+        if state_after(ring) not in (STEADY, None):
+            raise SimulationError(
+                f"calibration self-check failed: a first ring at cycle "
+                f"{ring} leaves {HEAD!r} ({label})"
+            )
+        return _completions(new_rig, ring)[0] - ring
 
     values, period = _collect_periodic(
         sample, f"boot of {label}", initial=busy_period + _CONFIRM + 4,
     )
     return ResponseCurve(start=start, values=tuple(values), period=period)
+
+
+def _measure_boot_head(new_rig: Callable[[], FirmwareRig], start: int,
+                       state_after, label: str) -> int:
+    """The completion cycle of a first reference-path doorbell rung at
+    any cycle before the steady idle point ``start``, one fresh rig per
+    ring; raises :class:`SimulationError` unless every such ring
+    completes on the same cycle and leaves :data:`HEAD`."""
+    completions = {_completions(new_rig, ring)[0] for ring in range(start)}
+    if len(completions) != 1 or any(
+            state_after(ring) not in (HEAD, None) for ring in range(start)):
+        raise SimulationError(
+            f"calibration self-check failed: first rings before the idle "
+            f"point {start} complete on {len(completions)} cycles, "
+            f"{sorted(completions)[:4]}…, or leave {STEADY!r} ({label})"
+        )
+    return completions.pop()
 
 
 def _measure_deltas(new_rig: Callable[[], FirmwareRig], busy: ResponseCurve,
@@ -292,7 +360,8 @@ def measure_tables(variant: str, fabric: str = "standard",
     """Measure every table of one firmware configuration on fresh rigs.
 
     Returns the configuration's :data:`TABLES` entry: the firmware
-    digest, both busy curves (``ok`` and ``bad``), the boot tail, every
+    digest, the busy curve of each state, the offsets that lead to
+    :data:`HEAD` from each state, the boot tail, the boot head, every
     service delta in probe order and ``bad_bias``.
     """
     label = table_key(variant, fabric, wake_cycles)
@@ -300,14 +369,18 @@ def measure_tables(variant: str, fabric: str = "standard",
     def new_rig() -> FirmwareRig:
         return FirmwareRig(variant, fabric, wake_cycles)
 
-    busy = {outcome: _measure_busy_curve(new_rig, outcome, label)
-            for outcome in ("ok", "bad")}
-    boot_tail = _measure_boot_tail(new_rig, busy["ok"].period, label)
-    deltas = _measure_deltas(new_rig, busy["ok"], label)
+    start = new_rig().settle()
+    busy, heads, state_after = _measure_states(new_rig, start, label)
+    boot_tail = _measure_boot_tail(new_rig, start, busy[STEADY].period,
+                                   state_after, label)
+    boot_head = _measure_boot_head(new_rig, start, state_after, label)
+    deltas = _measure_deltas(new_rig, busy[STEADY], label)
     return {
         "firmware": firmware_digest(variant),
-        "busy": {outcome: curve.table() for outcome, curve in busy.items()},
+        "busy": {state: curve.table() for state, curve in busy.items()},
+        "heads": {state: list(offsets) for state, offsets in heads.items()},
         "boot_tail": boot_tail.table(),
+        "boot_head": boot_head,
         "deltas": {f"{name}/{outcome}": delta
                    for (name, outcome), delta in deltas.items()},
         "bad_bias": deltas[("ret-ra", "bad")] - deltas[("ret-ra", "ok")],
@@ -325,107 +398,12 @@ def _shipped_tables(variant: str, fabric: str,
     return entry
 
 
-#: Node cap of the boot-chain trie, per model.  Bounds memory only —
-#: chains past the cap fall back to the replay rig, never to an
-#: approximation.  Each trie node stores one (ring, log) step exactly
-#: once, shared across every chain that walks the same prefix.
-_CHAIN_NODE_CAP = 65536
-
-class _ChainNode:
-    """One step of the boot-chain trie: the firmware's completion cycle
-    for the chain prefix ending here, plus the known continuations."""
-
-    __slots__ = ("respond", "children")
-
-    def __init__(self):
-        self.respond: Optional[int] = None
-        self.children: Dict[Tuple[int, bytes], "_ChainNode"] = {}
-
-
-class ShadowSession:
-    """Exact boot-epoch service: replay-calibrated, rig-backed on demand.
-
-    Used while the run is inside its boot epoch (first doorbell before
-    the firmware's steady idle point) where the curve model's anchors
-    do not apply.  ``drift`` absorbs policy surcharges (e.g. the
-    crypto policy's MAC cycles): the rig is rung at host time minus
-    drift so its internal inter-arrival offsets match what the
-    firmware would have observed.
-
-    **Boot-chain table:** the firmware's completion time for the n-th
-    doorbell of a boot epoch is a pure function of the rig-time ring
-    chain so far — ``((ring₀, log₀), …, (ringₙ, logₙ))`` — so every
-    answer a rig ever produces is memoised in the model's boot-chain
-    *trie*, one node per chain step (prefixes shared, O(1) lookup per
-    ring).  A later run (or a later scenario of the same campaign
-    shard) whose doorbells walk a known chain is answered straight from
-    the trie: the Ibex-speed replay rig is not even *built* until the
-    first unknown prefix appears, and runs whose doorbells stay
-    back-to-back to the end retire it entirely.  On a miss the rig is
-    constructed lazily and fast-forwarded through the already-answered
-    prefix, so cached and uncached sessions are cycle-identical by
-    construction.
-    """
-
-    def __init__(self, model: "ResponseModel"):
-        self._model = model
-        self._rig: Optional[FirmwareRig] = None
-        self.drift = 0
-        self._last_rig_respond: Optional[int] = None
-        self._chain: List[Tuple[int, bytes]] = []
-        #: Trie cursor: children of the chain prefix walked so far
-        #: (``None`` once off the trie — the node cap refused growth).
-        self._cursor: Optional[_ChainNode] = model._chain_root
-
-    def _ensure_rig(self) -> FirmwareRig:
-        """The replay rig, built on first miss and caught up through
-        every ring already answered from the chain table."""
-        if self._rig is None:
-            self._model.shadow_rig_builds += 1
-            self._rig = self._model._new_rig()
-            for ring, packed in self._chain[:-1]:
-                self._rig.response(ring, CommitLog.unpack(packed))
-        return self._rig
-
-    def response(self, ring: int, log: CommitLog) -> int:
-        rig_ring = ring - self.drift
-        node: Optional[_ChainNode] = None
-        if self._cursor is not None:
-            step = (rig_ring, log.pack())
-            if self._rig is None:
-                # The prefix is only ever replayed to catch a lazily
-                # built rig up; once one exists the history is dead.
-                self._chain.append(step)
-            node = self._cursor.children.get(step)
-            if node is None and self._model._chain_nodes < _CHAIN_NODE_CAP:
-                node = _ChainNode()
-                self._cursor.children[step] = node
-                self._model._chain_nodes += 1
-            self._cursor = node  # None once the node cap refuses growth
-        if node is not None and node.respond is not None:
-            respond = node.respond
-        else:
-            respond = self._ensure_rig().response(rig_ring, log)
-            if node is not None:
-                node.respond = respond
-        self._last_rig_respond = respond
-        return respond + self.drift
-
-    def note_host_respond(self, host_respond: int) -> None:
-        """Record the host's actual (surcharged) respond time."""
-        if self._last_rig_respond is None:
-            raise SimulationError(
-                "shadow session asked to note a respond before any ring"
-            )
-        self.drift = host_respond - self._last_rig_respond
-
-
 class ResponseModel:
     """The calibrated doorbell→completion timing of one firmware config.
 
-    Query :meth:`steady_response` / :meth:`boot_response` for curve-mode
-    answers and :meth:`open_shadow` for boot-epoch sessions; see the
-    module docstring for the regimes.
+    Query :meth:`boot_response` and :meth:`boot_state` for a run's first
+    doorbell and :meth:`steady_response` and :meth:`next_state` for
+    every later one; see the module docstring for the regimes.
     """
 
     def __init__(self, variant: str = "irq", fabric: str = "standard",
@@ -438,47 +416,48 @@ class ResponseModel:
         self.variant = variant
         self.fabric = fabric
         self.wake_cycles = wake_cycles
-        #: Boot-chain trie root: rig-time ring chains → completion
-        #: cycles, one node per step.  Shared by every shadow session of
-        #: this model, i.e. per firmware config per process — exactly
-        #: the scope at which campaign shards repeat boot chains.
-        self._chain_root = _ChainNode()
-        self._chain_nodes = 0
-        #: Replay rigs actually constructed by shadow sessions (the
-        #: boot-chain table's effectiveness metric; see the tests).
-        self.shadow_rig_builds = 0
         tables = (_shipped_tables(variant, fabric, wake_cycles)
                   or measure_tables(variant, fabric, wake_cycles))
-        self._busy = {outcome: ResponseCurve.from_table(curve)
-                      for outcome, curve in tables["busy"].items()}
+        self._busy = {state: ResponseCurve.from_table(curve)
+                      for state, curve in tables["busy"].items()}
+        self._heads = {state: frozenset(offsets)
+                       for state, offsets in tables["heads"].items()}
         self.boot_tail = ResponseCurve.from_table(tables["boot_tail"])
+        self.boot_head: int = tables["boot_head"]
         self._deltas: Dict[Tuple[str, str], int] = {
             tuple(key.split("/")): delta
             for key, delta in tables["deltas"].items()
         }
         self.bad_bias: int = tables["bad_bias"]
 
-    def _new_rig(self) -> FirmwareRig:
-        return FirmwareRig(self.variant, self.fabric, self.wake_cycles)
-
     # -- queries -------------------------------------------------------------
 
     @property
     def boot_tail_start(self) -> int:
         """First ring cycle the boot tail curve covers (the firmware's
-        steady idle point); earlier first rings need a shadow session."""
+        steady idle point); earlier first rings complete at
+        :attr:`boot_head` and open a boot epoch."""
         return self.boot_tail.start
 
     @property
     def steady_threshold(self) -> int:
         """Ring offset from the previous completion beyond which the
-        firmware is provably back in its steady regime — the handoff
-        bound from shadow sessions to curves."""
-        return len(self._busy["ok"].values)
+        firmware is provably back in its steady regime — the gap that
+        ends a boot epoch."""
+        return len(self._busy[STEADY].values)
 
-    def busy_curve(self, outcome: str) -> ResponseCurve:
-        """The busy curve anchored at an ``ok`` or a ``bad`` completion."""
-        return self._busy[outcome]
+    def busy_curve(self, state: str) -> ResponseCurve:
+        """The busy curve after a completion that left ``state``."""
+        return self._busy[state]
+
+    def boot_state(self, ring: int) -> str:
+        """The state a run's first doorbell at ``ring`` leaves."""
+        return HEAD if ring < self.boot_tail.start else STEADY
+
+    def next_state(self, state: str, offset: int) -> str:
+        """The state a doorbell ``offset`` cycles after a completion that
+        left ``state`` leaves."""
+        return HEAD if offset in self._heads[state] else STEADY
 
     def service_delta(self, path_key: Tuple[str, str]) -> int:
         delta = self._deltas.get(path_key)
@@ -501,21 +480,18 @@ class ResponseModel:
             )
         raise SimulationError(f"uncalibrated check path {path_key!r}")
 
-    def steady_response(self, ring: int, prev_respond: int,
-                        prev_outcome: str, path_key: Tuple[str, str]) -> int:
+    def steady_response(self, ring: int, prev_respond: int, state: str,
+                        path_key: Tuple[str, str]) -> int:
         """Completion cycle for a doorbell at ``ring``, anchored at the
-        previous completion."""
-        offset = ring - prev_respond
-        curve = self.busy_curve(prev_outcome)
-        return ring + curve.latency(offset) + self.service_delta(path_key)
+        previous completion, which left ``state``."""
+        latency = self._busy[state].latency(ring - prev_respond)
+        return ring + latency + self.service_delta(path_key)
 
     def boot_response(self, ring: int, path_key: Tuple[str, str]) -> int:
-        """Completion cycle for a run's *first* doorbell at ``ring``
-        (which must be at or past :attr:`boot_tail_start`)."""
+        """Completion cycle for a run's *first* doorbell at ``ring``."""
+        if ring < self.boot_tail.start:
+            return self.boot_head + self.service_delta(path_key)
         return ring + self.boot_tail.latency(ring) + self.service_delta(path_key)
-
-    def open_shadow(self) -> ShadowSession:
-        return ShadowSession(self)
 
 
 #: Process-wide model memo (one calibration per firmware config).

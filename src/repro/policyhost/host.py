@@ -32,12 +32,18 @@ from repro.firmware.policies import (
     EVENT_UNDERFLOW,
     CheckResult,
     Policy,
+    ShadowStackPolicy,
 )
-from repro.policyhost.calibration import ResponseModel, ShadowSession, calibrate
+from repro.firmware.shadow_stack import FirmwareLayout
+from repro.policyhost.calibration import STEADY, ResponseModel, calibrate
 from repro.soc.mailbox import Mailbox, VERDICT_OK, VERDICT_VIOLATION
+from repro.system.addresses import AddressMap
 
 #: Shared "cannot act on its own" sentinel (compares like the writer's).
 UNBOUNDED = LogWriter.UNBOUNDED
+
+#: The firmware's shadow-stack geometry, which sizes the boot epoch's mirror.
+_LAYOUT = FirmwareLayout(AddressMap())
 
 
 def firmware_path(encoding: int) -> str:
@@ -82,9 +88,8 @@ def resolve_path_key(encoding: int, violation: bool,
     Spill/restore hints map to their own keys, which the calibration
     does not (yet) cover — the model raises on them rather than
     silently charging the plain push/pop cost, so a host-backed run
-    that overflows the resident stack in curve mode fails loudly
-    instead of drifting from the firmware's timing.  (Inside a
-    boot-epoch shadow session spills are serviced exactly, by replay.)
+    that overflows the resident stack fails loudly instead of drifting
+    from the firmware's timing.
     """
     name = firmware_path(encoding)
     if hint == EVENT_SPILL:
@@ -191,7 +196,7 @@ class PolicyHostStats:
     service_latencies: List[int] = field(default_factory=list)
     #: Checks by calibrated path key.
     by_path: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: Checks answered by the exact boot-epoch shadow session.
+    #: Checks answered inside the boot epoch, keyed by the firmware mirror.
     shadow_checks: int = 0
 
     @property
@@ -254,8 +259,11 @@ class PolicyHost:
         self._verdict = VERDICT_OK
         self._ring_at = 0
         self._prev_respond: Optional[int] = None
-        self._prev_outcome = "ok"
-        self._shadow: Optional[ShadowSession] = None
+        #: The firmware state the previous completion left
+        #: (:meth:`ResponseModel.next_state`).
+        self._state = STEADY
+        #: The boot epoch's firmware mirror (``None`` outside the epoch).
+        self._mirror: Optional[ShadowStackPolicy] = None
         #: Fault controller hook (:mod:`repro.faults`); ``None`` keeps
         #: the service path identical to the fault-free host.
         self.faults = None
@@ -334,13 +342,10 @@ class PolicyHost:
                 f"{self.name}: modelled completion at cycle {respond_at} "
                 f"does not follow the doorbell at cycle {ring}"
             )
-        if self._shadow is not None:
-            self._shadow.note_host_respond(respond_at)
         self._respond_at = respond_at
         self._verdict = VERDICT_VIOLATION if violation else VERDICT_OK
         self._ring_at = ring
         self._inflight_hart = hart_id
-        self._prev_outcome = "bad" if violation else "ok"
         self._count(hart_id, path_key, violation)
         if self.defense is not None and violation:
             # Repeated violation verdicts from one hart (a doorbell
@@ -363,19 +368,18 @@ class PolicyHost:
         self._verdict = VERDICT_VIOLATION
         self._ring_at = ring
         self._inflight_hart = hart_id
-        self._prev_outcome = "bad"
         self._count(hart_id, path_key, True)
 
     def _count(self, hart_id: int, path_key: Tuple[str, str],
                violation: bool) -> None:
         """Count one accepted check on ``hart_id``'s record (a shadow
-        check when an open boot-epoch session answered it)."""
+        check when the boot epoch's mirror keyed it)."""
         hstats = self.hart_stats[hart_id]
         hstats.checks += 1
         if violation:
             hstats.violations += 1
         hstats.by_path[path_key] = hstats.by_path.get(path_key, 0) + 1
-        if self._shadow is not None:
+        if self._mirror is not None:
             hstats.shadow_checks += 1
 
     @property
@@ -396,31 +400,46 @@ class PolicyHost:
                   path_key: Tuple[str, str]) -> int:
         """Firmware-calibrated completion cycle for a ring at ``ring``."""
         model = self.model
-        if self._prev_respond is None:
-            if ring >= model.boot_tail_start:
-                return model.boot_response(ring, path_key)
-            if self.n_harts > 1:
-                # The boot-epoch shadow rig replays the single-hart
-                # firmware against the raw log stream — an interleaved
-                # multi-hart stream would corrupt its replay state.
-                # Model the level-sensitive doorbell instead: the
-                # monitor finishes booting, then services the pending
-                # ring as if it arrived at the boot tail.  Deterministic
-                # and engine-invariant (a pure function of ring time).
-                return model.boot_response(model.boot_tail_start, path_key)
-            # The doorbell beat the RoT boot sequence: answer the whole
-            # boot epoch from an exact replay rig.
-            self._shadow = model.open_shadow()
-        elif (self._shadow is not None
-                and ring - self._prev_respond >= model.steady_threshold):
-            # A steady-length gap: the firmware is provably back in its
-            # cyclic idle regime — hand over to the calibrated curves.
-            self._shadow = None
-        if self._shadow is not None:
-            return self._shadow.response(ring, log)
-        return model.steady_response(
-            ring, self._prev_respond, self._prev_outcome, path_key
-        )
+        prev = self._prev_respond
+        if prev is None:
+            if ring < model.boot_tail_start:
+                if self.n_harts > 1:
+                    # The monitor finishes booting, then services the
+                    # pending (level-sensitive) ring as if rung at the
+                    # boot tail: a pure function of ring time.  The IRQ
+                    # firmware completes it at the boot head (its
+                    # interrupt is pending before its ``wfi``);
+                    # answering it there moves the multi-hart rows.
+                    ring = model.boot_tail_start
+                else:
+                    # The doorbell beat the RoT boot sequence.  Until
+                    # the first steady-length gap the firmware's own
+                    # shadow stack, not the host policy, picks its check
+                    # paths: mirror it.
+                    self._mirror = ShadowStackPolicy(_LAYOUT.ss_capacity,
+                                                     _LAYOUT.spill_entries)
+                    path_key = self._mirror_key(log)
+            self._state = model.boot_state(ring)
+            return model.boot_response(ring, path_key)
+        offset = ring - prev
+        if self._mirror is not None:
+            if offset < model.steady_threshold:
+                path_key = self._mirror_key(log)
+            else:
+                # A steady-length gap: the firmware is provably back in
+                # its cyclic idle regime, and the host policy keys the
+                # check paths.
+                self._mirror = None
+        state = self._state
+        self._state = model.next_state(state, offset)
+        return model.steady_response(ring, prev, state, path_key)
+
+    def _mirror_key(self, log: CommitLog) -> Tuple[str, str]:
+        """Check ``log`` on the boot epoch's firmware mirror; returns the
+        firmware's path key."""
+        mirror = self._mirror
+        violation = mirror.check(log) is CheckResult.VIOLATION
+        return resolve_path_key(log.encoding, violation, mirror.last_event)
 
     def _respond(self) -> None:
         self.mailbox.respond(self._verdict)

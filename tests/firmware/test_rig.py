@@ -21,7 +21,7 @@ import pytest
 from repro.eval.firmware_analysis import CheckBreakdown, FirmwareAnalyzer
 from repro.firmware.rig import call_log, ret_log
 from repro.hart.core import StepEvent, StepResult
-from repro.policyhost.calibration import P0_KEY, calibrate
+from repro.policyhost.calibration import P0_KEY, STEADY, calibrate
 
 
 @dataclass
@@ -97,7 +97,7 @@ def test_irq_rows_are_calibration_plus_the_isr_epilogue():
     assert call.completion == model.boot_response(call.ring, P0_KEY)
     assert ret.ring - prev.completion == 72
     assert ret.completion == model.steady_response(
-        ret.ring, prev.completion, "ok", ("ret-ra", "ok"))
+        ret.ring, prev.completion, STEADY, ("ret-ra", "ok"))
     assert (call.response, ret.response) == (187, 197)
 
     for row, total in ((call, 256), (ret, 266)):
@@ -137,7 +137,7 @@ def test_polling_rows_are_calibration_less_the_poll_loop(variant, fabric, spans)
     assert call.completion == model.boot_response(call.ring, P0_KEY)
     assert ret.ring == prev.completion  # Table I rings at the completion
     assert ret.completion == model.steady_response(
-        ret.ring, prev.completion, "ok", ("ret-ra", "ok"))
+        ret.ring, prev.completion, STEADY, ("ret-ra", "ok"))
     assert (call.response, ret.response) == (call_response, ret_response)
     assert (call.table1.total_cycles, ret.table1.total_cycles) == (
         call_total, ret_total)

@@ -7,8 +7,10 @@ for the four shipped configurations: the ``irq`` and ``polling``
 firmware on the ``standard`` and ``optimized`` fabrics at the default
 45-cycle wake.  This suite re-measures each of them with
 :func:`~repro.policyhost.calibration.measure_tables`, the function that
-generates the file, and compares every value (both busy curves, the
-boot tail, every service delta, ``bad_bias`` and the firmware digest).
+generates the file, and compares every value (the busy curve of each
+firmware state, the offsets that lead to the head state, the boot tail,
+the boot head, every service delta, ``bad_bias`` and the firmware
+digest).
 It also checks that a digest mismatch falls back to measuring.
 
 A change that alters the measured firmware timing on purpose
@@ -38,8 +40,8 @@ WAKE = 45
 
 def _fields(model: ResponseModel):
     """Every table a model was built from, deltas in probe order."""
-    return (model._busy, model.boot_tail, list(model._deltas.items()),
-            model.bad_bias)
+    return (model._busy, model._heads, model.boot_tail, model.boot_head,
+            list(model._deltas.items()), model.bad_bias)
 
 
 @pytest.fixture

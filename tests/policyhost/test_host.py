@@ -26,7 +26,12 @@ from repro.firmware.policies import (
 )
 from repro.firmware.shadow_stack import FirmwareLayout, shadow_stack_firmware
 from repro.policyhost import calibration
-from repro.policyhost.calibration import ResponseCurve, ResponseModel, calibrate
+from repro.policyhost.calibration import (
+    STEADY,
+    ResponseCurve,
+    ResponseModel,
+    calibrate,
+)
 from repro.policyhost.host import firmware_path, mount_policy_host, resolve_path_key
 from repro.system.addresses import AddressMap
 from repro.system.sim import MODE_BATCHED, MODE_BUSY, SystemSimulator
@@ -178,11 +183,10 @@ class TestHostAgentProperties:
         assert outcome.detected
 
     def test_spill_beyond_calibrated_depth_fails_loudly(self):
-        """The response model does not cover spill/restore: in curve
-        mode those path keys must raise, not silently charge the plain
-        push/pop cost and drift from firmware timing.  (Inside a
-        boot-epoch shadow session spills are serviced exactly by
-        replay, so only the curve-mode query is guarded.)"""
+        """The response model does not cover spill/restore: those path
+        keys must raise, not silently charge the plain push/pop cost and
+        drift from firmware timing.  Boot-epoch rings are keyed by the
+        same model, so a spill inside a boot epoch raises too."""
         from repro.errors import SimulationError
         from repro.firmware.policies import EVENT_RESTORE, EVENT_SPILL
 
@@ -194,6 +198,27 @@ class TestHostAgentProperties:
         for key in (spill_key, restore_key):
             with pytest.raises(SimulationError, match="spill/restore"):
                 model.service_delta(key)
+
+    def test_spill_inside_a_boot_epoch_fails_loudly(self, monkeypatch):
+        """Boot-epoch rings are keyed by the firmware mirror, so a spill
+        of the mirror raises the same error (a four-entry mirror stands
+        in for the firmware's 1,024)."""
+        from repro.errors import SimulationError
+        from repro.firmware.rig import call_log
+        from repro.policyhost import host as host_module
+        from repro.soc.mailbox import CfiMailbox
+
+        monkeypatch.setattr(host_module, "_LAYOUT", FirmwareLayout(
+            _ADDRESSES, ss_capacity=4, spill_entries=2))
+        mailbox = CfiMailbox()
+        host = host_module.PolicyHost(ShadowStackPolicy(), mailbox,
+                                      calibrate("irq"))
+        with pytest.raises(SimulationError, match="spill/restore"):
+            for _ in range(5):
+                mailbox.deposit(call_log(1).pack())
+                while not mailbox.completion_pending:
+                    host.tick()
+        assert host.stats.checks == host.stats.shadow_checks == 4
 
 
 class TestCryptoReturnPolicy:
@@ -322,8 +347,8 @@ class TestCalibration:
     def test_irq_tail_is_constant_polling_is_loop_periodic(self):
         irq = calibrate("irq")
         polling = calibrate("polling")
-        assert irq.busy_curve("ok").period == 1
-        assert polling.busy_curve("ok").period > 1
+        assert irq.busy_curve(STEADY).period == 1
+        assert polling.busy_curve(STEADY).period > 1
 
     def test_service_deltas_cover_every_firmware_path(self):
         model = calibrate("irq")

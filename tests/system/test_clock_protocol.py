@@ -45,15 +45,13 @@ from repro.system.topology import Topology
 #: boundary instruction it stops before) and the bus's count of harts
 #: holding code per page, the bus's last-region hint, the batched
 #: engine's own bookkeeping (due and settled cycles, and the tuple that
-#: hoists them for a pass), and the policy host's process-wide
-#: calibration memo, which answers the second twin's doorbells from the
-#: chain table the first one grew.
+#: hoists them for a pass), and the policy host's calibration model, a
+#: process-wide memo both twins share.
 CACHES = {
     "Hart": {"_pc_cache", "_code_pages", "_batch_ctx"},
     "MemoryMap": {"_hot_region", "_code_pages"},
     "SystemSimulator": {"_due", "_settled", "_pass_ctx"},
     "PolicyHost": {"model"},
-    "ShadowSession": {"_model", "_rig", "_chain", "_cursor", "_generation"},
 }
 
 

@@ -11,12 +11,15 @@ import pytest
 from repro.campaign.pool import run_campaign
 from repro.coverage.loop import FuzzConfig, fuzz
 from repro.errors import ConfigError
+from repro.firmware.policies import ShadowStackPolicy
+from repro.firmware.shadow_stack import FirmwareLayout
 from repro.hart.core import Hart
 from repro.hart.ports import MapPort
 from repro.hart.timing import IbexTiming
 from repro.mem.map import MemoryMap
 from repro.service.queue import SweepService
 from repro.soc.mailbox import DoorbellArbiter
+from repro.system.addresses import AddressMap
 from repro.system.sim import SystemSimulator
 from repro.system.soc import build_soc
 from repro.trace.model import simulate_trace
@@ -41,6 +44,19 @@ CASES = {
     "fuzz-jobs-bool": lambda root: fuzz(root, FuzzConfig(10, jobs=True)),
     "fuzz-seeds-per-family-str": lambda root: fuzz(
         root, FuzzConfig(10, seeds_per_family="1")),
+    "shadow-stack-capacity-str": lambda root: ShadowStackPolicy(capacity="4"),
+    "shadow-stack-capacity-float": lambda root: ShadowStackPolicy(
+        capacity=4.5),
+    "shadow-stack-spill-entries-str": lambda root: ShadowStackPolicy(
+        capacity=4, spill_entries="2"),
+    "layout-ss-capacity-str": lambda root: FirmwareLayout(
+        AddressMap(), ss_capacity="8"),
+    "layout-ss-capacity-float": lambda root: FirmwareLayout(
+        AddressMap(), ss_capacity=8.0, spill_entries=4),
+    "layout-spill-slots-str": lambda root: FirmwareLayout(
+        AddressMap(), spill_slots="x"),
+    "layout-spill-slots-negative": lambda root: FirmwareLayout(
+        AddressMap(), spill_slots=-1),
 }
 
 
